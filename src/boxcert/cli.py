@@ -147,6 +147,13 @@ def _require(spec_obj: dict, key: str) -> Any:
     return spec_obj[key]
 
 
+def _positive(spec_obj: dict, key: str) -> Fraction:
+    value = rational_from_json(_require(spec_obj, key))
+    if value <= 0:
+        raise ValidationError(f"{key} must be positive, got {format_rational(value)}")
+    return value
+
+
 def _load_operand(obj: Any, base: Path, loader) -> Any:
     """Operands may be inline objects or paths relative to the query file."""
     if isinstance(obj, str):
@@ -181,9 +188,9 @@ def parse_query(path: Path, max_fuel_override: int | None = None, threads: int =
     elif op in ("radiusLower", "radiusUpper", "optimalRadius"):
         kwargs["classifier"] = _load_operand(_require(raw, "classifier"), base, classifier_from_json)
         kwargs["point"] = point_from_json(_require(raw, "point"))
-        kwargs["ceiling"] = rational_from_json(_require(raw, "ceiling"))
+        kwargs["ceiling"] = _positive(raw, "ceiling")
         if op == "optimalRadius":
-            kwargs["tol"] = rational_from_json(_require(raw, "tol"))
+            kwargs["tol"] = _positive(raw, "tol")
     elif op == "doesDeviate":
         kwargs["learner"] = _load_operand(_require(raw, "learner"), base, learner_from_json)
         kwargs["domain"] = region_from_json(_require(raw, "domain"), metric)
@@ -201,7 +208,7 @@ def parse_query(path: Path, max_fuel_override: int | None = None, threads: int =
         if not isinstance(count, int) or isinstance(count, bool) or count < 0:
             raise ParseError(f"N must be a nonnegative integer, got {count!r}")
         kwargs["count"] = count
-        kwargs["eps"] = rational_from_json(_require(raw, "eps"))
+        kwargs["eps"] = _positive(raw, "eps")
     return QuerySpec(**kwargs)
 
 
@@ -456,7 +463,8 @@ EXPLAIN = {
     "radiusLower": (
         "Lower radius stream: the largest grid radius whose closed ball\n"
         "certifies a single color at this fuel. Approaches the optimal\n"
-        "perturbation radius from below; sentinel -1 before any commitment."
+        "perturbation radius from below; sentinel -2^-fuel (one grid step\n"
+        "below zero, -1/8 at fuel 3) before any commitment."
     ),
     "radiusUpper": (
         "Upper radius stream: the smallest grid radius whose closed ball\n"

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import DimensionMismatch, ParseError
-from .kernel import Fuel, Verdict, check_fuel
+from .kernel import Fuel, check_fuel
 
 Q = Fraction
 Point = tuple[Fraction, ...]
@@ -36,8 +36,6 @@ __all__ = [
     "dyadic_grid",
     "LowerReal",
     "UpperReal",
-    "sup_of_confirmed_set",
-    "inf_of_confirmed_set",
 ]
 
 
@@ -269,11 +267,6 @@ def dyadic_grid(lo: Fraction, hi: Fraction, fuel: Fuel) -> list[Fraction]:
     return [k * step for k in range(first, last + 1)]
 
 
-# A membership test semi-decides "r belongs to the searched set of rationals";
-# it must be monotone in fuel.
-RationalMembership = Callable[[Fraction, Fuel], Verdict]
-
-
 @dataclass(frozen=True)
 class LowerReal:
     """A real known from below: a nondecreasing stream of rational bounds.
@@ -294,53 +287,3 @@ class UpperReal:
 
     approx: Callable[[Fuel], Fraction]
     ceiling: Fraction | None = None
-
-
-def sup_of_confirmed_set(membership: RationalMembership, ceiling: int | str | Fraction) -> LowerReal:
-    """Supremum of a confirmed set of nonnegative rationals, from below.
-
-    At fuel d the grid holds the multiples of 2**-d in [0, ceiling] and the
-    approximation is the largest grid point whose membership confirms at
-    fuel d.  Scanning top-down finds it directly.  While nothing confirms,
-    the grid minimum one step below zero stands in as the sentinel, so an
-    unconfirmed stream rises toward 0 from below instead of stalling at a
-    fixed value.  Nested grids plus a monotone membership make the stream
-    nondecreasing either way.
-    """
-    top = as_rational(ceiling)
-    if top < 0:
-        raise ValueError("search ceiling must be nonnegative")
-
-    def approx(fuel: Fuel) -> Fraction:
-        step = dyadic_step(fuel)
-        r = math.floor(top / step) * step
-        while r >= 0:
-            if membership(r, fuel) is Verdict.CONFIRMED:
-                return r
-            r -= step
-        return -step
-
-    return LowerReal(approx=approx, ceiling=top)
-
-
-def inf_of_confirmed_set(membership: RationalMembership, ceiling: int | str | Fraction) -> UpperReal:
-    """Infimum of a confirmed set of nonnegative rationals, from above.
-
-    The grid at fuel d holds the multiples of 2**-d in [0, ceiling]; the
-    approximation is the smallest confirmed grid point, the ceiling while
-    nothing confirms.  The floor at zero is built into the grid.
-    """
-    top = as_rational(ceiling)
-    if top < 0:
-        raise ValueError("search ceiling must be nonnegative")
-
-    def approx(fuel: Fuel) -> Fraction:
-        step = dyadic_step(fuel)
-        r = Fraction(0)
-        while r <= top:
-            if membership(r, fuel) is Verdict.CONFIRMED:
-                return r
-            r += step
-        return top
-
-    return UpperReal(approx=approx, ceiling=top)

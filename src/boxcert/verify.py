@@ -16,7 +16,10 @@ concentrated where the classifier is actually undecided.
 
 from __future__ import annotations
 
+import functools
+import heapq
 import itertools
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,10 +34,10 @@ from .numerics import (
     Point,
     UpperReal,
     as_rational,
+    dist_point,
+    dist_range,
     dyadic_grid,
     dyadic_step,
-    inf_of_confirmed_set,
-    sup_of_confirmed_set,
 )
 from .regions import (
     CompactSet,
@@ -308,16 +311,73 @@ def locally_constant(
     return BitOutcome(value)
 
 
+@functools.lru_cache(maxsize=1)
+def _nearest_off_color(
+    x: Point, c: int, f: IntervalClassifier, ceiling: Fraction, metric: MetricKind, fuel: Fuel
+) -> tuple[Fraction | None, Fraction | None]:
+    """Distances from x to the nearest grid points off the center's color c.
+
+    Returns the distance to the nearest enumerated point of the closed
+    ball of radius ``ceiling`` whose value at this fuel is not color c
+    (bottom counts), and to the nearest one committing to another color;
+    None where no such point lies within the ceiling.  Best-first over the
+    ball's bounding box by each box's least distance to x, so the first
+    points found are the nearest; a box is dropped when the ball misses
+    it, when its envelope commits to c, or when it can no longer beat the
+    distances found.  Leaves enumerate grid points as ``_find_witness``
+    does.  The last result is kept, so the lower and upper streams that
+    ``optimal_radius`` runs at one fuel share a single walk.
+    """
+    step = dyadic_step(fuel)
+    center = KBot(c)
+    differ: Fraction | None = None
+    other: Fraction | None = None
+    order = itertools.count()
+    heap = [(Fraction(0), next(order), closed_ball(x, ceiling, metric).compact.bounding)]
+    while heap:
+        near, _, box = heapq.heappop(heap)
+        if other is not None and near >= other:
+            break
+        env = f.eval_box(box, fuel)
+        if env.committed(c):
+            continue
+        want_differ = differ is None or near < differ
+        if not want_differ and env.colors <= {c}:
+            continue
+        if all(side.width <= step for side in box.sides):
+            axes = [dyadic_grid(side.lo, side.hi, fuel) for side in box.sides]
+            for p in itertools.product(*axes):
+                d = dist_point(p, x, metric)
+                if d > ceiling or (other is not None and d >= other):
+                    continue
+                value = f.eval_point(p, fuel)
+                if value == center:
+                    continue
+                if differ is None or d < differ:
+                    differ = d
+                if value.committed and (other is None or d < other):
+                    other = d
+            continue
+        for half in box.bisect():
+            lo = dist_range(half, x, metric).lo
+            if lo <= ceiling:
+                heapq.heappush(heap, (lo, next(order), half))
+    return differ, other
+
+
 def radius_lower(
     x: Sequence, f: IntervalClassifier, ceiling, metric: MetricKind = MetricKind.MAX
 ) -> LowerReal:
     """Certified radii from below: how far the color provably reaches.
 
-    A radius r is in the searched set when some color certifies on the
-    whole closed ball of radius r.  Negative radii give the empty ball and
-    certify vacuously, so the supremum never sits below zero; a center the
-    classifier is silent on keeps every nonnegative radius unconfirmed and
-    the approximations crawl up to zero from below.
+    At fuel d the approximation is the largest multiple r of 2**-d in
+    [0, ceiling] such that some color certifies on the whole closed ball
+    of radius r, and -2**-d while no such radius exists.  The downward
+    scan starts just below the nearest grid point whose value differs from
+    the center's: a ball holding both that point and the center cannot
+    certify any single color, since a committed envelope fixes every point
+    inside it.  A center the classifier is silent on certifies no ball at
+    all, so its stream crawls up to zero from below.
     """
     point = tuple(as_rational(c) for c in x)
     top = as_rational(ceiling)
@@ -332,7 +392,23 @@ def radius_lower(
         ]
         return any_of(deciders, fuel)
 
-    return sup_of_confirmed_set(membership, top)
+    def approx(fuel: Fuel) -> Fraction:
+        step = dyadic_step(fuel)
+        base = f.eval_point(point, fuel)
+        if base.is_bot:
+            return -step
+        differ, _ = _nearest_off_color(point, base.color, f, top, metric, fuel)
+        if differ is None:
+            r = math.floor(top / step) * step
+        else:
+            r = (math.ceil(differ / step) - 1) * step
+        while r >= 0:
+            if membership(r, fuel) is Verdict.CONFIRMED:
+                return r
+            r -= step
+        return -step
+
+    return LowerReal(approx=approx, ceiling=top)
 
 
 def radius_upper(
@@ -340,10 +416,12 @@ def radius_upper(
 ) -> UpperReal:
     """Refuting radii from above: how near a differently-colored point is.
 
-    A radius r is in the searched set when the closed ball of radius r
-    contains an enumerated point committing to a color other than the
-    center's own.  Needs the center itself to commit first; while it does
-    not, everything stays unconfirmed and the stream sits at the ceiling.
+    At fuel d the approximation is the smallest multiple of 2**-d in
+    [0, ceiling] whose closed ball contains an enumerated point committing
+    to a color other than the center's own: the nearest such point's
+    distance rounded up to the grid.  Needs the center itself to commit
+    first; while it does not, or no such point lies within the ceiling,
+    the stream sits at the ceiling.
     """
     point = tuple(as_rational(c) for c in x)
     top = as_rational(ceiling)
@@ -351,19 +429,17 @@ def radius_upper(
         raise ValueError("search ceiling must be positive")
     _check_region_dims(len(point), f)
 
-    def membership(r: Fraction, fuel: Fuel) -> Verdict:
+    def approx(fuel: Fuel) -> Fraction:
         base = f.eval_point(point, fuel)
         if base.is_bot:
-            return Verdict.UNKNOWN
-        ball = closed_ball(point, r, metric)
-        for m in range(f.k):
-            if m == base.color:
-                continue
-            if _find_witness(ball.overt, f, m, fuel) is not None:
-                return Verdict.CONFIRMED
-        return Verdict.UNKNOWN
+            return top
+        _, other = _nearest_off_color(point, base.color, f, top, metric, fuel)
+        if other is None:
+            return top
+        step = dyadic_step(fuel)
+        return min(top, math.ceil(other / step) * step)
 
-    return inf_of_confirmed_set(membership, top)
+    return UpperReal(approx=approx, ceiling=top)
 
 
 @dataclass(frozen=True)

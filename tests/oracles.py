@@ -3,13 +3,18 @@
 Everything here is written directly from the defining formulas, with none
 of the interval or subdivision machinery of the package under test: colors
 come from exact sign tests at points, searches are plain dense-grid sweeps.
-Slow and obvious on purpose.
+Slow and obvious on purpose.  The two radius scans at the end take the
+package's membership tests as given and only walk the radius grid; they
+are the one-membership-per-radius reference for the radius streams.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import product
+
+from boxcert import LowerReal, UpperReal, Verdict
 
 Q = Fraction
 
@@ -160,3 +165,50 @@ def grid_search_radius(color_fn, x, step: Fraction, ceiling: Fraction):
             upper = r
         r += step
     return lower, upper
+
+
+def sup_of_confirmed_set(membership, ceiling):
+    """Reference scan for a supremum from below, one membership per radius.
+
+    At fuel d the grid holds the multiples of 2**-d in [0, ceiling] and the
+    approximation is the largest grid point whose membership confirms at
+    fuel d, found by scanning top-down.  While nothing confirms, the grid
+    minimum one step below zero stands in as the sentinel.
+    """
+    top = frac(ceiling)
+    if top < 0:
+        raise ValueError("search ceiling must be nonnegative")
+
+    def approx(fuel):
+        step = Q(1, 2**fuel)
+        r = math.floor(top / step) * step
+        while r >= 0:
+            if membership(r, fuel) is Verdict.CONFIRMED:
+                return r
+            r -= step
+        return -step
+
+    return LowerReal(approx=approx, ceiling=top)
+
+
+def inf_of_confirmed_set(membership, ceiling):
+    """Reference scan for an infimum from above, one membership per radius.
+
+    The grid at fuel d holds the multiples of 2**-d in [0, ceiling]; the
+    approximation is the smallest confirmed grid point, the ceiling while
+    nothing confirms.
+    """
+    top = frac(ceiling)
+    if top < 0:
+        raise ValueError("search ceiling must be nonnegative")
+
+    def approx(fuel):
+        step = Q(1, 2**fuel)
+        r = Q(0)
+        while r <= top:
+            if membership(r, fuel) is Verdict.CONFIRMED:
+                return r
+            r += step
+        return top
+
+    return UpperReal(approx=approx, ceiling=top)

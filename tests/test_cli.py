@@ -117,6 +117,46 @@ class TestVerifyCommand:
         assert main(["verify", str(query)]) == 1
 
 
+class TestNonpositiveFields:
+    RADIUS = {
+        "maxFuel": 2,
+        "classifier": {"kind": "hyperplane", "w": [1, 0], "b": 0},
+        "point": [1, 0],
+        "ceiling": 2,
+    }
+    SPARSITY = {
+        "op": "sprsOrDns",
+        "maxFuel": 1,
+        "learner": {"kind": "nn", "tieMargin": "1/8"},
+        "sample": {"points": [{"x": [0], "label": 0}, {"x": [1], "label": 1}]},
+        "point": ["1/4"],
+        "domain": {"type": "box", "sides": [[0, 1]]},
+        "N": 1,
+        "eps": "1/2",
+    }
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {**RADIUS, "op": "radiusLower", "ceiling": "0"},
+            {**RADIUS, "op": "radiusUpper", "ceiling": "-1/2"},
+            {**RADIUS, "op": "optimalRadius", "tol": "0"},
+            {**RADIUS, "op": "optimalRadius", "tol": "1/8", "ceiling": 0},
+            {**SPARSITY, "eps": "0"},
+            {**SPARSITY, "eps": "-1/4"},
+        ],
+    )
+    def test_rejected_with_a_one_line_error(self, tmp_path, capsys, body):
+        query = write_query(tmp_path, body)
+        with pytest.raises(ValidationError):
+            parse_query(query)
+        assert main(["verify", str(query)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "must be positive" in err
+
+
 class TestTwoBotReports:
     def test_bot_at_budget_exits_two(self, tmp_path, capsys):
         body = {
@@ -167,6 +207,11 @@ class TestExplain:
     def test_optimal_radius_names_both_streams(self):
         text = explain_text("optimalRadius")
         assert "lower" in text and "upper" in text
+
+    def test_radius_lower_names_its_actual_sentinel(self):
+        text = explain_text("radiusLower")
+        assert "-2^-fuel" in text and "-1/8 at fuel 3" in text
+        assert "sentinel -1 " not in text
 
     def test_unknown_op_rejected(self):
         with pytest.raises(ValidationError):

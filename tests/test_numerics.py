@@ -17,10 +17,9 @@ from boxcert import (
     dyadic_grid,
     dyadic_step,
     format_rational,
-    inf_of_confirmed_set,
     parse_rational,
-    sup_of_confirmed_set,
 )
+from oracles import inf_of_confirmed_set, sup_of_confirmed_set
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=64)
 
