@@ -14,11 +14,11 @@ import json
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .errors import BoxcertError, ParseError, ValidationError
 from .io import (
@@ -32,9 +32,9 @@ from .io import (
     region_from_json,
     sample_from_json,
 )
-from .kernel import TwoBot, Verdict
+from .kernel import Outcome
 from .learners import (
-    DeviateOutcome,
+    DeviationWitness,
     ExtensionWitness,
     does_deviate,
     robust_point,
@@ -42,7 +42,6 @@ from .learners import (
 )
 from .numerics import MetricKind, format_rational
 from .verify import (
-    BitOutcome,
     ColorWitness,
     constant_value,
     exists_value,
@@ -82,7 +81,6 @@ class QuerySpec:
     op: str
     max_fuel: int
     metric: MetricKind
-    threads: int = 1
     classifier: Any = None
     region: Any = None
     point: Any = None
@@ -157,12 +155,14 @@ def _positive(spec_obj: dict, key: str) -> Fraction:
 def _load_operand(obj: Any, base: Path, loader) -> Any:
     """Operands may be inline objects or paths relative to the query file."""
     if isinstance(obj, str):
-        return loader(load_json((base / obj).resolve()))
+        return loader(load_json(base / obj))
     return loader(obj)
 
 
-def parse_query(path: Path, max_fuel_override: int | None = None, threads: int = 1) -> QuerySpec:
+def parse_query(path: Path, max_fuel_override: int | None = None) -> QuerySpec:
     raw = load_json(path)
+    if not isinstance(raw, dict):
+        raise ParseError(f"a query must be a JSON object, got {raw!r}")
     base = path.resolve().parent
     op = _require(raw, "op")
     if op not in OPS:
@@ -172,7 +172,7 @@ def parse_query(path: Path, max_fuel_override: int | None = None, threads: int =
     if not isinstance(max_fuel, int) or isinstance(max_fuel, bool) or max_fuel < 0:
         raise ParseError(f"maxFuel must be a nonnegative integer, got {max_fuel!r}")
 
-    kwargs: dict[str, Any] = {"op": op, "max_fuel": max_fuel, "metric": metric, "threads": threads}
+    kwargs: dict[str, Any] = {"op": op, "max_fuel": max_fuel, "metric": metric}
     if op in ("existsValue", "forallValue", "fixedValue", "constantValue"):
         kwargs["classifier"] = _load_operand(_require(raw, "classifier"), base, classifier_from_json)
         kwargs["region"] = region_from_json(_require(raw, "region"), metric)
@@ -215,6 +215,12 @@ def parse_query(path: Path, max_fuel_override: int | None = None, threads: int =
 def _witness_json(witness: Any) -> dict:
     if isinstance(witness, ColorWitness):
         return {"point": point_to_json(witness.point), "color": witness.color}
+    if isinstance(witness, DeviationWitness):
+        return {
+            "tuple": [{"x": point_to_json(p), "label": label} for p, label in witness.sample],
+            "index": witness.index,
+            "observed": witness.observed,
+        }
     if isinstance(witness, ExtensionWitness):
         return {
             "extension": [
@@ -225,78 +231,29 @@ def _witness_json(witness: Any) -> dict:
     raise TypeError(f"cannot serialize witness {witness!r}")
 
 
-def _two_bot_str(value: TwoBot) -> str:
-    return value.value
-
-
-def _iterate_two_bot(spec: QuerySpec, step) -> Report:
-    """Run a TwoBot op fuel by fuel, stopping at the first commitment."""
+def _iterate(spec: QuerySpec, step: Callable[[int], Outcome]) -> Report:
+    """Run an op fuel by fuel, stopping at the first commitment."""
     trace = []
-    outcome = None
     fuel_used = spec.max_fuel
     for fuel in range(spec.max_fuel + 1):
         outcome = step(fuel)
-        trace.append({"fuel": fuel, "value": _two_bot_str(outcome.value)})
-        if outcome.value.committed:
+        trace.append({"fuel": fuel, "value": outcome.verdict.value})
+        if outcome.verdict.committed:
             fuel_used = fuel
             break
-    witnesses = tuple(_witness_json(w) for w in getattr(outcome, "witnesses", ()) or ())
-    single = getattr(outcome, "witness", None)
-    if single is not None:
-        witnesses = witnesses + (_witness_json(single),)
-    diagnostics = {}
-    color = getattr(outcome, "color", None)
-    if color is not None:
-        diagnostics["color"] = color
-    base = getattr(outcome, "base", None)
-    if base is not None:
-        diagnostics["baseColor"] = base.color if base.committed else "bot"
-    if not outcome.value.committed:
-        diagnostics["fuelExhausted"] = True
-    return Report(
-        op=spec.op,
-        verdict=_two_bot_str(outcome.value),
-        fuel_used=fuel_used,
-        max_fuel=spec.max_fuel,
-        witnesses=witnesses,
-        trace=tuple(trace),
-        diagnostics=diagnostics,
-    )
-
-
-def _iterate_verdict(spec: QuerySpec, step) -> Report:
-    """Run a Verdict op fuel by fuel, stopping at the first commitment."""
-    trace = []
-    outcome = None
-    fuel_used = spec.max_fuel
-    for fuel in range(spec.max_fuel + 1):
-        outcome = step(fuel)
-        verdict = outcome.verdict if hasattr(outcome, "verdict") else outcome
-        trace.append({"fuel": fuel, "value": verdict.value})
-        if verdict is Verdict.CONFIRMED:
-            fuel_used = fuel
-            break
-    verdict = outcome.verdict if hasattr(outcome, "verdict") else outcome
-    witnesses: tuple = ()
     diagnostics: dict[str, Any] = {}
-    if isinstance(outcome, DeviateOutcome) and outcome.witness is not None:
-        witnesses = (
-            {
-                "tuple": [{"x": point_to_json(p), "label": label} for p, label in outcome.witness],
-                "index": outcome.index,
-                "observed": outcome.observed,
-            },
-        )
-    elif hasattr(outcome, "witness") and outcome.witness is not None:
-        witnesses = (_witness_json(outcome.witness),)
-    if verdict is not Verdict.CONFIRMED:
+    if outcome.color is not None:
+        diagnostics["color"] = outcome.color
+    if outcome.base is not None:
+        diagnostics["baseColor"] = outcome.base.color if outcome.base.committed else "bot"
+    if not outcome.verdict.committed:
         diagnostics["fuelExhausted"] = True
     return Report(
         op=spec.op,
-        verdict=verdict.value,
+        verdict=outcome.verdict.value,
         fuel_used=fuel_used,
         max_fuel=spec.max_fuel,
-        witnesses=witnesses,
+        witnesses=tuple(_witness_json(w) for w in outcome.witnesses),
         trace=tuple(trace),
         diagnostics=diagnostics,
     )
@@ -305,43 +262,32 @@ def _iterate_verdict(spec: QuerySpec, step) -> Report:
 def run_query(spec: QuerySpec) -> Report:
     started = time.monotonic()
     report = _dispatch(spec)
-    elapsed = time.monotonic() - started
-    return Report(
-        op=report.op,
-        verdict=report.verdict,
-        fuel_used=report.fuel_used,
-        max_fuel=report.max_fuel,
-        witnesses=report.witnesses,
-        radius=report.radius,
-        trace=report.trace,
-        diagnostics=report.diagnostics,
-        wall_time=elapsed,
-    )
+    return replace(report, wall_time=time.monotonic() - started)
 
 
 def _dispatch(spec: QuerySpec) -> Report:
     if spec.op == "existsValue":
-        return _iterate_verdict(
+        return _iterate(
             spec, lambda fuel: exists_value(spec.color, spec.region.overt, spec.classifier, fuel)
         )
     if spec.op == "forallValue":
-        return _iterate_verdict(
-            spec, lambda fuel: forall_value(spec.color, spec.region.compact, spec.classifier, fuel)
+        return _iterate(
+            spec,
+            lambda fuel: Outcome(
+                forall_value(spec.color, spec.region.compact, spec.classifier, fuel)
+            ),
         )
     if spec.op == "fixedValue":
-        return _iterate_two_bot(
+        return _iterate(
             spec, lambda fuel: fixed_value(spec.color, spec.region, spec.classifier, fuel)
         )
     if spec.op == "constantValue":
-        return _iterate_two_bot(
-            spec,
-            lambda fuel: constant_value(spec.region, spec.classifier, fuel, parallelism=spec.threads),
-        )
+        return _iterate(spec, lambda fuel: constant_value(spec.region, spec.classifier, fuel))
     if spec.op == "locallyConstant":
-        return _iterate_two_bot(
+        return _iterate(
             spec,
             lambda fuel: locally_constant(
-                spec.point, spec.radius, spec.classifier, fuel, spec.metric, parallelism=spec.threads
+                spec.point, spec.radius, spec.classifier, fuel, spec.metric
             ),
         )
     if spec.op == "radiusLower":
@@ -403,11 +349,11 @@ def _dispatch(spec: QuerySpec) -> Report:
             },
         )
     if spec.op == "doesDeviate":
-        return _iterate_verdict(
+        return _iterate(
             spec, lambda fuel: does_deviate(spec.learner, spec.domain, fuel)
         )
     if spec.op == "robustPoint":
-        return _iterate_two_bot(
+        return _iterate(
             spec,
             lambda fuel: robust_point(spec.point, spec.sample, spec.learner, spec.domain, fuel),
         )
@@ -425,7 +371,7 @@ def _dispatch(spec: QuerySpec) -> Report:
                     fuel,
                     spec.metric,
                 )
-        return _iterate_two_bot(spec, step)
+        return _iterate(spec, step)
     raise ParseError(f"unknown op {spec.op!r}")
 
 
@@ -502,13 +448,13 @@ EXPLAIN = {
 
 
 def explain_text(op: str) -> str:
-    if op not in EXPLAIN:
+    if not isinstance(op, str) or op not in EXPLAIN:
         raise ValidationError(f"unknown op {op!r}")
     return EXPLAIN[op] + "\n"
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    spec = parse_query(Path(args.query), args.max_fuel, args.threads)
+    spec = parse_query(Path(args.query), args.max_fuel)
     report = run_query(spec)
     rendered = report.render(args.format, include_timing=args.timing)
     if args.out:
@@ -573,7 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run a query file and print a report")
     verify.add_argument("query", help="path to a query JSON file")
     verify.add_argument("--max-fuel", type=int, default=None, help="override the query's fuel budget")
-    verify.add_argument("--threads", type=int, default=1, help="worker threads for independent subtasks")
     verify.add_argument("--format", choices=("json", "text"), default="json")
     verify.add_argument("--out", default=None, help="write the report to this path instead of stdout")
     verify.add_argument("--timing", action="store_true", help="include wall time in the report")
@@ -595,7 +540,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.handler(args)
     except BoxcertError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        # One line, even when the message quotes a name with line breaks.
+        sys.stderr.write(f"error: {' '.join(str(exc).splitlines())}\n")
         return EXIT_ERROR
 
 

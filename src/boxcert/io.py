@@ -38,13 +38,15 @@ __all__ = [
 
 
 def load_json(path: Path) -> Any:
+    # ValueError covers a NUL byte in the name, undecodable text, malformed
+    # JSON and integers too long to convert.
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
 
 
@@ -66,6 +68,12 @@ def point_from_json(value: Any) -> Point:
     if not isinstance(value, list) or not value:
         raise ParseError(f"a point must be a nonempty list of rationals, got {value!r}")
     return tuple(rational_from_json(c) for c in value)
+
+
+def _rational_list(value: Any, what: str) -> list[Fraction]:
+    if not isinstance(value, list):
+        raise ParseError(f"{what} must be a list of rationals, got {value!r}")
+    return [rational_from_json(c) for c in value]
 
 
 def point_to_json(point: Point) -> list[str]:
@@ -102,15 +110,19 @@ def classifier_from_json(obj: Any) -> IntervalClassifier:
             weights = _field(entry, "weights", "net layer")
             bias = _field(entry, "bias", "net layer")
             activation = _field(entry, "activation", "net layer")
+            if not isinstance(weights, list):
+                raise ParseError(f"net layer weights must be a list of rows, got {weights!r}")
             layers.append(
                 make_layer(
-                    [[rational_from_json(v) for v in row] for row in weights],
-                    [rational_from_json(v) for v in bias],
+                    [_rational_list(row, "a net weight row") for row in weights],
+                    _rational_list(bias, "net layer bias"),
                     activation,
                 )
             )
         margin = rational_from_json(_field(obj, "margin", "net classifier"))
         declared_k = _field(obj, "k", "net classifier")
+        if not isinstance(declared_k, int) or isinstance(declared_k, bool):
+            raise ParseError(f"net k must be an integer, got {declared_k!r}")
         try:
             net = threshold_net_classifier(layers, margin)
         except ValueError as exc:
@@ -179,6 +191,10 @@ def region_from_json(obj: Any, metric: MetricKind) -> VKSet:
     if rtype == "ball":
         center = point_from_json(_field(obj, "center", "ball region"))
         radius = rational_from_json(_field(obj, "radius", "ball region"))
+        if radius < 0:
+            raise ValidationError(
+                f"ball radius must be nonnegative, got {format_rational(radius)}"
+            )
         return closed_ball(center, radius, metric)
     if rtype == "box":
         return domain_box(_box_from_json(obj))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Any, Callable, Iterable
 
 from .errors import IncoherentRace
 
@@ -21,10 +21,10 @@ __all__ = [
     "Verdict",
     "TwoBot",
     "KBot",
+    "Outcome",
     "SemiDecider",
     "check_fuel",
     "any_of",
-    "all_of",
     "race",
 ]
 
@@ -36,6 +36,10 @@ class Verdict(enum.Enum):
     UNKNOWN = "unknown"
 
     def __bool__(self) -> bool:
+        return self is Verdict.CONFIRMED
+
+    @property
+    def committed(self) -> bool:
         return self is Verdict.CONFIRMED
 
 
@@ -70,6 +74,23 @@ class KBot:
         return self.color is not None
 
 
+@dataclass(frozen=True)
+class Outcome:
+    """An answer at one fuel together with its certificate.
+
+    ``verdict`` is a :class:`Verdict` for semi-decisions and a
+    :class:`TwoBot` for races.  ``color`` names the committed color of an
+    affirmative answer that has one, ``base`` the prediction a robustness
+    question is asked about, and ``witnesses`` the replayable points or
+    augmentations backing the answer.
+    """
+
+    verdict: Verdict | TwoBot
+    color: int | None = None
+    base: KBot | None = None
+    witnesses: tuple[Any, ...] = ()
+
+
 SemiDecider = Callable[[Fuel], Verdict]
 
 
@@ -89,19 +110,6 @@ def any_of(deciders: Iterable[SemiDecider], fuel: Fuel) -> Verdict:
         if decide(fuel) is Verdict.CONFIRMED:
             return Verdict.CONFIRMED
     return Verdict.UNKNOWN
-
-
-def all_of(deciders: Iterable[SemiDecider], fuel: Fuel) -> Verdict:
-    """Finite meet: confirmed iff every decider confirms at this fuel.
-
-    The empty meet is CONFIRMED.  Monotone whenever every input is.
-    """
-    check_fuel(fuel)
-    verdict = Verdict.CONFIRMED
-    for decide in deciders:
-        if decide(fuel) is not Verdict.CONFIRMED:
-            verdict = Verdict.UNKNOWN
-    return verdict
 
 
 def race(yes_side: SemiDecider, no_side: SemiDecider, fuel: Fuel) -> TwoBot:

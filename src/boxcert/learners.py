@@ -25,7 +25,7 @@ from .errors import (
     DimensionMismatch,
     EmptyRegionWarning,
 )
-from .kernel import Fuel, KBot, TwoBot, Verdict, check_fuel, race
+from .kernel import Fuel, KBot, Outcome, Verdict, check_fuel, race
 from .numerics import (
     Box,
     Interval,
@@ -43,9 +43,7 @@ __all__ = [
     "nn_learner",
     "majority_learner",
     "ExtensionWitness",
-    "DeviateOutcome",
-    "RobustOutcome",
-    "SparsityOutcome",
+    "DeviationWitness",
     "does_deviate",
     "robust_point",
     "sparse_or_dense",
@@ -225,20 +223,23 @@ class ExtensionWitness:
 
 
 @dataclass(frozen=True)
-class DeviateOutcome:
-    """Result of the deviation search, with a replayable witness tuple."""
+class DeviationWitness:
+    """A training sample whose trained classifier mislabels one of its points.
 
-    verdict: Verdict
-    witness: tuple[tuple[Point, int], ...] | None = None
-    index: int | None = None
-    observed: int | None = None
+    Training on ``sample`` and evaluating at its ``index``-th point commits
+    to ``observed``, a color other than that point's label.
+    """
+
+    sample: tuple[tuple[Point, int], ...]
+    index: int
+    observed: int
 
 
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def does_deviate(L: Learner, domain: VKSet, fuel: Fuel) -> DeviateOutcome:
+def does_deviate(L: Learner, domain: VKSet, fuel: Fuel) -> Outcome:
     """Can training mislabel one of its own sample points?
 
     Searches tuples of pairwise-distinct enumerated points with every label
@@ -266,27 +267,14 @@ def does_deviate(L: Learner, domain: VKSet, fuel: Fuel) -> DeviateOutcome:
                         for m in range(t):
                             got = trained.eval_point(tup[m], fuel)
                             if got.committed and got.color != labels[m]:
-                                return DeviateOutcome(
-                                    Verdict.CONFIRMED,
-                                    witness=tuple(zip(tup, labels)),
-                                    index=m,
-                                    observed=got.color,
-                                )
-    return DeviateOutcome(Verdict.UNKNOWN)
-
-
-@dataclass(frozen=True)
-class RobustOutcome:
-    """Robustness of a trained prediction against one added sample point."""
-
-    value: TwoBot
-    base: KBot
-    witness: ExtensionWitness | None = None
+                                witness = DeviationWitness(tuple(zip(tup, labels)), m, got.color)
+                                return Outcome(Verdict.CONFIRMED, witnesses=(witness,))
+    return Outcome(Verdict.UNKNOWN)
 
 
 def robust_point(
     x: Sequence, sample: Sample, L: Learner, domain: VKSet, fuel: Fuel
-) -> RobustOutcome:
+) -> Outcome:
     """Does one poisoned training point flip the prediction at x?
 
     ONE: the base prediction commits and survives every single-point
@@ -325,16 +313,7 @@ def robust_point(
         return Verdict.UNKNOWN
 
     value = race(yes_side, no_side, fuel)
-    return RobustOutcome(value, base, flip[0] if flip else None)
-
-
-@dataclass(frozen=True)
-class SparsityOutcome:
-    """Whether bounded augmentations far from x can steer the prediction."""
-
-    value: TwoBot
-    color: int | None = None
-    witnesses: tuple[ExtensionWitness, ...] = ()
+    return Outcome(value, base=base, witnesses=tuple(flip))
 
 
 def sparse_or_dense(
@@ -346,7 +325,7 @@ def sparse_or_dense(
     domain: VKSet,
     fuel: Fuel,
     metric: MetricKind = MetricKind.MAX,
-) -> SparsityOutcome:
+) -> Outcome:
     """Race sparsity against density at x for up to N added points.
 
     ZERO (sparse): two augmentations by at most N enumerated points, each
@@ -417,8 +396,6 @@ def sparse_or_dense(
         return Verdict.CONFIRMED
 
     value = race(yes_side, zero_side, fuel)
-    if value is TwoBot.ONE:
-        return SparsityOutcome(value, color=dense_color[0])
-    if value is TwoBot.ZERO:
-        return SparsityOutcome(value, witnesses=tuple(sparse_pair))
-    return SparsityOutcome(value)
+    return Outcome(
+        value, color=dense_color[0] if dense_color else None, witnesses=tuple(sparse_pair)
+    )

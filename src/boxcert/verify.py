@@ -20,14 +20,13 @@ import functools
 import heapq
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 from .classifiers import IntervalClassifier
 from .errors import DimensionMismatch, NonpositiveRadius
-from .kernel import Fuel, KBot, TwoBot, Verdict, any_of, check_fuel, race
+from .kernel import Fuel, KBot, Outcome, TwoBot, Verdict, any_of, check_fuel, race
 from .numerics import (
     LowerReal,
     MetricKind,
@@ -50,8 +49,6 @@ from .regions import (
 
 __all__ = [
     "ColorWitness",
-    "ExistsOutcome",
-    "BitOutcome",
     "RadiusReport",
     "exists_value",
     "forall_value",
@@ -70,27 +67,6 @@ class ColorWitness:
 
     point: Point
     color: int
-
-
-@dataclass(frozen=True)
-class ExistsOutcome:
-    """Verdict of an existential query, with the witness when confirmed."""
-
-    verdict: Verdict
-    witness: ColorWitness | None = None
-
-
-@dataclass(frozen=True)
-class BitOutcome:
-    """A two-sided verdict with its certificate.
-
-    ``color`` names the committed color for affirmative answers that have
-    one; ``witnesses`` carries the points backing a negative answer.
-    """
-
-    value: TwoBot
-    color: int | None = None
-    witnesses: tuple[ColorWitness, ...] = ()
 
 
 def _check_region_dims(region_dims: int, f: IntervalClassifier) -> None:
@@ -153,7 +129,7 @@ def _find_witness(A: OvertSet, f: IntervalClassifier, n: int, fuel: Fuel) -> Poi
     return None
 
 
-def exists_value(n: int, A: OvertSet, f: IntervalClassifier, fuel: Fuel) -> ExistsOutcome:
+def exists_value(n: int, A: OvertSet, f: IntervalClassifier, fuel: Fuel) -> Outcome:
     """Semi-decide: some point of the region takes color n.
 
     Confirmations always carry a replayable witness point from the
@@ -164,8 +140,8 @@ def exists_value(n: int, A: OvertSet, f: IntervalClassifier, fuel: Fuel) -> Exis
     _check_region_dims(A.dims, f)
     point = _find_witness(A, f, n, fuel)
     if point is None:
-        return ExistsOutcome(Verdict.UNKNOWN)
-    return ExistsOutcome(Verdict.CONFIRMED, ColorWitness(point, n))
+        return Outcome(Verdict.UNKNOWN)
+    return Outcome(Verdict.CONFIRMED, witnesses=(ColorWitness(point, n),))
 
 
 def forall_value(n: int, A: CompactSet, f: IntervalClassifier, fuel: Fuel) -> Verdict:
@@ -181,14 +157,7 @@ def forall_value(n: int, A: CompactSet, f: IntervalClassifier, fuel: Fuel) -> Ve
     return Verdict.UNKNOWN
 
 
-def _ordered_map(fn: Callable, items: Sequence, parallelism: int) -> list:
-    if parallelism <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        return list(pool.map(fn, items))
-
-
-def fixed_value(n: int, A: VKSet, f: IntervalClassifier, fuel: Fuel) -> BitOutcome:
+def fixed_value(n: int, A: VKSet, f: IntervalClassifier, fuel: Fuel) -> Outcome:
     """Is the region uniformly color n, or does some point refuse it?
 
     The two sides are mutually exclusive on a coherent classifier, so they
@@ -208,21 +177,15 @@ def fixed_value(n: int, A: VKSet, f: IntervalClassifier, fuel: Fuel) -> BitOutco
                 continue
             outcome = exists_value(m, A.overt, f, d)
             if outcome.verdict is Verdict.CONFIRMED:
-                found.append(outcome.witness)
+                found.extend(outcome.witnesses)
                 return Verdict.CONFIRMED
         return Verdict.UNKNOWN
 
     value = race(yes_side, no_side, fuel)
-    if value is TwoBot.ONE:
-        return BitOutcome(value, color=n)
-    if value is TwoBot.ZERO:
-        return BitOutcome(value, witnesses=tuple(found[:1]))
-    return BitOutcome(value)
+    return Outcome(value, color=n if value is TwoBot.ONE else None, witnesses=tuple(found))
 
 
-def constant_value(
-    A: VKSet, f: IntervalClassifier, fuel: Fuel, parallelism: int = 1
-) -> BitOutcome:
+def constant_value(A: VKSet, f: IntervalClassifier, fuel: Fuel) -> Outcome:
     """Is the classifier constant on the region, no matter which color?
 
     Affirmed when one color certifies everywhere; refuted when two
@@ -231,32 +194,27 @@ def constant_value(
     """
     check_fuel(fuel)
     _check_region_dims(A.dims, f)
-    colors = list(range(f.k))
-    constant_color: list[int] = []
-    refuters: list[ColorWitness] = []
+    certified: list[int] = []
+    found: list[ColorWitness] = []
 
     def yes_side(d: Fuel) -> Verdict:
-        certs = _ordered_map(lambda n: forall_value(n, A.compact, f, d), colors, parallelism)
-        for n, cert in zip(colors, certs):
-            if cert is Verdict.CONFIRMED:
-                constant_color.append(n)
+        for n in range(f.k):
+            if forall_value(n, A.compact, f, d) is Verdict.CONFIRMED:
+                certified.append(n)
                 return Verdict.CONFIRMED
         return Verdict.UNKNOWN
 
     def no_side(d: Fuel) -> Verdict:
-        outcomes = _ordered_map(lambda n: exists_value(n, A.overt, f, d), colors, parallelism)
-        hits = [out.witness for out in outcomes if out.verdict is Verdict.CONFIRMED]
-        if len(hits) >= 2:
-            refuters.extend(hits[:2])
-            return Verdict.CONFIRMED
+        hits: list[ColorWitness] = []
+        for n in range(f.k):
+            hits.extend(exists_value(n, A.overt, f, d).witnesses)
+            if len(hits) == 2:
+                found.extend(hits)
+                return Verdict.CONFIRMED
         return Verdict.UNKNOWN
 
     value = race(yes_side, no_side, fuel)
-    if value is TwoBot.ONE:
-        return BitOutcome(value, color=constant_color[0])
-    if value is TwoBot.ZERO:
-        return BitOutcome(value, witnesses=tuple(refuters))
-    return BitOutcome(value)
+    return Outcome(value, color=certified[0] if certified else None, witnesses=tuple(found))
 
 
 def locally_constant(
@@ -265,8 +223,7 @@ def locally_constant(
     f: IntervalClassifier,
     fuel: Fuel,
     metric: MetricKind = MetricKind.MAX,
-    parallelism: int = 1,
-) -> BitOutcome:
+) -> Outcome:
     """Is the classifier constant on the ball around x, radius r?
 
     ONE: some color certifies on the closed ball.  ZERO: two enumerated
@@ -281,34 +238,10 @@ def locally_constant(
     if radius <= 0:
         raise NonpositiveRadius(f"ball radius must be positive, got {radius}")
     _check_region_dims(len(point), f)
-    ball = closed_ball(point, radius, metric)
-    interior = open_ball_overt(point, radius, metric)
-    colors = list(range(f.k))
-    constant_color: list[int] = []
-    pair: list[ColorWitness] = []
-
-    def yes_side(d: Fuel) -> Verdict:
-        certs = _ordered_map(lambda n: forall_value(n, ball.compact, f, d), colors, parallelism)
-        for n, cert in zip(colors, certs):
-            if cert is Verdict.CONFIRMED:
-                constant_color.append(n)
-                return Verdict.CONFIRMED
-        return Verdict.UNKNOWN
-
-    def no_side(d: Fuel) -> Verdict:
-        outcomes = _ordered_map(lambda n: exists_value(n, interior, f, d), colors, parallelism)
-        hits = [out.witness for out in outcomes if out.verdict is Verdict.CONFIRMED]
-        if len(hits) >= 2:
-            pair.extend(hits[:2])
-            return Verdict.CONFIRMED
-        return Verdict.UNKNOWN
-
-    value = race(yes_side, no_side, fuel)
-    if value is TwoBot.ONE:
-        return BitOutcome(value, color=constant_color[0])
-    if value is TwoBot.ZERO:
-        return BitOutcome(value, witnesses=tuple(pair))
-    return BitOutcome(value)
+    ball = VKSet(
+        closed_ball(point, radius, metric).compact, open_ball_overt(point, radius, metric)
+    )
+    return constant_value(ball, f, fuel)
 
 
 @functools.lru_cache(maxsize=1)

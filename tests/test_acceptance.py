@@ -137,7 +137,7 @@ def test_c1_committed_answers_never_retract_with_more_fuel():
 
                 def run(d, x=x, r=r, clf=clf):
                     out = locally_constant(x, r, clf, d)
-                    return out.value is not TwoBot.BOT, out.value
+                    return out.verdict is not TwoBot.BOT, out.verdict
             else:
                 region = random_region(rng, dims)
                 n = rng.randint(0, 1)
@@ -155,12 +155,12 @@ def test_c1_committed_answers_never_retract_with_more_fuel():
 
                     def run(d, n=n, region=region, clf=clf):
                         out = fixed_value(n, region, clf, d)
-                        return out.value is not TwoBot.BOT, out.value
+                        return out.verdict is not TwoBot.BOT, out.verdict
                 else:
 
                     def run(d, region=region, clf=clf):
                         out = constant_value(region, clf, d)
-                        return out.value is not TwoBot.BOT, (out.value, out.color)
+                        return out.verdict is not TwoBot.BOT, (out.verdict, out.color)
             d = rng.randint(0, 3)
         elif kind == 5:
             if rng.random() < 0.5:
@@ -181,7 +181,7 @@ def test_c1_committed_answers_never_retract_with_more_fuel():
 
             def run(d, learner=learner, s=s, x=x):
                 out = robust_point(x, s, learner, UNIT, d)
-                return out.value is not TwoBot.BOT, out.value
+                return out.verdict is not TwoBot.BOT, out.verdict
         else:
             learner = random_learner(rng)
             s = random_sample(rng)
@@ -193,7 +193,7 @@ def test_c1_committed_answers_never_retract_with_more_fuel():
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", EmptyRegionWarning)
                     out = sparse_or_dense(learner, 1, eps, s, x, UNIT, d)
-                return out.value is not TwoBot.BOT, out.value
+                return out.verdict is not TwoBot.BOT, out.verdict
 
         committed, key = run(d)
         if committed:
@@ -305,29 +305,29 @@ def test_c2_committed_verdicts_agree_with_rational_sweeps():
             if ex.verdict is Verdict.CONFIRMED:
                 if n not in committed_colors:
                     flag(f"exists {n} confirmed, sweep never sees color {n}")
-                if colors.get(ex.witness.point) != n:
-                    flag(f"exists {n} witness {ex.witness.point} off the sweep or off-color")
+                if colors.get(ex.witnesses[0].point) != n:
+                    flag(f"exists {n} witness {ex.witnesses[0].point} off the sweep or off-color")
             if forall_value(n, region.compact, clf, fuel) is Verdict.CONFIRMED:
                 if any(c != n for c in colors.values()):
                     flag(f"forall {n} confirmed against a dissenting sweep point")
             bit = fixed_value(n, region, clf, fuel)
-            if bit.value is TwoBot.ONE and any(c != n for c in colors.values()):
+            if bit.verdict is TwoBot.ONE and any(c != n for c in colors.values()):
                 flag(f"fixed {n} affirmed against a dissenting sweep point")
-            if bit.value is TwoBot.ZERO and not any(
+            if bit.verdict is TwoBot.ZERO and not any(
                 c is not None and c != n for c in colors.values()
             ):
                 flag(f"fixed {n} refuted but the sweep has no committed dissenter")
         const = constant_value(region, clf, fuel)
-        if const.value is TwoBot.ONE and any(c != const.color for c in colors.values()):
+        if const.verdict is TwoBot.ONE and any(c != const.color for c in colors.values()):
             flag("constant affirmed against a dissenting sweep point")
-        if const.value is TwoBot.ZERO and len(set(committed_colors)) < 2:
+        if const.verdict is TwoBot.ZERO and len(set(committed_colors)) < 2:
             flag("constant refuted but the sweep shows fewer than two colors")
         if ball is not None:
             x, r = ball
             lc = locally_constant(x, r, clf, fuel)
-            if lc.value is TwoBot.ONE and any(c != lc.color for c in colors.values()):
+            if lc.verdict is TwoBot.ONE and any(c != lc.color for c in colors.values()):
                 flag("ball-constancy affirmed against a dissenting sweep point")
-            if lc.value is TwoBot.ZERO:
+            if lc.verdict is TwoBot.ZERO:
                 inner = {
                     colors[p]
                     for p in pts
@@ -382,20 +382,20 @@ def test_c4_tangent_geometry_pins_all_three_ball_answers():
     x = (Q(1), Q(0))
 
     inside = locally_constant(x, Q(1, 2), clf, 0)
-    assert inside.value is TwoBot.ONE and inside.color == 1
-    assert locally_constant(x, Q(1, 2), clf, 16).value is TwoBot.ONE
+    assert inside.verdict is TwoBot.ONE and inside.color == 1
+    assert locally_constant(x, Q(1, 2), clf, 16).verdict is TwoBot.ONE
 
     refuted_at = None
     for fuel in range(5):
-        if locally_constant(x, Q(2), clf, fuel).value is TwoBot.ZERO:
+        if locally_constant(x, Q(2), clf, fuel).verdict is TwoBot.ZERO:
             refuted_at = fuel
             break
     assert refuted_at is not None, "straddling ball not refuted by fuel 4"
-    assert locally_constant(x, Q(2), clf, 16).value is TwoBot.ZERO
+    assert locally_constant(x, Q(2), clf, 16).verdict is TwoBot.ZERO
 
     for fuel in range(17):
         out = locally_constant(x, Q(1), clf, fuel)
-        assert out.value is TwoBot.BOT, f"tangent ball committed {out.value} at fuel {fuel}"
+        assert out.verdict is TwoBot.BOT, f"tangent ball committed {out.verdict} at fuel {fuel}"
 
 
 def test_c5_radius_streams_stay_a_sound_sandwich():
@@ -424,21 +424,21 @@ def test_c6_learner_gold_cases_commit_with_replayable_witnesses():
     majority = majority_learner(k=2)
     s = sample_1d((0, 0), (Q(1, 4), 0), (Q(1, 2), 0), (Q(3, 4), 1))
     out = robust_point((Q(1, 2),), s, majority, UNIT, 2)
-    assert out.value is TwoBot.ONE and out.base == KBot(0)
+    assert out.verdict is TwoBot.ONE and out.base == KBot(0)
 
     nn = nn_learner(tie_margin=Q(1, 200))
     s2 = sample_1d((Q(1, 5), 0), (Q(4, 5), 1))
     flipped = None
     for fuel in range(13):
         out = robust_point((Q(21, 100),), s2, nn, UNIT, fuel)
-        if out.value is not TwoBot.BOT:
+        if out.verdict is not TwoBot.BOT:
             flipped = out
             break
-    assert flipped is not None and flipped.value is TwoBot.ZERO
-    (added, label), = flipped.witness.extension
+    assert flipped is not None and flipped.verdict is TwoBot.ZERO
+    (added, label), = flipped.witnesses[0].extension
     retrained = nn.train(s2.extend((((added[0],), label),)))
-    assert retrained.eval_point((Q(21, 100),), 12) == KBot(flipped.witness.outcome)
-    assert flipped.witness.outcome != flipped.base.color
+    assert retrained.eval_point((Q(21, 100),), 12) == KBot(flipped.witnesses[0].outcome)
+    assert flipped.witnesses[0].outcome != flipped.base.color
 
     sparse_nn = nn_learner(tie_margin=Q(1, 100))
     s3 = sample_1d((0, 0), (1, 1))
@@ -448,10 +448,10 @@ def test_c6_learner_gold_cases_commit_with_replayable_witnesses():
         warnings.simplefilter("ignore", EmptyRegionWarning)
         for fuel in range(13):
             out = sparse_or_dense(sparse_nn, 1, Q(1, 5), s3, x, UNIT, fuel)
-            if out.value is not TwoBot.BOT:
+            if out.verdict is not TwoBot.BOT:
                 committed = out
                 break
-        assert committed is not None and committed.value is TwoBot.ZERO
+        assert committed is not None and committed.verdict is TwoBot.ZERO
         outcomes = set()
         for witness in committed.witnesses:
             for point, _label in witness.extension:
@@ -467,10 +467,10 @@ def test_c6_learner_gold_cases_commit_with_replayable_witnesses():
         dense = None
         for fuel in range(13):
             out = sparse_or_dense(sparse_nn, 1, Q(1, 5), s4, x, UNIT, fuel)
-            if out.value is not TwoBot.BOT:
+            if out.verdict is not TwoBot.BOT:
                 dense = out
                 break
-    assert dense is not None and dense.value is TwoBot.ONE and dense.color == 0
+    assert dense is not None and dense.verdict is TwoBot.ONE and dense.color == 0
 
     elapsed = time.monotonic() - started
     assert elapsed < 60, f"learner gold cases took {elapsed:.1f}s, budget 60s"
@@ -485,10 +485,10 @@ def test_c7_self_deviation_confirms_and_stays_honestly_unknown():
             confirmed = out
             break
     assert confirmed is not None, "majority self-deviation not found by fuel 10"
-    trained = majority.train(Sample(tuple(confirmed.witness)))
-    point, label = confirmed.witness[confirmed.index]
-    assert trained.eval_point(point, 6) == KBot(confirmed.observed)
-    assert confirmed.observed != label
+    trained = majority.train(Sample(tuple(confirmed.witnesses[0].sample)))
+    point, label = confirmed.witnesses[0].sample[confirmed.witnesses[0].index]
+    assert trained.eval_point(point, 6) == KBot(confirmed.witnesses[0].observed)
+    assert confirmed.witnesses[0].observed != label
 
     # The search schedule is nested in fuel, so a single unknown at fuel 12
     # certifies unknown at every fuel from 0 through 12.

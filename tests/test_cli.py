@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from boxcert import ValidationError
+from boxcert import ParseError, ValidationError
 from boxcert.cli import explain_text, main, parse_query, run_query
 
 GOLDEN = Path(__file__).resolve().parent.parent / "src" / "boxcert" / "golden"
@@ -117,6 +117,35 @@ class TestVerifyCommand:
         assert main(["verify", str(query)]) == 1
 
 
+class TestMalformedQueries:
+    @pytest.mark.parametrize("top", [5, "op", [], None])
+    def test_non_object_query_is_a_parse_error(self, tmp_path, capsys, top):
+        query = tmp_path / "query.json"
+        query.write_text(json.dumps(top))
+        with pytest.raises(ParseError):
+            parse_query(query)
+        assert main(["verify", str(query)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
+    def test_negative_ball_radius_is_a_validation_error(self, tmp_path, capsys):
+        body = {
+            "op": "forallValue",
+            "maxFuel": 2,
+            "n": 1,
+            "classifier": {"kind": "hyperplane", "w": [1], "b": "-1/2"},
+            "region": {"type": "ball", "center": [1], "radius": "-1"},
+        }
+        query = write_query(tmp_path, body)
+        with pytest.raises(ValidationError):
+            parse_query(query)
+        assert main(["verify", str(query)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
+
 class TestNonpositiveFields:
     RADIUS = {
         "maxFuel": 2,
@@ -216,6 +245,11 @@ class TestExplain:
     def test_unknown_op_rejected(self):
         with pytest.raises(ValidationError):
             explain_text("frobnicate")
+
+    def test_non_string_op_rejected(self, tmp_path, capsys):
+        query = write_query(tmp_path, {"op": ["existsValue"]})
+        assert main(["explain", str(query)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestSelftest:

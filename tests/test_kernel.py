@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from boxcert import IncoherentRace, TwoBot, Verdict, all_of, any_of, race
+from boxcert import IncoherentRace, TwoBot, Verdict, any_of, race
 from boxcert.kernel import check_fuel
 
 
@@ -41,19 +41,6 @@ class TestAnyOf:
         deciders = [confirms_at(5), never]
         assert any_of(deciders, 4) is Verdict.UNKNOWN
         assert any_of(deciders, 5) is Verdict.CONFIRMED
-
-
-class TestAllOf:
-    def test_empty_meet_is_confirmed(self):
-        assert all_of([], 0) is Verdict.CONFIRMED
-
-    def test_waits_for_slowest(self):
-        deciders = [confirms_at(3), confirms_at(7)]
-        assert all_of(deciders, 6) is Verdict.UNKNOWN
-        assert all_of(deciders, 7) is Verdict.CONFIRMED
-
-    def test_never_confirming_member_blocks(self):
-        assert all_of([never], 50) is Verdict.UNKNOWN
 
 
 class TestRace:
@@ -94,5 +81,3 @@ def test_combinators_are_fuel_monotone(thresholds, fuel, extra):
     deciders = [confirms_at(t) for t in thresholds]
     if any_of(deciders, fuel) is Verdict.CONFIRMED:
         assert any_of(deciders, fuel + extra) is Verdict.CONFIRMED
-    if all_of(deciders, fuel) is Verdict.CONFIRMED:
-        assert all_of(deciders, fuel + extra) is Verdict.CONFIRMED

@@ -135,13 +135,13 @@ class TestDoesDeviate:
                 confirmed = out
                 break
         assert confirmed is not None
-        points = [p for p, _ in confirmed.witness]
+        points = [p for p, _ in confirmed.witnesses[0].sample]
         assert len(set(points)) == len(points), "witness points must be distinct"
-        trained = L.train(Sample(tuple(confirmed.witness)))
-        target_point, target_label = confirmed.witness[confirmed.index]
+        trained = L.train(Sample(tuple(confirmed.witnesses[0].sample)))
+        target_point, target_label = confirmed.witnesses[0].sample[confirmed.witnesses[0].index]
         got = trained.eval_point(target_point, fuel)
-        assert got == KBot(confirmed.observed)
-        assert confirmed.observed != target_label
+        assert got == KBot(confirmed.witnesses[0].observed)
+        assert confirmed.witnesses[0].observed != target_label
 
     def test_nn_never_deviates_at_small_fuel(self):
         L = nn_learner(tie_margin=Q(1, 4))
@@ -158,7 +158,7 @@ class TestRobustPoint:
         L = majority_learner(k=2)
         s = sample_1d((Q(0), 0), (Q(1, 4), 0), (Q(1, 2), 0), (Q(3, 4), 1))
         out = robust_point((Q(1, 2),), s, L, UNIT, 0)
-        assert out.value is TwoBot.ONE
+        assert out.verdict is TwoBot.ONE
         assert out.base == KBot(0)
 
     def test_constant_learner_is_robust(self):
@@ -170,7 +170,7 @@ class TestRobustPoint:
 
         L = Learner(k=2, train=train, family_at=family_at, description="constant 0")
         out = robust_point((Q(1, 2),), sample_1d((Q(0), 0)), L, UNIT, 0)
-        assert out.value is TwoBot.ONE
+        assert out.verdict is TwoBot.ONE
 
     def test_nn_flip_found_by_the_enumeration(self):
         L = nn_learner(tie_margin=Q(1, 200))
@@ -178,22 +178,22 @@ class TestRobustPoint:
         committed = None
         for fuel in range(13):
             out = robust_point((Q(21, 100),), s, L, UNIT, fuel)
-            if out.value is not TwoBot.BOT:
+            if out.verdict is not TwoBot.BOT:
                 committed = out
                 break
-        assert committed is not None and committed.value is TwoBot.ZERO
-        (added_point, added_label), = committed.witness.extension
+        assert committed is not None and committed.verdict is TwoBot.ZERO
+        (added_point, added_label), = committed.witnesses[0].extension
         retrained = L.train(s.extend((((added_point[0],), added_label),)))
         got = retrained.eval_point((Q(21, 100),), fuel)
-        assert got == KBot(committed.witness.outcome)
-        assert committed.witness.outcome != committed.base.color
+        assert got == KBot(committed.witnesses[0].outcome)
+        assert committed.witnesses[0].outcome != committed.base.color
 
     def test_one_commitments_survive_random_augmentation(self):
         rng = random.Random(7)
         L = majority_learner(k=2)
         s = sample_1d((Q(0), 0), (Q(1, 4), 0), (Q(1, 2), 0), (Q(3, 4), 1))
         out = robust_point((Q(1, 2),), s, L, UNIT, 2)
-        assert out.value is TwoBot.ONE
+        assert out.verdict is TwoBot.ONE
         for _ in range(50):
             y = Q(rng.randint(0, 64), 64)
             label = rng.randint(0, 1)
@@ -212,10 +212,10 @@ class TestSparseOrDense:
             warnings.simplefilter("ignore", EmptyRegionWarning)
             for fuel in range(13):
                 out = sparse_or_dense(L, 1, Q(1, 5), s, (Q(1, 2),), UNIT, fuel)
-                if out.value is not TwoBot.BOT:
+                if out.verdict is not TwoBot.BOT:
                     committed = out
                     break
-        assert committed is not None and committed.value is TwoBot.ZERO
+        assert committed is not None and committed.verdict is TwoBot.ZERO
         outcomes = set()
         for witness in committed.witnesses:
             for (point, _label) in witness.extension:
@@ -234,10 +234,10 @@ class TestSparseOrDense:
             warnings.simplefilter("ignore", EmptyRegionWarning)
             for fuel in range(13):
                 out = sparse_or_dense(L, 1, Q(1, 5), s, (Q(1, 2),), UNIT, fuel)
-                if out.value is not TwoBot.BOT:
+                if out.verdict is not TwoBot.BOT:
                     committed = out
                     break
-        assert committed is not None and committed.value is TwoBot.ONE
+        assert committed is not None and committed.verdict is TwoBot.ONE
         assert committed.color == 0
 
     def test_bot_learner_stays_bot(self):
@@ -246,7 +246,7 @@ class TestSparseOrDense:
             warnings.simplefilter("ignore", EmptyRegionWarning)
             for fuel in range(8):
                 out = sparse_or_dense(bot_learner(), 1, Q(1, 5), s, (Q(1, 2),), UNIT, fuel)
-                assert out.value is TwoBot.BOT
+                assert out.verdict is TwoBot.BOT
 
     def test_augmentation_cap(self):
         L = majority_learner(k=2)
@@ -265,7 +265,7 @@ class TestSparseOrDense:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", EmptyRegionWarning)
                 for fuel in range(9):
-                    value = sparse_or_dense(L, 1, Q(1, 5), s, (Q(1, 2),), UNIT, fuel).value
+                    value = sparse_or_dense(L, 1, Q(1, 5), s, (Q(1, 2),), UNIT, fuel).verdict
                     if value is not TwoBot.BOT:
                         seen.add(value)
             assert len(seen) <= 1

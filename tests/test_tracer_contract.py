@@ -1,0 +1,41 @@
+"""The benchmark's tracer still finds every attribute it patches.
+
+``perfbench/tracer.py`` rebinds module attributes of the package by name.
+Importing it by path and running two golden queries under it makes a
+rename of one of those attributes fail here rather than inside a
+benchmark run.  Nothing under ``perfbench/`` is written.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+from boxcert import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "src" / "boxcert" / "golden" / "cases"
+
+
+def load_tracer():
+    path = ROOT / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("boxcert_bench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_and_counts_golden_queries(capsys):
+    tracer = load_tracer().Tracer()
+    try:
+        # Inside the try: a failed install still undoes the patches it made.
+        tracer.install()
+        assert cli.main(["verify", str(GOLDEN / "constant-bot.json")]) == 2
+        assert cli.main(["verify", str(GOLDEN / "exists-hyperplane.json")]) == 0
+    finally:
+        tracer.uninstall()
+    counts = tracer.counts()
+    assert counts["cli.main.calls"] == 2
+    assert counts["verify.constant_value.calls"] > 0
+    assert counts["verify.exists_value.calls"] > 0
+    assert not hasattr(cli.main, "__wrapped__")

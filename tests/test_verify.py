@@ -61,9 +61,9 @@ class TestExistsValue:
         region = domain_box(box2(Q(0), Q(2), Q(0), Q(1)))
         out = exists_value(1, region.overt, SPLIT, 1)
         assert out.verdict is Verdict.CONFIRMED
-        assert out.witness is not None
-        assert out.witness.color == 1
-        assert SPLIT.eval_point(out.witness.point, 1) == KBot(1)
+        assert out.witnesses[0] is not None
+        assert out.witnesses[0].color == 1
+        assert SPLIT.eval_point(out.witnesses[0].point, 1) == KBot(1)
 
     def test_unknown_when_no_point_qualifies(self):
         region = domain_box(box2(Q(1, 2), Q(1), Q(0), Q(1)))
@@ -94,17 +94,17 @@ class TestFixedValue:
     def test_one_on_a_committed_ball(self):
         region = closed_ball((Q(1), Q(0)), Q(1, 2), MetricKind.MAX)
         out = fixed_value(1, region, SPLIT, 0)
-        assert out.value is TwoBot.ONE
+        assert out.verdict is TwoBot.ONE
 
     def test_zero_with_an_opposing_witness(self):
         region = closed_ball((Q(0), Q(0)), Q(1, 2), MetricKind.MAX)
         committed = None
         for fuel in range(6):
             out = fixed_value(1, region, SPLIT, fuel)
-            if out.value is not TwoBot.BOT:
+            if out.verdict is not TwoBot.BOT:
                 committed = out
                 break
-        assert committed is not None and committed.value is TwoBot.ZERO
+        assert committed is not None and committed.verdict is TwoBot.ZERO
         assert committed.witnesses
         point, color = committed.witnesses[0].point, committed.witnesses[0].color
         assert color != 1
@@ -112,14 +112,14 @@ class TestFixedValue:
 
     def test_empty_region_is_vacuously_one(self):
         out = fixed_value(0, empty_region(2), SPLIT, 0)
-        assert out.value is TwoBot.ONE
+        assert out.verdict is TwoBot.ONE
 
 
 class TestConstantValue:
     def test_one_when_uniformly_colored(self):
         region = closed_ball((Q(1), Q(0)), Q(1, 2), MetricKind.MAX)
         out = constant_value(region, SPLIT, 0)
-        assert out.value is TwoBot.ONE
+        assert out.verdict is TwoBot.ONE
         assert out.color == 1
 
     def test_zero_with_two_witnesses(self):
@@ -127,10 +127,10 @@ class TestConstantValue:
         committed = None
         for fuel in range(6):
             out = constant_value(region, SPLIT, fuel)
-            if out.value is not TwoBot.BOT:
+            if out.verdict is not TwoBot.BOT:
                 committed = out
                 break
-        assert committed is not None and committed.value is TwoBot.ZERO
+        assert committed is not None and committed.verdict is TwoBot.ZERO
         colors = {w.color for w in committed.witnesses}
         assert len(colors) >= 2
 
@@ -139,30 +139,23 @@ class TestConstantValue:
         net = threshold_net_classifier((layer,), Q(1, 100))
         region = domain_box(Box((Interval(Q(0), Q(1)),)))
         for fuel in range(8):
-            assert constant_value(region, net, fuel).value is TwoBot.BOT
-
-    def test_thread_pool_matches_serial(self):
-        region = closed_ball((Q(0), Q(0)), Q(1, 2), MetricKind.MAX)
-        for fuel in range(4):
-            serial = constant_value(region, SPLIT, fuel)
-            threaded = constant_value(region, SPLIT, fuel, parallelism=3)
-            assert serial == threaded
+            assert constant_value(region, net, fuel).verdict is TwoBot.BOT
 
 
 class TestLocallyConstant:
     def test_ball_inside_a_halfspace(self):
         out = locally_constant((Q(1), Q(0)), Q(1, 2), SPLIT, 0)
-        assert out.value is TwoBot.ONE
+        assert out.verdict is TwoBot.ONE
         assert out.color == 1
 
     def test_adversarial_pair_in_the_open_ball(self):
         committed = None
         for fuel in range(6):
             out = locally_constant((Q(1), Q(0)), Q(2), SPLIT, fuel)
-            if out.value is not TwoBot.BOT:
+            if out.verdict is not TwoBot.BOT:
                 committed = out
                 break
-        assert committed is not None and committed.value is TwoBot.ZERO
+        assert committed is not None and committed.verdict is TwoBot.ZERO
         colors = {w.color for w in committed.witnesses}
         assert colors == {0, 1}
         for w in committed.witnesses:
@@ -171,7 +164,7 @@ class TestLocallyConstant:
 
     def test_tangent_ball_stays_undecided(self):
         for fuel in range(9):
-            assert locally_constant((Q(1), Q(0)), Q(1), SPLIT, fuel).value is TwoBot.BOT
+            assert locally_constant((Q(1), Q(0)), Q(1), SPLIT, fuel).verdict is TwoBot.BOT
 
     def test_radius_must_be_positive(self):
         with pytest.raises(NonpositiveRadius):
@@ -212,8 +205,8 @@ def test_exists_matches_the_literal_enumeration(plane, region, n, fuel):
     want, _ = literal_exists(n, region.overt, f, fuel)
     assert got.verdict is want
     if got.verdict is Verdict.CONFIRMED:
-        assert f.eval_point(got.witness.point, fuel) == KBot(n)
-        assert got.witness.point in region.overt.points_at(fuel)
+        assert f.eval_point(got.witnesses[0].point, fuel) == KBot(n)
+        assert got.witnesses[0].point in region.overt.points_at(fuel)
 
 
 @given(
