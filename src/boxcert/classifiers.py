@@ -6,6 +6,10 @@ evaluator is exact rational arithmetic and therefore sound by computation;
 the box evaluator returns a color envelope that must contain every behavior
 occurring inside the box.  Envelopes shrink on sub-boxes and collapse to
 the point answer in the limit, which is what lets covers certify regions.
+
+Hyperplanes and nets compile to integer rows over one denominator per layer,
+and both evaluators run one integer affine loop on numerators: a positive
+common scale preserves every comparison and commutes with relu.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Callable, Sequence
 
 from .errors import ColorOutOfRange, DimensionMismatch, ShapeMismatch, ZeroNormal
 from .kernel import Fuel, KBot
-from .numerics import Box, Interval, Point, as_rational
+from .numerics import Box, Point, as_rational, common_denominator
 
 __all__ = [
     "ColorEnvelope",
@@ -81,6 +85,46 @@ def _check_point_dims(point: Point, dims: int) -> None:
         raise DimensionMismatch(f"point has {len(point)} coordinates, expected {dims}")
 
 
+def _int_layer(layer: Layer) -> tuple:
+    """The layer's rows, bias, their common denominator and its relu flag."""
+    width = layer.in_dim
+    den, nums = common_denominator([w for row in layer.weights for w in row] + list(layer.bias))
+    rows = tuple(tuple(nums[i : i + width]) for i in range(0, width * layer.out_dim, width))
+    return rows, tuple(nums[width * layer.out_dim :]), den, layer.activation == "relu"
+
+
+def _affine(
+    layers: Sequence[tuple], lo: list[int], hi: list[int], scale: int
+) -> tuple[list[int], list[int], int]:
+    """Push the ranges [lo/scale, hi/scale] through the layers.
+
+    Returns the output numerators and their (positive) scale.  A weight
+    picks the low or the high end by its sign, as interval scaling does; a
+    point is the range with lo = hi.
+    """
+    for rows, bias, den, relu in layers:
+        out_lo, out_hi = [], []
+        for row, b in zip(rows, bias):
+            a = c = b * scale
+            for w, low, high in zip(row, lo, hi):
+                if w < 0:
+                    low, high = high, low
+                a += w * low
+                c += w * high
+            if relu:
+                a, c = max(a, 0), max(c, 0)
+            out_lo.append(a)
+            out_hi.append(c)
+        lo, hi, scale = out_lo, out_hi, scale * den
+    return lo, hi, scale
+
+
+def _box_numerators(box: Box) -> tuple[list[int], list[int], int]:
+    n = box.dims
+    den, nums = common_denominator([s.lo for s in box.sides] + [s.hi for s in box.sides])
+    return nums[:n], nums[n:], den
+
+
 def hyperplane_classifier(weights: Sequence, bias) -> IntervalClassifier:
     """Sign of an affine functional: color 1 above, 0 below, silent on it.
 
@@ -92,10 +136,12 @@ def hyperplane_classifier(weights: Sequence, bias) -> IntervalClassifier:
     if not w or all(c == 0 for c in w):
         raise ZeroNormal("hyperplane weights must not all be zero")
     dims = len(w)
+    layers = (_int_layer(Layer((w,), (b,), "none")),)
 
     def eval_point(point: Point, fuel: Fuel) -> KBot:
         _check_point_dims(point, dims)
-        value = sum((wi * xi for wi, xi in zip(w, point)), b)
+        den, x = common_denominator(point)
+        (value,), _, _ = _affine(layers, x, x, den)
         if value > 0:
             return KBot(1)
         if value < 0:
@@ -105,17 +151,15 @@ def hyperplane_classifier(weights: Sequence, bias) -> IntervalClassifier:
     def eval_box(box: Box, fuel: Fuel) -> ColorEnvelope:
         if box.dims != dims:
             raise DimensionMismatch(f"box has {box.dims} dimensions, expected {dims}")
-        acc = Interval.point(b)
-        for wi, side in zip(w, box.sides):
-            acc = acc + side.scale(wi)
-        if acc.lo > 0:
+        (lo,), (hi,), _ = _affine(layers, *_box_numerators(box))
+        if lo > 0:
             return ColorEnvelope(frozenset((1,)), False)
-        if acc.hi < 0:
+        if hi < 0:
             return ColorEnvelope(frozenset((0,)), False)
         colors = set()
-        if acc.hi > 0:
+        if hi > 0:
             colors.add(1)
-        if acc.lo < 0:
+        if lo < 0:
             colors.add(0)
         return ColorEnvelope(frozenset(colors), True)
 
@@ -184,57 +228,36 @@ def threshold_net_classifier(layers: Sequence[Layer], margin) -> IntervalClassif
             )
     dims = layers[0].in_dim
     k = layers[-1].out_dim
+    compiled = [_int_layer(layer) for layer in layers]
+    p, q = tau.numerator, tau.denominator
 
-    def scores(point: Point) -> list[Fraction]:
-        values = list(point)
-        for layer in layers:
-            values = [
-                sum((wi * vi for wi, vi in zip(row, values)), bq)
-                for row, bq in zip(layer.weights, layer.bias)
-            ]
-            if layer.activation == "relu":
-                values = [max(v, Fraction(0)) for v in values]
-        return values
-
-    def score_ranges(box: Box) -> list[Interval]:
-        values: list[Interval] = list(box.sides)
-        for layer in layers:
-            nxt = []
-            for row, bq in zip(layer.weights, layer.bias):
-                acc = Interval.point(bq)
-                for wi, vi in zip(row, values):
-                    acc = acc + vi.scale(wi)
-                nxt.append(acc)
-            if layer.activation == "relu":
-                nxt = [v.relu() for v in nxt]
-            values = nxt
-        return values
+    def beats(high: int, rival: int, scale: int) -> bool:
+        """(high - rival) / scale > tau, in integers."""
+        return q * (high - rival) > p * scale
 
     def eval_point(point: Point, fuel: Fuel) -> KBot:
         _check_point_dims(point, dims)
-        s = scores(point)
         if k == 1:
             return KBot(0)
+        den, x = common_denominator(point)
+        s, _, scale = _affine(compiled, x, x, den)
         for j in range(k):
-            rival = max(s[i] for i in range(k) if i != j)
-            if s[j] - rival > tau:
+            if beats(s[j], max(s[i] for i in range(k) if i != j), scale):
                 return KBot(j)
         return KBot.bot()
 
     def eval_box(box: Box, fuel: Fuel) -> ColorEnvelope:
         if box.dims != dims:
             raise DimensionMismatch(f"box has {box.dims} dimensions, expected {dims}")
-        s = score_ranges(box)
         if k == 1:
             return ColorEnvelope(frozenset((0,)), False)
+        lo, hi, scale = _affine(compiled, *_box_numerators(box))
         colors = set()
         certain = False
         for j in range(k):
-            rival_lo = max(s[i].lo for i in range(k) if i != j)
-            rival_hi = max(s[i].hi for i in range(k) if i != j)
-            if s[j].hi - rival_lo > tau:
+            if beats(hi[j], max(lo[i] for i in range(k) if i != j), scale):
                 colors.add(j)
-            if s[j].lo - rival_hi > tau:
+            if beats(lo[j], max(hi[i] for i in range(k) if i != j), scale):
                 certain = True
         return ColorEnvelope(frozenset(colors), not certain)
 

@@ -28,7 +28,6 @@ from .io import (
     point_from_json,
     point_to_json,
     rational_from_json,
-    rational_to_json,
     region_from_json,
     sample_from_json,
 )
@@ -191,24 +190,20 @@ def parse_query(path: Path, max_fuel_override: int | None = None) -> QuerySpec:
         kwargs["ceiling"] = _positive(raw, "ceiling")
         if op == "optimalRadius":
             kwargs["tol"] = _positive(raw, "tol")
-    elif op == "doesDeviate":
-        kwargs["learner"] = _load_operand(_require(raw, "learner"), base, learner_from_json)
+    else:
+        kwargs["learner"] = _load_operand(
+            _require(raw, "learner"), base, lambda obj: learner_from_json(obj, metric)
+        )
+        if op != "doesDeviate":
+            kwargs["sample"] = _load_operand(_require(raw, "sample"), base, sample_from_json)
+            kwargs["point"] = point_from_json(_require(raw, "point"))
         kwargs["domain"] = region_from_json(_require(raw, "domain"), metric)
-    elif op == "robustPoint":
-        kwargs["learner"] = _load_operand(_require(raw, "learner"), base, learner_from_json)
-        kwargs["sample"] = _load_operand(_require(raw, "sample"), base, sample_from_json)
-        kwargs["point"] = point_from_json(_require(raw, "point"))
-        kwargs["domain"] = region_from_json(_require(raw, "domain"), metric)
-    elif op == "sprsOrDns":
-        kwargs["learner"] = _load_operand(_require(raw, "learner"), base, learner_from_json)
-        kwargs["sample"] = _load_operand(_require(raw, "sample"), base, sample_from_json)
-        kwargs["point"] = point_from_json(_require(raw, "point"))
-        kwargs["domain"] = region_from_json(_require(raw, "domain"), metric)
-        count = _require(raw, "N")
-        if not isinstance(count, int) or isinstance(count, bool) or count < 0:
-            raise ParseError(f"N must be a nonnegative integer, got {count!r}")
-        kwargs["count"] = count
-        kwargs["eps"] = _positive(raw, "eps")
+        if op == "sprsOrDns":
+            count = _require(raw, "N")
+            if not isinstance(count, int) or isinstance(count, bool) or count < 0:
+                raise ParseError(f"N must be a nonnegative integer, got {count!r}")
+            kwargs["count"] = count
+            kwargs["eps"] = _positive(raw, "eps")
     return QuerySpec(**kwargs)
 
 

@@ -21,7 +21,7 @@ from .classifiers import (
 )
 from .errors import BoxcertError, ParseError, ValidationError
 from .learners import Learner, Sample, majority_learner, nn_learner
-from .numerics import Box, MetricKind, Point, as_rational, format_rational, parse_rational
+from .numerics import Box, MetricKind, Point, format_rational, parse_rational
 from .regions import VKSet, closed_ball, domain_box, outside_ball_compact, outside_ball_overt
 
 __all__ = [
@@ -135,14 +135,18 @@ def classifier_from_json(obj: Any) -> IntervalClassifier:
     raise ParseError(f"unknown classifier kind {kind!r}")
 
 
-def learner_from_json(obj: Any) -> Learner:
+def learner_from_json(obj: Any, metric: MetricKind) -> Learner:
+    """Build a learner; an nn learner measures with the query's metric."""
     kind = _field(obj, "kind", "learner")
     k = obj.get("k", 2)
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValidationError(f"learner k must be a positive integer, got {k!r}")
     if kind == "nn":
         margin = rational_from_json(_field(obj, "tieMargin", "nn learner"))
-        metric = MetricKind.parse(obj.get("metric", "max"))
+        if "metric" in obj and MetricKind.parse(obj["metric"]) is not metric:
+            raise ValidationError(
+                f"nn learner metric {obj['metric']!r} differs from the query's {metric.value!r}"
+            )
         try:
             return nn_learner(margin, k=k, metric=metric)
         except ValueError as exc:
@@ -163,10 +167,7 @@ def sample_from_json(obj: Any) -> Sample:
         if not isinstance(label, int) or isinstance(label, bool) or label < 0:
             raise ParseError(f"sample label must be a nonnegative integer, got {label!r}")
         pairs.append((x, label))
-    try:
-        return Sample(tuple(pairs))
-    except BoxcertError:
-        raise
+    return Sample(tuple(pairs))
 
 
 def _box_from_json(obj: Any) -> Box:

@@ -153,9 +153,16 @@ def nn_learner(tie_margin, k: int = 2, metric: MetricKind = MetricKind.MAX) -> L
             return constant_classifier(k, None, sample.dims)
 
         def eval_point(x: Point, fuel: Fuel) -> KBot:
-            dists = [(Interval.point(dist_point(x, p, metric)), label) for p, label in pts]
-            color = _nn_envelope(dists, margin).committed_color
-            return KBot(color) if color is not None else KBot.bot()
+            # _nn_envelope on point distances commits iff the nearest point
+            # beats the runner-up by more than the margin: one pass suffices.
+            best = second = None
+            for p, label in pts:
+                d = dist_point(x, p, metric)
+                if best is None or d < best:
+                    best, second, color = d, best, label
+                elif second is None or d < second:
+                    second = d
+            return KBot(color) if second is None or best + margin < second else KBot.bot()
 
         def eval_box(box: Box, fuel: Fuel) -> ColorEnvelope:
             dists = [(dist_range(box, p, metric), label) for p, label in pts]

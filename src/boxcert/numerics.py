@@ -1,9 +1,11 @@
 """Exact rational arithmetic: intervals, boxes, metrics, one-sided reals.
 
-Everything here is a :class:`fractions.Fraction`.  Floats are refused at the
-boundary because a float that survived one conversion silently poisons every
-exactness guarantee downstream.  The Euclidean metric is handled through
-squared distances so that all comparisons stay rational.
+Rationals are exact :class:`fractions.Fraction` values at the boundary;
+inside the evaluators they become integer numerators over one common
+denominator per call (:func:`common_denominator`).  Floats are refused at
+the boundary because a float that survived one conversion silently poisons
+every exactness guarantee downstream.  The Euclidean metric is handled
+through squared distances so that all comparisons stay rational.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ __all__ = [
     "parse_rational",
     "format_rational",
     "as_point",
+    "common_denominator",
     "Interval",
     "Box",
     "MetricKind",
@@ -80,6 +83,12 @@ def format_rational(q: Fraction) -> str:
 
 def as_point(coords: Sequence[int | str | Fraction]) -> Point:
     return tuple(as_rational(c) for c in coords)
+
+
+def common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """``D``, the lcm of the denominators, and each value times ``D``."""
+    den = math.lcm(*[q.denominator for q in values])
+    return den, [q.numerator * (den // q.denominator) for q in values]
 
 
 @dataclass(frozen=True)
@@ -229,9 +238,11 @@ def _check_dims(a: int, b: int) -> None:
 def dist_point(x: Point, y: Point, metric: MetricKind) -> Fraction:
     """Exact distance between rational points (squared for euclid-sq)."""
     _check_dims(len(x), len(y))
+    den, nums = common_denominator((*x, *y))
+    gaps = [abs(a - b) for a, b in zip(nums, nums[len(x) :])]
     if metric is MetricKind.MAX:
-        return max((abs(a - b) for a, b in zip(x, y)), default=Fraction(0))
-    return sum(((a - b) * (a - b) for a, b in zip(x, y)), Fraction(0))
+        return Fraction(max(gaps, default=0), den)
+    return Fraction(sum(g * g for g in gaps), den * den)
 
 
 def dist_range(box: Box, x: Point, metric: MetricKind) -> Interval:
@@ -241,17 +252,19 @@ def dist_range(box: Box, x: Point, metric: MetricKind) -> Interval:
     max (max metric) or a sum (squared Euclidean) without any slack.
     """
     _check_dims(box.dims, len(x))
-    per_axis = [side.shift(-c).abs() for side, c in zip(box.sides, x)]
+    n = len(x)
+    lows = [side.lo for side in box.sides]
+    den, nums = common_denominator(lows + [side.hi for side in box.sides] + list(x))
+    near, far = [], []
+    for lo, hi, c in zip(nums, nums[n:], nums[2 * n :]):
+        lo, hi = lo - c, hi - c
+        near.append(lo if lo > 0 else -hi if hi < 0 else 0)
+        far.append(max(-lo, hi))
     if metric is MetricKind.MAX:
-        if not per_axis:
-            return Interval.point(0)
-        return Interval(
-            max(r.lo for r in per_axis),
-            max(r.hi for r in per_axis),
-        )
-    lo = sum((r.lo * r.lo for r in per_axis), Fraction(0))
-    hi = sum((r.hi * r.hi for r in per_axis), Fraction(0))
-    return Interval(lo, hi)
+        return Interval(Fraction(max(near, default=0), den), Fraction(max(far, default=0), den))
+    return Interval(
+        Fraction(sum(a * a for a in near), den * den), Fraction(sum(b * b for b in far), den * den)
+    )
 
 
 def dyadic_step(fuel: Fuel) -> Fraction:

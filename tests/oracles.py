@@ -3,9 +3,12 @@
 Everything here is written directly from the defining formulas, with none
 of the interval or subdivision machinery of the package under test: colors
 come from exact sign tests at points, searches are plain dense-grid sweeps.
-Slow and obvious on purpose.  The two radius scans at the end take the
-package's membership tests as given and only walk the radius grid; they
-are the one-membership-per-radius reference for the radius streams.
+Slow and obvious on purpose.  The two radius scans take the package's
+membership tests as given and only walk the radius grid; they are the
+one-membership-per-radius reference for the radius streams.  The interval
+references at the end are the package's former ``Fraction``/``Interval``
+evaluators, kept as the reference for the integer kernels that replaced
+them.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ import math
 from fractions import Fraction
 from itertools import product
 
-from boxcert import LowerReal, UpperReal, Verdict
+from boxcert import ColorEnvelope, Interval, KBot, LowerReal, MetricKind, UpperReal, Verdict
+from boxcert.learners import _nn_envelope
 
 Q = Fraction
 
@@ -212,3 +216,96 @@ def inf_of_confirmed_set(membership, ceiling):
         return top
 
     return UpperReal(approx=approx, ceiling=top)
+
+
+# ------------------------------------------------------- interval references
+
+
+def ref_dist_point(x, y, metric: MetricKind) -> Fraction:
+    """Exact distance, squared for euclid-sq, in Fraction arithmetic."""
+    if metric is MetricKind.MAX:
+        return max((abs(a - b) for a, b in zip(x, y)), default=Q(0))
+    return sum(((a - b) * (a - b) for a, b in zip(x, y)), Q(0))
+
+
+def ref_dist_range(box, x, metric: MetricKind) -> Interval:
+    """Range of the distance to x over a box, one Interval per axis."""
+    per_axis = [side.shift(-c).abs() for side, c in zip(box.sides, x)]
+    if metric is MetricKind.MAX:
+        if not per_axis:
+            return Interval.point(0)
+        return Interval(max(r.lo for r in per_axis), max(r.hi for r in per_axis))
+    lo = sum((r.lo * r.lo for r in per_axis), Q(0))
+    hi = sum((r.hi * r.hi for r in per_axis), Q(0))
+    return Interval(lo, hi)
+
+
+def ref_hyperplane_eval_point(w, b, point) -> KBot:
+    color = hyperplane_color(w, b, point)
+    return KBot(color) if color is not None else KBot.bot()
+
+
+def ref_hyperplane_eval_box(w, b, box) -> ColorEnvelope:
+    """Envelope of the sign of w.x + b over a box, by interval sums."""
+    acc = Interval.point(b)
+    for wi, side in zip(w, box.sides):
+        acc = acc + side.scale(wi)
+    if acc.lo > 0:
+        return ColorEnvelope(frozenset((1,)), False)
+    if acc.hi < 0:
+        return ColorEnvelope(frozenset((0,)), False)
+    colors = set()
+    if acc.hi > 0:
+        colors.add(1)
+    if acc.lo < 0:
+        colors.add(0)
+    return ColorEnvelope(frozenset(colors), True)
+
+
+def ref_net_score_ranges(layers, box) -> list[Interval]:
+    """Interval forward pass; ``layers`` are ``classifiers.Layer`` objects."""
+    values = list(box.sides)
+    for layer in layers:
+        nxt = []
+        for row, bq in zip(layer.weights, layer.bias):
+            acc = Interval.point(bq)
+            for wi, vi in zip(row, values):
+                acc = acc + vi.scale(wi)
+            nxt.append(acc)
+        if layer.activation == "relu":
+            nxt = [v.relu() for v in nxt]
+        values = nxt
+    return values
+
+
+def ref_net_eval_point(layers, margin, point) -> KBot:
+    triples = [(layer.weights, layer.bias, layer.activation) for layer in layers]
+    color = net_color(triples, margin, layers[-1].out_dim, point)
+    return KBot(color) if color is not None else KBot.bot()
+
+
+def ref_net_eval_box(layers, margin, box) -> ColorEnvelope:
+    """Margin envelope over the interval scores."""
+    k = layers[-1].out_dim
+    s = ref_net_score_ranges(layers, box)
+    if k == 1:
+        return ColorEnvelope(frozenset((0,)), False)
+    colors = set()
+    certain = False
+    for j in range(k):
+        rival_lo = max(s[i].lo for i in range(k) if i != j)
+        rival_hi = max(s[i].hi for i in range(k) if i != j)
+        if s[j].hi - rival_lo > margin:
+            colors.add(j)
+        if s[j].lo - rival_hi > margin:
+            certain = True
+    return ColorEnvelope(frozenset(colors), not certain)
+
+
+def ref_nn_eval_point(sample_points, x, margin, metric: MetricKind) -> KBot:
+    """The trained nn point rule: the winner analysis over point intervals."""
+    dists = [
+        (Interval.point(ref_dist_point(x, p, metric)), label) for p, label in sample_points
+    ]
+    color = _nn_envelope(dists, margin).committed_color
+    return KBot(color) if color is not None else KBot.bot()

@@ -186,6 +186,49 @@ class TestNonpositiveFields:
         assert "must be positive" in err
 
 
+class TestLearnerMetric:
+    # Nearest sample point to the origin: (3/4, 3/4), label 1, under max;
+    # (1, 0), label 0, under euclid-sq.
+    QUERY = {
+        "op": "robustPoint",
+        "maxFuel": 1,
+        "metric": "euclid-sq",
+        "learner": {"kind": "nn", "tieMargin": "1/16"},
+        "sample": {"points": [{"x": [1, 0], "label": 0}, {"x": ["3/4", "3/4"], "label": 1}]},
+        "point": [0, 0],
+        "domain": {"type": "box", "sides": [[-1, 1], [-1, 1]]},
+    }
+
+    def base_color(self, tmp_path, body):
+        spec = parse_query(write_query(tmp_path, body))
+        return spec.learner.train(spec.sample).eval_point(spec.point, 0).color
+
+    def test_omitted_learner_metric_inherits_the_query_metric(self, tmp_path):
+        assert self.base_color(tmp_path, self.QUERY) == 0
+        assert self.base_color(tmp_path, {**self.QUERY, "metric": "max"}) == 1
+
+    def test_equal_learner_metric_accepted(self, tmp_path):
+        learner = {**self.QUERY["learner"], "metric": "euclid-sq"}
+        assert self.base_color(tmp_path, {**self.QUERY, "learner": learner}) == 0
+
+    @pytest.mark.parametrize(
+        "query_metric, learner_metric", [("euclid-sq", "max"), (None, "euclid-sq")]
+    )
+    def test_mismatched_learner_metric_rejected(
+        self, tmp_path, capsys, query_metric, learner_metric
+    ):
+        body = {**self.QUERY, "learner": {**self.QUERY["learner"], "metric": learner_metric}}
+        if query_metric is None:
+            del body["metric"]
+        query = write_query(tmp_path, body)
+        with pytest.raises(ValidationError):
+            parse_query(query)
+        assert main(["verify", str(query)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
+
 class TestTwoBotReports:
     def test_bot_at_budget_exits_two(self, tmp_path, capsys):
         body = {
