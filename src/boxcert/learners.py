@@ -12,11 +12,12 @@ anywhere in their boxes.  For the learners here that envelope is exact.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .classifiers import ColorEnvelope, IntervalClassifier, constant_classifier
 from .errors import (
@@ -32,6 +33,7 @@ from .numerics import (
     MetricKind,
     Point,
     as_rational,
+    common_denominator,
     dist_point,
     dist_range,
 )
@@ -55,7 +57,11 @@ AUGMENTATION_CAP = 3
 
 @dataclass(frozen=True)
 class Sample:
-    """A finite labeled sample; the order of the pairs is significant."""
+    """A finite labeled sample: a multiset of (point, label) pairs.
+
+    The pairs are stored in the order given, but no learner may depend on
+    that order (see :class:`Learner`).
+    """
 
     points: tuple[tuple[Point, int], ...]
 
@@ -87,7 +93,13 @@ FamilyEvaluator = Callable[[Sample, Sequence[tuple[Box, int]], Point, Fuel], Col
 
 @dataclass(frozen=True)
 class Learner:
-    """Training plus the box-retrain family evaluation it must support."""
+    """Training plus the box-retrain family evaluation it must support.
+
+    Both ``train`` and ``family_at`` must be order-free: permuting the
+    sample's pairs, or the added ``(box, label)`` pairs, must not change
+    what they return.  The robustness searches rely on this and try each
+    labeled multiset of added points once, in one order.
+    """
 
     k: int
     train: Callable[[Sample], IntervalClassifier]
@@ -151,18 +163,33 @@ def nn_learner(tie_margin, k: int = 2, metric: MetricKind = MetricKind.MAX) -> L
         pts = sample.points
         if not pts:
             return constant_classifier(k, None, sample.dims)
+        dims = sample.dims
+        den, nums = common_denominator([c for p, _ in pts for c in p])
+        rows = [(nums[i * dims : (i + 1) * dims], label) for i, (_, label) in enumerate(pts)]
 
         def eval_point(x: Point, fuel: Fuel) -> KBot:
             # _nn_envelope on point distances commits iff the nearest point
-            # beats the runner-up by more than the margin: one pass suffices.
+            # beats the runner-up by more than the margin: one pass over
+            # integer distances at the common scale suffices.
+            if len(x) != dims:
+                raise DimensionMismatch(f"dimension mismatch: {len(x)} vs {dims}")
+            x_den, x_nums = common_denominator(x)
+            scale = math.lcm(den, x_den)
+            up, x_up = scale // den, scale // x_den
+            xs = [c * x_up for c in x_nums]
             best = second = None
-            for p, label in pts:
-                d = dist_point(x, p, metric)
+            for row, label in rows:
+                gaps = [abs(r * up - c) for r, c in zip(row, xs)]
+                d = max(gaps, default=0) if metric is MetricKind.MAX else sum(g * g for g in gaps)
                 if best is None or d < best:
                     best, second, color = d, best, label
                 elif second is None or d < second:
                     second = d
-            return KBot(color) if second is None or best + margin < second else KBot.bot()
+            if metric is MetricKind.EUCLID_SQ:
+                scale *= scale
+            if second is None or margin.denominator * (second - best) > margin.numerator * scale:
+                return KBot(color)
+            return KBot.bot()
 
         def eval_box(box: Box, fuel: Fuel) -> ColorEnvelope:
             dists = [(dist_range(box, p, metric), label) for p, label in pts]
@@ -249,26 +276,25 @@ def _ceil_div(a: int, b: int) -> int:
 def does_deviate(L: Learner, domain: VKSet, fuel: Fuel) -> Outcome:
     """Can training mislabel one of its own sample points?
 
-    Searches tuples of pairwise-distinct enumerated points with every label
-    assignment, looking for a trained classifier that commits, on one of
-    the training points, to a color other than its label.  Tuple length,
-    grid depth, and window size grow together under the one fuel dial, so
-    any fixed candidate is reached at some finite fuel and the schedule
-    stays affordable at every fuel.
+    Searches sets of enumerated points with every label assignment,
+    looking for a trained classifier that commits, on one of the training
+    points, to a color other than its label.  Set size, grid depth, and
+    window size grow together under the one fuel dial, so any fixed
+    candidate is reached at some finite fuel and the schedule stays
+    affordable at every fuel.
     """
     check_fuel(fuel)
+    grids: dict[int, list[Point]] = {}
     for stage in range(fuel + 1):
         for t in range(1, stage + 1):
             for depth in range(stage - t + 1):
-                pts = domain.overt.points_at(depth)
-                window = min(
-                    len(pts),
-                    2 ** (stage - t - depth) + 1,
-                    2 ** _ceil_div(stage - t, t) + 1,
-                )
+                window = min(2 ** (stage - t - depth), 2 ** _ceil_div(stage - t, t)) + 1
                 if window < t:
                     continue
-                for tup in itertools.permutations(pts[:window], t):
+                if depth not in grids:
+                    # No stage up to this fuel reads further into the grid.
+                    grids[depth] = domain.overt.points_at(depth)[: 2 ** (fuel - 1 - depth) + 1]
+                for tup in itertools.combinations(grids[depth][:window], t):
                     for labels in itertools.product(range(L.k), repeat=t):
                         trained = L.train(Sample(tuple(zip(tup, labels))))
                         for m in range(t):
@@ -323,6 +349,17 @@ def robust_point(
     return Outcome(value, base=base, witnesses=tuple(flip))
 
 
+def _labeled_multisets(items: Sequence, k: int, n: int) -> Iterator[tuple]:
+    """Every multiset of at most n labeled items, each once, smallest first.
+
+    The learners are order-free, so one sorted tuple of ``(item, label)``
+    pairs stands for every ordering of the same additions.
+    """
+    pairs = [(item, label) for item in items for label in range(k)]
+    for j in range(n + 1):
+        yield from itertools.combinations_with_replacement(pairs, j)
+
+
 def sparse_or_dense(
     L: Learner,
     N: int,
@@ -370,33 +407,26 @@ def sparse_or_dense(
                 stacklevel=2,
             )
         seen: dict[int, ExtensionWitness] = {}
-        for j in range(N + 1):
-            for combo in itertools.product(pts, repeat=j):
-                for labels in itertools.product(range(L.k), repeat=j):
-                    ext = tuple(zip(combo, labels))
-                    got = L.train(sample.extend(ext)).eval_point(point, d)
-                    if not got.committed:
-                        continue
-                    seen.setdefault(got.color, ExtensionWitness(ext, got.color))
-                    if len(seen) >= 2:
-                        sparse_pair.extend(list(seen.values())[:2])
-                        return Verdict.CONFIRMED
+        for ext in _labeled_multisets(pts, L.k, N):
+            got = L.train(sample.extend(ext)).eval_point(point, d)
+            if not got.committed:
+                continue
+            seen.setdefault(got.color, ExtensionWitness(ext, got.color))
+            if len(seen) >= 2:
+                sparse_pair.extend(list(seen.values())[:2])
+                return Verdict.CONFIRMED
         return Verdict.UNKNOWN
 
     def yes_side(d: Fuel) -> Verdict:
-        cover = far_cover.cover_at(d)
         target: int | None = None
-        for j in range(N + 1):
-            for boxes in itertools.product(cover, repeat=j):
-                for labels in itertools.product(range(L.k), repeat=j):
-                    env = L.family_at(sample, tuple(zip(boxes, labels)), point, d)
-                    color = env.committed_color
-                    if color is None:
-                        return Verdict.UNKNOWN
-                    if target is None:
-                        target = color
-                    elif color != target:
-                        return Verdict.UNKNOWN
+        for additions in _labeled_multisets(far_cover.cover_at(d), L.k, N):
+            color = L.family_at(sample, additions, point, d).committed_color
+            if color is None:
+                return Verdict.UNKNOWN
+            if target is None:
+                target = color
+            elif color != target:
+                return Verdict.UNKNOWN
         if target is None:
             return Verdict.UNKNOWN
         dense_color.append(target)

@@ -207,9 +207,11 @@ class Box:
 
     def bisect(self) -> tuple["Box", "Box"]:
         """Split along the widest side, lowest axis index on ties."""
-        if self.width == 0:
+        widths = [side.width for side in self.sides]
+        widest = max(widths, default=0)
+        if widest == 0:
             raise ValueError("cannot bisect a degenerate box")
-        axis = max(range(self.dims), key=lambda i: (self.sides[i].width, -i))
+        axis = widths.index(widest)
         left, right = self.sides[axis].bisect()
         lo_sides = self.sides[:axis] + (left,) + self.sides[axis + 1 :]
         hi_sides = self.sides[:axis] + (right,) + self.sides[axis + 1 :]

@@ -8,17 +8,33 @@ membership tests as given and only walk the radius grid; they are the
 one-membership-per-radius reference for the radius streams.  The interval
 references at the end are the package's former ``Fraction``/``Interval``
 evaluators, kept as the reference for the integer kernels that replaced
-them.
+them.  The two learner searches at the very end enumerate ordered tuples
+of added points, as the package did before its searches moved to
+multisets.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
-from boxcert import ColorEnvelope, Interval, KBot, LowerReal, MetricKind, UpperReal, Verdict
-from boxcert.learners import _nn_envelope
+from boxcert import (
+    ColorEnvelope,
+    DeviationWitness,
+    ExtensionWitness,
+    Interval,
+    KBot,
+    LowerReal,
+    MetricKind,
+    Outcome,
+    Sample,
+    UpperReal,
+    Verdict,
+    race,
+)
+from boxcert.learners import _ceil_div, _nn_envelope
+from boxcert.regions import outside_ball_compact, outside_ball_overt
 
 Q = Fraction
 
@@ -309,3 +325,75 @@ def ref_nn_eval_point(sample_points, x, margin, metric: MetricKind) -> KBot:
     ]
     color = _nn_envelope(dists, margin).committed_color
     return KBot(color) if color is not None else KBot.bot()
+
+
+# ------------------------------------------------------ ordered searches
+
+
+def ref_does_deviate(L, domain, fuel) -> Outcome:
+    """``does_deviate`` over ordered tuples: every permutation is retrained."""
+    for stage in range(fuel + 1):
+        for t in range(1, stage + 1):
+            for depth in range(stage - t + 1):
+                pts = domain.overt.points_at(depth)
+                window = min(
+                    len(pts),
+                    2 ** (stage - t - depth) + 1,
+                    2 ** _ceil_div(stage - t, t) + 1,
+                )
+                if window < t:
+                    continue
+                for tup in permutations(pts[:window], t):
+                    for labels in product(range(L.k), repeat=t):
+                        trained = L.train(Sample(tuple(zip(tup, labels))))
+                        for m in range(t):
+                            got = trained.eval_point(tup[m], fuel)
+                            if got.committed and got.color != labels[m]:
+                                witness = DeviationWitness(tuple(zip(tup, labels)), m, got.color)
+                                return Outcome(Verdict.CONFIRMED, witnesses=(witness,))
+    return Outcome(Verdict.UNKNOWN)
+
+
+def ref_sparse_or_dense(L, N, eps, sample, point, domain, fuel, metric) -> Outcome:
+    """``sparse_or_dense`` over ordered tuples of points and of labels."""
+    far_points = outside_ball_overt(domain, point, eps, metric)
+    far_cover = outside_ball_compact(domain, point, eps, metric)
+    sparse_pair: list = []
+    dense_color: list = []
+
+    def zero_side(d):
+        pts = far_points.points_at(d)
+        seen: dict = {}
+        for j in range(N + 1):
+            for combo in product(pts, repeat=j):
+                for labels in product(range(L.k), repeat=j):
+                    ext = tuple(zip(combo, labels))
+                    got = L.train(sample.extend(ext)).eval_point(point, d)
+                    if not got.committed:
+                        continue
+                    seen.setdefault(got.color, ExtensionWitness(ext, got.color))
+                    if len(seen) >= 2:
+                        sparse_pair.extend(list(seen.values())[:2])
+                        return Verdict.CONFIRMED
+        return Verdict.UNKNOWN
+
+    def yes_side(d):
+        cover = far_cover.cover_at(d)
+        target = None
+        for j in range(N + 1):
+            for boxes in product(cover, repeat=j):
+                for labels in product(range(L.k), repeat=j):
+                    env = L.family_at(sample, tuple(zip(boxes, labels)), point, d)
+                    color = env.committed_color
+                    if color is None or (target is not None and color != target):
+                        return Verdict.UNKNOWN
+                    target = color
+        if target is None:
+            return Verdict.UNKNOWN
+        dense_color.append(target)
+        return Verdict.CONFIRMED
+
+    value = race(yes_side, zero_side, fuel)
+    return Outcome(
+        value, color=dense_color[0] if dense_color else None, witnesses=tuple(sparse_pair)
+    )

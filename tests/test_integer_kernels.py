@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from boxcert import (
     Box,
@@ -121,17 +121,32 @@ def test_distances_match_interval_evaluator(data, dims, metric):
     assert got == ref_dist_point(x, y, metric)
 
 
-# A coarse grid and margins that are multiples of its spacing make exact
-# distance ties and exact margin boundaries (d1 + margin == d2) common.
-GRID = st.sampled_from([Q(n, 2) for n in range(-3, 4)])
+# Coarse grids and margins that are multiples of their spacing make exact
+# distance ties and exact margin boundaries (d1 + margin == d2) common.  The
+# sample sits on halves or thirds and the query may sit on sevenths, whose
+# denominator divides neither, so the point rule must rescale both.
+SAMPLE_GRID = st.sampled_from(
+    sorted({Q(n, 2) for n in range(-3, 4)} | {Q(n, 3) for n in range(-4, 5)})
+)
+QUERY_GRID = st.one_of(SAMPLE_GRID, st.sampled_from([Q(n, 7) for n in range(-7, 8)]), RATIONALS)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(
-    pts=st.lists(st.tuples(st.tuples(GRID, GRID), st.integers(0, 2)), min_size=1, max_size=5),
-    x=st.tuples(GRID, GRID),
-    margin=st.sampled_from([Q(1, 4), Q(1, 2), Q(1), Q(1, 3)]),
+    pts=st.lists(
+        st.tuples(st.tuples(SAMPLE_GRID, SAMPLE_GRID), st.integers(0, 2)), min_size=1, max_size=5
+    ),
+    x=st.tuples(QUERY_GRID, QUERY_GRID),
+    margin=st.sampled_from([Q(1, 4), Q(1, 2), Q(1), Q(1, 3), Q(1, 7)]),
     metric=METRICS,
+)
+# A sample on thirds, a query on sevenths: d2 - d1 = 5/21 - 2/21 is exactly
+# the margin, so the rule stays silent.
+@example(
+    pts=[((Q(1, 3), Q(0)), 0), ((Q(2, 3), Q(0)), 1)],
+    x=(Q(3, 7), Q(0)),
+    margin=Q(1, 7),
+    metric=MetricKind.MAX,
 )
 def test_nn_point_rule_matches_envelope(pts, x, margin, metric):
     trained = nn_learner(margin, k=3, metric=metric).train(Sample(tuple(pts)))

@@ -78,6 +78,11 @@ class TestNNLearner:
         g = L.train(Sample(()))
         assert g.eval_point((Q(1, 2),), 0) == KBot.bot()
 
+    def test_wrong_dimension_query_raises(self):
+        g = nn_learner(tie_margin=Q(1, 100)).train(sample_1d((Q(1, 5), 0), (Q(4, 5), 1)))
+        with pytest.raises(DimensionMismatch):
+            g.eval_point((Q(1, 2), Q(1, 2)), 0)
+
     def test_margin_must_be_positive(self):
         with pytest.raises(ValueError):
             nn_learner(tie_margin=Q(0))
