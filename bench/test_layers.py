@@ -12,6 +12,14 @@ the ones in the benchmark's robustness sweep (2 inputs, 3 relu units,
 are timed as whole calls: ``does_deviate`` on the unit interval at fuel 6
 and ``sparse_or_dense`` with two added points at fuel 4, on a sample that
 the dense side certifies only after trying every augmentation.
+
+The region layer is timed at fuel 6 on two of the sweep's
+``locallyConstant`` queries: a 2-D relu net with k = 3 on small
+``euclid-sq`` balls.  On ``zero`` the open ball holds colors 0 and 1, and
+the no side finds both early; on ``one`` color 2 certifies, so both sides
+walk their whole trees.  Each race side walker is timed on its own, for
+all three colors, and so is the whole ``constant_value`` race.
+``Box.bisect`` is timed on the 1/256 box.
 """
 
 from __future__ import annotations
@@ -27,6 +35,9 @@ from boxcert import (
     EmptyRegionWarning,
     MetricKind,
     Sample,
+    VKSet,
+    closed_ball,
+    constant_value,
     dist_point,
     dist_range,
     does_deviate,
@@ -34,15 +45,35 @@ from boxcert import (
     hyperplane_classifier,
     make_layer,
     nn_learner,
+    open_ball_overt,
     sparse_or_dense,
     threshold_net_classifier,
 )
+from boxcert.verify import _certified_colors, _find_witnesses
 
 METRICS = [MetricKind.MAX, MetricKind.EUCLID_SQ]
 X = (Q(3, 7), Q(-5, 12))
 UNIT = domain_box([(0, 1)])
 BOX = Box.from_bounds([(Q(101, 256), Q(102, 256)), (Q(-37, 256), Q(-36, 256))])
 Y = (Q(101, 256), Q(-36, 256))
+NET3 = threshold_net_classifier(
+    [
+        make_layer([[1, 0], [0, 1], [-1, 1]], [8, 8, Q(-25, 16)], "relu"),
+        make_layer([[-1, -1, Q(1, 2)], [-2, -3, Q(1, 2)], [-3, 1, Q(1, 2)]],
+                   [Q(3551, 192), Q(8969, 192), Q(3185, 192)], "none"),
+    ],
+    Q(1, 16),
+)
+BALLS = {
+    name: VKSet(
+        closed_ball(center, radius, MetricKind.EUCLID_SQ).compact,
+        open_ball_overt(center, radius, MetricKind.EUCLID_SQ),
+    )
+    for name, center, radius in [
+        ("zero", (Q(313, 384), Q(217, 128)), Q(1, 64)),
+        ("one", (Q(289, 384), Q(255, 128)), Q(1, 256)),
+    ]
+}
 
 
 def test_net_eval_box(benchmark):
@@ -87,3 +118,22 @@ def test_sparse_or_dense_nn(benchmark):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", EmptyRegionWarning)
         benchmark(sparse_or_dense, nn_learner(Q(1, 100)), 2, Q(1, 5), sample, (Q(1, 2),), UNIT, 4)
+
+
+def test_box_bisect(benchmark):
+    benchmark(BOX.bisect)
+
+
+@pytest.mark.parametrize("ball", BALLS)
+def test_certified_colors(benchmark, ball):
+    benchmark(_certified_colors, BALLS[ball].compact, NET3, range(3), 6)
+
+
+@pytest.mark.parametrize("ball", BALLS)
+def test_find_witnesses(benchmark, ball):
+    benchmark(_find_witnesses, BALLS[ball].overt, NET3, range(3), 2, 6)
+
+
+@pytest.mark.parametrize("ball", BALLS)
+def test_constant_value(benchmark, ball):
+    benchmark(constant_value, BALLS[ball], NET3, 6)

@@ -82,8 +82,14 @@ class Sample:
         return len(self.points)
 
     def extend(self, additions: Sequence[tuple[Sequence, int]]) -> "Sample":
-        extra = tuple((tuple(as_rational(c) for c in p), label) for p, label in additions)
-        return Sample(self.points + extra)
+        return Sample(self.points + tuple(additions))
+
+    @classmethod
+    def _exact(cls, points: tuple[tuple[Point, int], ...]) -> "Sample":
+        """Grid points are already ``Fraction`` tuples of one dimension."""
+        sample = object.__new__(cls)
+        object.__setattr__(sample, "points", points)
+        return sample
 
 
 # The family evaluator receives box-valued additions and a query point and
@@ -296,7 +302,7 @@ def does_deviate(L: Learner, domain: VKSet, fuel: Fuel) -> Outcome:
                     grids[depth] = domain.overt.points_at(depth)[: 2 ** (fuel - 1 - depth) + 1]
                 for tup in itertools.combinations(grids[depth][:window], t):
                     for labels in itertools.product(range(L.k), repeat=t):
-                        trained = L.train(Sample(tuple(zip(tup, labels))))
+                        trained = L.train(Sample._exact(tuple(zip(tup, labels))))
                         for m in range(t):
                             got = trained.eval_point(tup[m], fuel)
                             if got.committed and got.color != labels[m]:
@@ -339,7 +345,7 @@ def robust_point(
             return Verdict.UNKNOWN
         for y in domain.overt.points_at(d):
             for label in range(L.k):
-                got = L.train(sample.extend([(y, label)])).eval_point(point, d)
+                got = L.train(Sample._exact(sample.points + ((y, label),))).eval_point(point, d)
                 if got.committed and got.color != base.color:
                     flip.append(ExtensionWitness(((y, label),), got.color))
                     return Verdict.CONFIRMED
@@ -408,7 +414,7 @@ def sparse_or_dense(
             )
         seen: dict[int, ExtensionWitness] = {}
         for ext in _labeled_multisets(pts, L.k, N):
-            got = L.train(sample.extend(ext)).eval_point(point, d)
+            got = L.train(Sample._exact(sample.points + ext)).eval_point(point, d)
             if not got.committed:
                 continue
             seen.setdefault(got.color, ExtensionWitness(ext, got.color))

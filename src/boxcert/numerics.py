@@ -28,7 +28,6 @@ __all__ = [
     "as_rational",
     "parse_rational",
     "format_rational",
-    "as_point",
     "common_denominator",
     "Interval",
     "Box",
@@ -79,10 +78,6 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(q: Fraction) -> str:
     """Serialize a rational as 'p/q' with an explicit denominator."""
     return f"{q.numerator}/{q.denominator}"
-
-
-def as_point(coords: Sequence[int | str | Fraction]) -> Point:
-    return tuple(as_rational(c) for c in coords)
 
 
 def common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:

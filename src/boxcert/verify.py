@@ -12,6 +12,11 @@ skipped without enumerating, and only the undecided rim is refined.  The
 accepted and rejected outcomes are provably the same as for the flat cover
 and the flat grid (envelopes only shrink on sub-boxes), the work is just
 concentrated where the classifier is actually undecided.
+
+Each race side is one walk for all the colors it asks about: the universal
+walk carries the colors still open in each subtree, the existential walk
+the colors still wanted, and a two-sided question reports the lowest
+colors that certify or have a hit.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .classifiers import IntervalClassifier
 from .errors import DimensionMismatch, NonpositiveRadius
@@ -74,59 +79,83 @@ def _check_region_dims(region_dims: int, f: IntervalClassifier) -> None:
         raise DimensionMismatch(f"region has {region_dims} dimensions, classifier expects {f.dims}")
 
 
-def _certified_everywhere(A: CompactSet, f: IntervalClassifier, n: int, fuel: Fuel) -> bool:
-    """Does every box of the cover at this fuel commit to color n?
+def _certified_colors(
+    A: CompactSet, f: IntervalClassifier, colors: Iterable[int], fuel: Fuel
+) -> frozenset[int]:
+    """Those of ``colors`` that every box of the cover at this fuel commits to.
 
-    Adaptive form of scanning the flat cover: equivalent because the keep
-    test and the envelope are both antitone under box inclusion.
+    One walk for all of them: each pending box carries the colors still
+    open in its subtree.  The keep test settles them all, a commitment to
+    c settles c, and an open color that reaches the target width fails
+    everywhere.  Equivalent to scanning the flat cover once per color,
+    because the keep test and the envelope are antitone under inclusion.
     """
+    wanted = frozenset(colors)
     if A.bounding is None:
-        return True
+        return wanted
     target = cover_width_target(A.bounding, fuel)
-    stack = [A.bounding]
+    failed: frozenset[int] = frozenset()
+    stack = [(A.bounding, wanted)]
     while stack:
-        box = stack.pop()
-        if not A.keep(box):
+        box, still = stack.pop()
+        still -= failed
+        if not still or not A.keep(box):
             continue
-        if f.eval_box(box, fuel).committed(n):
+        still -= {f.eval_box(box, fuel).committed_color}
+        if not still:
             continue
         if box.width <= target:
-            return False
+            failed |= still
+            if failed == wanted:
+                break
+            continue
         lo, hi = box.bisect()
-        stack.append(hi)
-        stack.append(lo)
-    return True
+        stack.append((hi, still))
+        stack.append((lo, still))
+    return wanted - failed
 
 
-def _find_witness(A: OvertSet, f: IntervalClassifier, n: int, fuel: Fuel) -> Point | None:
-    """First enumerated point of A evaluating to color n, in search order.
+def _find_witnesses(
+    A: OvertSet, f: IntervalClassifier, colors: Iterable[int], need: int, fuel: Fuel
+) -> list[ColorWitness]:
+    """The ``need`` lowest of ``colors`` that enumerated points of A take,
+    each with its first such point in search order.
 
-    Equivalent to scanning the flat grid: a subtree is dropped only when
-    the set certainly misses it or the envelope rules the color out, and
-    both tests are sound for every point inside.
+    One walk for all of them: a subtree is dropped when the set certainly
+    misses it or its envelope rules out every color still wanted.  A
+    color's own walk visits a subsequence of these boxes in the same
+    order, so its first point is the one the flat grid scan finds first.
+    After each hit, only colors below the ``need``-th lowest hit stay wanted.
     """
     if A.bounding is None:
-        return None
+        return []
+    hits: dict[int, Point] = {}
+    wanted = set(colors)
     step = dyadic_step(fuel)
-    target = KBot(n)
     stack = [A.bounding]
-    while stack:
+    while stack and wanted:
         box = stack.pop()
-        if A.box_disjoint(box):
-            continue
-        env = f.eval_box(box, fuel)
-        if n not in env.colors:
+        if A.box_disjoint(box) or wanted.isdisjoint(f.eval_box(box, fuel).colors):
             continue
         if all(side.width <= step for side in box.sides):
             axes = [dyadic_grid(side.lo, side.hi, fuel) for side in box.sides]
             for p in itertools.product(*axes):
-                if A.member(p) and f.eval_point(p, fuel) == target:
-                    return p
+                if not A.member(p):
+                    continue
+                color = f.eval_point(p, fuel).color
+                if color in wanted:
+                    hits[color] = p
+                    wanted.discard(color)
+                    if len(hits) >= need:
+                        bound = sorted(hits)[need - 1]
+                        wanted = {c for c in wanted if c < bound}
+                    if not wanted:
+                        break
             continue
         lo, hi = box.bisect()
         stack.append(hi)
         stack.append(lo)
-    return None
+    return [ColorWitness(hits[c], c) for c in sorted(hits)[:need]]
 
 
 def exists_value(n: int, A: OvertSet, f: IntervalClassifier, fuel: Fuel) -> Outcome:
@@ -138,10 +167,10 @@ def exists_value(n: int, A: OvertSet, f: IntervalClassifier, fuel: Fuel) -> Outc
     check_fuel(fuel)
     f.check_color(n)
     _check_region_dims(A.dims, f)
-    point = _find_witness(A, f, n, fuel)
-    if point is None:
+    found = _find_witnesses(A, f, (n,), 1, fuel)
+    if not found:
         return Outcome(Verdict.UNKNOWN)
-    return Outcome(Verdict.CONFIRMED, witnesses=(ColorWitness(point, n),))
+    return Outcome(Verdict.CONFIRMED, witnesses=tuple(found))
 
 
 def forall_value(n: int, A: CompactSet, f: IntervalClassifier, fuel: Fuel) -> Verdict:
@@ -152,16 +181,15 @@ def forall_value(n: int, A: CompactSet, f: IntervalClassifier, fuel: Fuel) -> Ve
     check_fuel(fuel)
     f.check_color(n)
     _check_region_dims(A.dims, f)
-    if _certified_everywhere(A, f, n, fuel):
-        return Verdict.CONFIRMED
-    return Verdict.UNKNOWN
+    return Verdict.CONFIRMED if _certified_colors(A, f, (n,), fuel) else Verdict.UNKNOWN
 
 
 def fixed_value(n: int, A: VKSet, f: IntervalClassifier, fuel: Fuel) -> Outcome:
     """Is the region uniformly color n, or does some point refuse it?
 
     The two sides are mutually exclusive on a coherent classifier, so they
-    are raced at equal fuel.
+    are raced at equal fuel.  A refutation is witnessed by the first point
+    of the lowest other color that has one.
     """
     check_fuel(fuel)
     f.check_color(n)
@@ -172,14 +200,9 @@ def fixed_value(n: int, A: VKSet, f: IntervalClassifier, fuel: Fuel) -> Outcome:
         return forall_value(n, A.compact, f, d)
 
     def no_side(d: Fuel) -> Verdict:
-        for m in range(f.k):
-            if m == n:
-                continue
-            outcome = exists_value(m, A.overt, f, d)
-            if outcome.verdict is Verdict.CONFIRMED:
-                found.extend(outcome.witnesses)
-                return Verdict.CONFIRMED
-        return Verdict.UNKNOWN
+        others = [m for m in range(f.k) if m != n]
+        found.extend(_find_witnesses(A.overt, f, others, 1, d))
+        return Verdict.CONFIRMED if found else Verdict.UNKNOWN
 
     value = race(yes_side, no_side, fuel)
     return Outcome(value, color=n if value is TwoBot.ONE else None, witnesses=tuple(found))
@@ -188,9 +211,10 @@ def fixed_value(n: int, A: VKSet, f: IntervalClassifier, fuel: Fuel) -> Outcome:
 def constant_value(A: VKSet, f: IntervalClassifier, fuel: Fuel) -> Outcome:
     """Is the classifier constant on the region, no matter which color?
 
-    Affirmed when one color certifies everywhere; refuted when two
-    enumerated points commit to different colors, which refutes every
-    candidate color at once.
+    Affirmed when one color certifies everywhere, and the lowest such
+    color is reported; refuted when two enumerated points commit to
+    different colors, which refutes every candidate color at once.  The
+    witnesses are the first points of the two lowest colors that have one.
     """
     check_fuel(fuel)
     _check_region_dims(A.dims, f)
@@ -198,20 +222,15 @@ def constant_value(A: VKSet, f: IntervalClassifier, fuel: Fuel) -> Outcome:
     found: list[ColorWitness] = []
 
     def yes_side(d: Fuel) -> Verdict:
-        for n in range(f.k):
-            if forall_value(n, A.compact, f, d) is Verdict.CONFIRMED:
-                certified.append(n)
-                return Verdict.CONFIRMED
-        return Verdict.UNKNOWN
+        certified.extend(sorted(_certified_colors(A.compact, f, range(f.k), d)))
+        return Verdict.CONFIRMED if certified else Verdict.UNKNOWN
 
     def no_side(d: Fuel) -> Verdict:
-        hits: list[ColorWitness] = []
-        for n in range(f.k):
-            hits.extend(exists_value(n, A.overt, f, d).witnesses)
-            if len(hits) == 2:
-                found.extend(hits)
-                return Verdict.CONFIRMED
-        return Verdict.UNKNOWN
+        hits = _find_witnesses(A.overt, f, range(f.k), 2, d)
+        if len(hits) < 2:
+            return Verdict.UNKNOWN
+        found.extend(hits)
+        return Verdict.CONFIRMED
 
     value = race(yes_side, no_side, fuel)
     return Outcome(value, color=certified[0] if certified else None, witnesses=tuple(found))
@@ -257,7 +276,7 @@ def _nearest_off_color(
     ball's bounding box by each box's least distance to x, so the first
     points found are the nearest; a box is dropped when the ball misses
     it, when its envelope commits to c, or when it can no longer beat the
-    distances found.  Leaves enumerate grid points as ``_find_witness``
+    distances found.  Leaves enumerate grid points as ``_find_witnesses``
     does.  The last result is kept, so the lower and upper streams that
     ``optimal_radius`` runs at one fuel share a single walk.
     """

@@ -10,7 +10,10 @@ references at the end are the package's former ``Fraction``/``Interval``
 evaluators, kept as the reference for the integer kernels that replaced
 them.  The two learner searches at the very end enumerate ordered tuples
 of added points, as the package did before its searches moved to
-multisets.
+multisets.  The per-color walkers at the end are the region ops as they
+were before each race side became one walk for all its colors: one cover
+walk and one witness walk per color, and the loops over colors around
+them.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from itertools import permutations, product
 
 from boxcert import (
     ColorEnvelope,
+    ColorWitness,
     DeviationWitness,
     ExtensionWitness,
     Interval,
@@ -30,7 +34,11 @@ from boxcert import (
     Outcome,
     Sample,
     UpperReal,
+    TwoBot,
     Verdict,
+    cover_width_target,
+    dyadic_grid,
+    dyadic_step,
     race,
 )
 from boxcert.learners import _ceil_div, _nn_envelope
@@ -397,3 +405,104 @@ def ref_sparse_or_dense(L, N, eps, sample, point, domain, fuel, metric) -> Outco
     return Outcome(
         value, color=dense_color[0] if dense_color else None, witnesses=tuple(sparse_pair)
     )
+
+
+# ------------------------------------------------------ per-color walkers
+
+
+def ref_certified_everywhere(A, f, n, fuel) -> bool:
+    """Does every box of the cover at this fuel commit to color n?"""
+    if A.bounding is None:
+        return True
+    target = cover_width_target(A.bounding, fuel)
+    stack = [A.bounding]
+    while stack:
+        box = stack.pop()
+        if not A.keep(box):
+            continue
+        if f.eval_box(box, fuel).committed(n):
+            continue
+        if box.width <= target:
+            return False
+        lo, hi = box.bisect()
+        stack.append(hi)
+        stack.append(lo)
+    return True
+
+
+def ref_find_witness(A, f, n, fuel):
+    """First enumerated point of A evaluating to color n, in search order."""
+    if A.bounding is None:
+        return None
+    step = dyadic_step(fuel)
+    stack = [A.bounding]
+    while stack:
+        box = stack.pop()
+        if A.box_disjoint(box):
+            continue
+        if n not in f.eval_box(box, fuel).colors:
+            continue
+        if all(side.width <= step for side in box.sides):
+            axes = [dyadic_grid(side.lo, side.hi, fuel) for side in box.sides]
+            for p in product(*axes):
+                if A.member(p) and f.eval_point(p, fuel) == KBot(n):
+                    return p
+            continue
+        lo, hi = box.bisect()
+        stack.append(hi)
+        stack.append(lo)
+    return None
+
+
+def ref_exists_value(n, A, f, fuel) -> Outcome:
+    point = ref_find_witness(A, f, n, fuel)
+    if point is None:
+        return Outcome(Verdict.UNKNOWN)
+    return Outcome(Verdict.CONFIRMED, witnesses=(ColorWitness(point, n),))
+
+
+def ref_forall_value(n, A, f, fuel) -> Verdict:
+    return Verdict.CONFIRMED if ref_certified_everywhere(A, f, n, fuel) else Verdict.UNKNOWN
+
+
+def ref_fixed_value(n, A, f, fuel) -> Outcome:
+    """``fixed_value`` with one witness walk per other color, lowest first."""
+    found: list = []
+
+    def no_side(d):
+        for m in range(f.k):
+            if m == n:
+                continue
+            outcome = ref_exists_value(m, A.overt, f, d)
+            if outcome.verdict is Verdict.CONFIRMED:
+                found.extend(outcome.witnesses)
+                return Verdict.CONFIRMED
+        return Verdict.UNKNOWN
+
+    value = race(lambda d: ref_forall_value(n, A.compact, f, d), no_side, fuel)
+    return Outcome(value, color=n if value is TwoBot.ONE else None, witnesses=tuple(found))
+
+
+def ref_constant_value(A, f, fuel) -> Outcome:
+    """``constant_value`` with one walk per color on each side, lowest first."""
+    certified: list = []
+    found: list = []
+
+    def yes_side(d):
+        for n in range(f.k):
+            if ref_forall_value(n, A.compact, f, d) is Verdict.CONFIRMED:
+                certified.append(n)
+                return Verdict.CONFIRMED
+        return Verdict.UNKNOWN
+
+    def no_side(d):
+        hits: list = []
+        for n in range(f.k):
+            hits.extend(ref_exists_value(n, A.overt, f, d).witnesses)
+            if len(hits) == 2:
+                found.extend(hits)
+                return Verdict.CONFIRMED
+        return Verdict.UNKNOWN
+
+    value = race(yes_side, no_side, fuel)
+    return Outcome(value, color=certified[0] if certified else None, witnesses=tuple(found))

@@ -61,6 +61,19 @@ class TestSample:
         assert len(grown) == 2
         assert len(base) == 1
 
+    def test_extend_coerces_and_checks_additions(self):
+        base = sample_1d((Q(0), 0))
+        assert base.extend(((("1/2",), 1),)).points[1] == ((Q(1, 2),), 1)
+        with pytest.raises(TypeError):
+            base.extend((((0.5,), 1),))
+        with pytest.raises(DimensionMismatch):
+            base.extend((((Q(0), Q(1)), 1),))
+
+    def test_exact_sample_equals_checked_sample(self):
+        pairs = (((Q(0), Q(1, 2)), 0), ((Q(1, 4), Q(1)), 1))
+        assert Sample._exact(pairs) == Sample(pairs)
+        assert hash(Sample._exact(pairs)) == hash(Sample(pairs))
+
 
 class TestNNLearner:
     def test_nearest_neighbor_commits_with_margin(self):
