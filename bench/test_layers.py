@@ -26,13 +26,10 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 
-import warnings
-
 import pytest
 
 from boxcert import (
     Box,
-    EmptyRegionWarning,
     MetricKind,
     Sample,
     VKSet,
@@ -115,9 +112,7 @@ def test_does_deviate_nn(benchmark):
 
 def test_sparse_or_dense_nn(benchmark):
     sample = Sample((((Q(9, 20),), 0), ((Q(2, 5),), 0)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EmptyRegionWarning)
-        benchmark(sparse_or_dense, nn_learner(Q(1, 100)), 2, Q(1, 5), sample, (Q(1, 2),), UNIT, 4)
+    benchmark(sparse_or_dense, nn_learner(Q(1, 100)), 2, Q(1, 5), sample, (Q(1, 2),), UNIT, 4)
 
 
 def test_box_bisect(benchmark):

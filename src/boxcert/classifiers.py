@@ -49,12 +49,9 @@ class ColorEnvelope:
         if not self.colors and not self.maybe_bot:
             raise ValueError("an envelope must allow at least one outcome")
 
-    def committed(self, color: int) -> bool:
-        """True when every point of the box takes exactly this color."""
-        return not self.maybe_bot and self.colors == frozenset((color,))
-
     @property
     def committed_color(self) -> int | None:
+        """The color every point of the box takes, or None."""
         if not self.maybe_bot and len(self.colors) == 1:
             return next(iter(self.colors))
         return None
@@ -73,7 +70,6 @@ class IntervalClassifier:
     eval_point: Callable[[Point, Fuel], KBot]
     eval_box: Callable[[Box, Fuel], ColorEnvelope]
     dims: int | None
-    description: str = ""
 
     def check_color(self, n: int) -> None:
         if not isinstance(n, int) or isinstance(n, bool) or not 0 <= n < self.k:
@@ -163,13 +159,7 @@ def hyperplane_classifier(weights: Sequence, bias) -> IntervalClassifier:
             colors.add(0)
         return ColorEnvelope(frozenset(colors), True)
 
-    return IntervalClassifier(
-        k=2,
-        eval_point=eval_point,
-        eval_box=eval_box,
-        dims=dims,
-        description=f"hyperplane w={w} b={b}",
-    )
+    return IntervalClassifier(k=2, eval_point=eval_point, eval_box=eval_box, dims=dims)
 
 
 @dataclass(frozen=True)
@@ -261,13 +251,7 @@ def threshold_net_classifier(layers: Sequence[Layer], margin) -> IntervalClassif
                 certain = True
         return ColorEnvelope(frozenset(colors), not certain)
 
-    return IntervalClassifier(
-        k=k,
-        eval_point=eval_point,
-        eval_box=eval_box,
-        dims=dims,
-        description=f"threshold net, {len(layers)} layers, k={k}, margin {tau}",
-    )
+    return IntervalClassifier(k=k, eval_point=eval_point, eval_box=eval_box, dims=dims)
 
 
 def constant_classifier(k: int, color: int | None, dims: int | None) -> IntervalClassifier:
@@ -285,5 +269,4 @@ def constant_classifier(k: int, color: int | None, dims: int | None) -> Interval
         eval_point=lambda point, fuel: answer,
         eval_box=lambda box, fuel: envelope,
         dims=dims,
-        description=f"constant {color if color is not None else 'bottom'} of {k}",
     )

@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from importlib import resources
@@ -338,7 +337,7 @@ def _dispatch(spec: QuerySpec) -> Report:
             ),
             diagnostics={
                 "converged": report.converged,
-                "fuelExhausted": report.fuel_exhausted,
+                "fuelExhausted": not report.converged,
                 "lowerSaturated": report.lower_saturated,
                 "upperUnconfirmed": report.upper_unconfirmed,
             },
@@ -353,20 +352,19 @@ def _dispatch(spec: QuerySpec) -> Report:
             lambda fuel: robust_point(spec.point, spec.sample, spec.learner, spec.domain, fuel),
         )
     if spec.op == "sprsOrDns":
-        def step(fuel: int):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                return sparse_or_dense(
-                    spec.learner,
-                    spec.count,
-                    spec.eps,
-                    spec.sample,
-                    spec.point,
-                    spec.domain,
-                    fuel,
-                    spec.metric,
-                )
-        return _iterate(spec, step)
+        return _iterate(
+            spec,
+            lambda fuel: sparse_or_dense(
+                spec.learner,
+                spec.count,
+                spec.eps,
+                spec.sample,
+                spec.point,
+                spec.domain,
+                fuel,
+                spec.metric,
+            ),
+        )
     raise ParseError(f"unknown op {spec.op!r}")
 
 
@@ -453,7 +451,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     report = run_query(spec)
     rendered = report.render(args.format, include_timing=args.timing)
     if args.out:
-        Path(args.out).write_text(rendered)
+        try:
+            Path(args.out).write_text(rendered)
+        except (OSError, ValueError) as exc:
+            raise BoxcertError(f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(rendered)
     return report.exit_code

@@ -1,8 +1,7 @@
 """Error types shared across the package.
 
 Every failure that callers are expected to handle derives from
-:class:`BoxcertError`.  ``EmptyRegionWarning`` is a warning category, not an
-error: an overt enumeration that stays empty is a diagnostic, never a crash.
+:class:`BoxcertError`.
 """
 
 from __future__ import annotations
@@ -51,7 +50,3 @@ class ParseError(BoxcertError):
 
 class ValidationError(BoxcertError):
     """A parsed input failed semantic validation."""
-
-
-class EmptyRegionWarning(UserWarning):
-    """An enumeration produced no points up to the stated fuel."""

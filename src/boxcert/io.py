@@ -27,7 +27,6 @@ from .regions import VKSet, closed_ball, domain_box, outside_ball_compact, outsi
 __all__ = [
     "load_json",
     "rational_from_json",
-    "rational_to_json",
     "point_from_json",
     "point_to_json",
     "classifier_from_json",
@@ -39,14 +38,15 @@ __all__ = [
 
 def load_json(path: Path) -> Any:
     # ValueError covers a NUL byte in the name, undecodable text, malformed
-    # JSON and integers too long to convert.
+    # JSON and integers too long to convert; RecursionError, nesting deeper
+    # than the decoder's stack.
     try:
         text = path.read_text()
     except (OSError, ValueError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
 
 
@@ -58,10 +58,6 @@ def rational_from_json(value: Any) -> Fraction:
     if isinstance(value, str):
         return parse_rational(value)
     raise ParseError(f"rationals must be 'p/q' strings or integers, got {value!r}")
-
-
-def rational_to_json(q: Fraction) -> str:
-    return format_rational(q)
 
 
 def point_from_json(value: Any) -> Point:
@@ -208,6 +204,5 @@ def region_from_json(obj: Any, metric: MetricKind) -> VKSet:
         return VKSet(
             compact=outside_ball_compact(domain, center, eps, metric),
             overt=outside_ball_overt(domain, center, eps, metric),
-            description=f"outside-ball eps {eps} in {domain.description}",
         )
     raise ParseError(f"unknown region type {rtype!r}")

@@ -13,19 +13,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 from .classifiers import ColorEnvelope, IntervalClassifier, constant_classifier
-from .errors import (
-    AugmentationCapExceeded,
-    ColorOutOfRange,
-    DimensionMismatch,
-    EmptyRegionWarning,
-)
+from .errors import AugmentationCapExceeded, ColorOutOfRange, DimensionMismatch
 from .kernel import Fuel, KBot, Outcome, Verdict, check_fuel, race
 from .numerics import (
     Box,
@@ -110,7 +104,6 @@ class Learner:
     k: int
     train: Callable[[Sample], IntervalClassifier]
     family_at: FamilyEvaluator
-    description: str = ""
 
     def check_labels(self, sample: Sample) -> None:
         for _, label in sample.points:
@@ -201,20 +194,9 @@ def nn_learner(tie_margin, k: int = 2, metric: MetricKind = MetricKind.MAX) -> L
             dists = [(dist_range(box, p, metric), label) for p, label in pts]
             return _nn_envelope(dists, margin)
 
-        return IntervalClassifier(
-            k=k,
-            eval_point=eval_point,
-            eval_box=eval_box,
-            dims=sample.dims,
-            description=f"1-nn over {len(pts)} points, margin {margin}",
-        )
+        return IntervalClassifier(k=k, eval_point=eval_point, eval_box=eval_box, dims=dims)
 
-    learner = Learner(
-        k=k,
-        train=train,
-        family_at=envelope_at,
-        description=f"nearest neighbor, margin {margin}, {metric.value} metric",
-    )
+    learner = Learner(k=k, train=train, family_at=envelope_at)
     return learner
 
 
@@ -245,12 +227,7 @@ def majority_learner(k: int = 2) -> Learner:
             return ColorEnvelope(frozenset(), True)
         return ColorEnvelope(frozenset((color,)), False)
 
-    learner = Learner(
-        k=k,
-        train=train,
-        family_at=envelope_at,
-        description="majority vote",
-    )
+    learner = Learner(k=k, train=train, family_at=envelope_at)
     return learner
 
 
@@ -336,7 +313,7 @@ def robust_point(
         for box in domain.compact.cover_at(d):
             for label in range(L.k):
                 env = L.family_at(sample, [(box, label)], point, d)
-                if not env.committed(base.color):
+                if env.committed_color != base.color:
                     return Verdict.UNKNOWN
         return Verdict.CONFIRMED
 
@@ -405,15 +382,8 @@ def sparse_or_dense(
     dense_color: list[int] = []
 
     def zero_side(d: Fuel) -> Verdict:
-        pts = far_points.points_at(d)
-        if not pts:
-            warnings.warn(
-                "no admissible augmentation points enumerated at this fuel",
-                EmptyRegionWarning,
-                stacklevel=2,
-            )
         seen: dict[int, ExtensionWitness] = {}
-        for ext in _labeled_multisets(pts, L.k, N):
+        for ext in _labeled_multisets(far_points.points_at(d), L.k, N):
             got = L.train(Sample._exact(sample.points + ext)).eval_point(point, d)
             if not got.committed:
                 continue

@@ -116,48 +116,6 @@ class Interval:
     def contains(self, q: Fraction) -> bool:
         return self.lo <= q <= self.hi
 
-    def __add__(self, other: "Interval") -> "Interval":
-        return Interval(self.lo + other.lo, self.hi + other.hi)
-
-    def __sub__(self, other: "Interval") -> "Interval":
-        return Interval(self.lo - other.hi, self.hi - other.lo)
-
-    def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
-
-    def __mul__(self, other: "Interval") -> "Interval":
-        products = (
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        )
-        return Interval(min(products), max(products))
-
-    def scale(self, q: Fraction) -> "Interval":
-        if q >= 0:
-            return Interval(self.lo * q, self.hi * q)
-        return Interval(self.hi * q, self.lo * q)
-
-    def shift(self, q: Fraction) -> "Interval":
-        return Interval(self.lo + q, self.hi + q)
-
-    def relu(self) -> "Interval":
-        zero = Fraction(0)
-        return Interval(max(self.lo, zero), max(self.hi, zero))
-
-    def abs(self) -> "Interval":
-        """Range of |t| for t in the interval."""
-        if self.lo >= 0:
-            return self
-        if self.hi <= 0:
-            return Interval(-self.hi, -self.lo)
-        return Interval(Fraction(0), max(-self.lo, self.hi))
-
-    def square(self) -> "Interval":
-        a = self.abs()
-        return Interval(a.lo * a.lo, a.hi * a.hi)
-
     def bisect(self) -> tuple["Interval", "Interval"]:
         mid = self.midpoint
         return Interval(self.lo, mid), Interval(mid, self.hi)
@@ -288,7 +246,7 @@ class LowerReal:
     """
 
     approx: Callable[[Fuel], Fraction]
-    ceiling: Fraction | None = None
+    ceiling: Fraction
 
 
 @dataclass(frozen=True)
@@ -296,4 +254,4 @@ class UpperReal:
     """A real known from above: a nonincreasing stream of rational bounds."""
 
     approx: Callable[[Fuel], Fraction]
-    ceiling: Fraction | None = None
+    ceiling: Fraction

@@ -63,7 +63,6 @@ class CompactSet:
     dims: int
     bounding: Box | None
     keep: Callable[[Box], bool]
-    description: str = ""
 
     def cover_at(self, fuel: Fuel) -> list[Box]:
         """Kept boxes of the subdivision, each no wider than 2**-fuel
@@ -101,7 +100,6 @@ class OvertSet:
     bounding: Box | None
     member: Callable[[Point], bool]
     box_disjoint: Callable[[Box], bool]
-    description: str = ""
 
     def points_at(self, fuel: Fuel) -> list[Point]:
         """Grid members at denominator 2**fuel, lexicographic order."""
@@ -118,7 +116,6 @@ class VKSet:
 
     compact: CompactSet
     overt: OvertSet
-    description: str = ""
 
     @property
     def dims(self) -> int:
@@ -130,9 +127,9 @@ def _never_disjoint(_: Box) -> bool:
 
 
 def empty_region(dims: int) -> VKSet:
-    compact = CompactSet(dims, None, lambda box: False, "empty")
-    overt = OvertSet(dims, None, lambda p: False, lambda box: True, "empty")
-    return VKSet(compact, overt, "empty")
+    compact = CompactSet(dims, None, lambda box: False)
+    overt = OvertSet(dims, None, lambda p: False, lambda box: True)
+    return VKSet(compact, overt)
 
 
 def _ball_bounding(center: Point, radius: Fraction, metric: MetricKind) -> Box:
@@ -154,21 +151,14 @@ def closed_ball(center: Sequence, radius, metric: MetricKind) -> VKSet:
     if r < 0:
         return empty_region(len(x))
     bounding = _ball_bounding(x, r, metric)
-    desc = f"closed ball around {x} radius {r} ({metric.value})"
-    compact = CompactSet(
-        len(x),
-        bounding,
-        lambda box: dist_range(box, x, metric).lo <= r,
-        desc,
-    )
+    compact = CompactSet(len(x), bounding, lambda box: dist_range(box, x, metric).lo <= r)
     overt = OvertSet(
         len(x),
         bounding,
         lambda p: dist_point(p, x, metric) <= r,
         lambda box: dist_range(box, x, metric).lo > r,
-        desc,
     )
-    return VKSet(compact, overt, desc)
+    return VKSet(compact, overt)
 
 
 def open_ball_overt(center: Sequence, radius, metric: MetricKind) -> OvertSet:
@@ -178,14 +168,13 @@ def open_ball_overt(center: Sequence, radius, metric: MetricKind) -> OvertSet:
     if not x:
         raise DimensionMismatch("a ball needs at least one dimension")
     if r <= 0:
-        return OvertSet(len(x), None, lambda p: False, lambda box: True, "empty open ball")
+        return OvertSet(len(x), None, lambda p: False, lambda box: True)
     bounding = _ball_bounding(x, r, metric)
     return OvertSet(
         len(x),
         bounding,
         lambda p: dist_point(p, x, metric) < r,
         lambda box: dist_range(box, x, metric).lo >= r,
-        f"open ball around {x} radius {r} ({metric.value})",
     )
 
 
@@ -197,10 +186,9 @@ def domain_box(bounds: Sequence) -> VKSet:
         box = Box.from_bounds(bounds)
     if box.dims == 0:
         raise DimensionMismatch("a domain needs at least one dimension")
-    desc = "domain box " + " x ".join(f"[{s.lo}, {s.hi}]" for s in box.sides)
-    compact = CompactSet(box.dims, box, lambda b: True, desc)
-    overt = OvertSet(box.dims, box, box.contains, _never_disjoint, desc)
-    return VKSet(compact, overt, desc)
+    compact = CompactSet(box.dims, box, lambda b: True)
+    overt = OvertSet(box.dims, box, box.contains, _never_disjoint)
+    return VKSet(compact, overt)
 
 
 def outside_ball_overt(domain: VKSet, center: Sequence, eps, metric: MetricKind) -> OvertSet:
@@ -208,8 +196,8 @@ def outside_ball_overt(domain: VKSet, center: Sequence, eps, metric: MetricKind)
 
     The strictness matters: the enumerated set is the open complement,
     whose closure the matching compact side covers with a non-strict test.
-    Whether this set is empty is not decidable from the outside; consumers
-    that find nothing at their fuel budget report that as a flag.
+    Whether this set is empty is not decidable from the outside; a search
+    that finds nothing at its fuel stays undetermined there.
     """
     x: Point = tuple(as_rational(c) for c in center)
     e = as_rational(eps)
@@ -221,7 +209,6 @@ def outside_ball_overt(domain: VKSet, center: Sequence, eps, metric: MetricKind)
         inner.bounding,
         lambda p: inner.member(p) and dist_point(p, x, metric) > e,
         lambda box: inner.box_disjoint(box) or dist_range(box, x, metric).hi <= e,
-        f"{inner.description} minus ball radius {e} around {x}",
     )
 
 
@@ -236,5 +223,4 @@ def outside_ball_compact(domain: VKSet, center: Sequence, eps, metric: MetricKin
         domain.dims,
         inner.bounding,
         lambda box: inner.keep(box) and dist_range(box, x, metric).hi >= e,
-        f"{inner.description} at distance >= {e} from {x}",
     )

@@ -291,7 +291,7 @@ def _nearest_off_color(
         if other is not None and near >= other:
             break
         env = f.eval_box(box, fuel)
-        if env.committed(c):
+        if env.committed_color == c:
             continue
         want_differ = differ is None or near < differ
         if not want_differ and env.colors <= {c}:
@@ -407,18 +407,13 @@ class RadiusReport:
     the true radius exceeds the search range.
     """
 
-    point: Point
     lower: Fraction
     upper: Fraction
-    tolerance: Fraction
     fuel_used: Fuel
     converged: bool
-    fuel_exhausted: bool
     lower_saturated: bool
     upper_unconfirmed: bool
     trace: tuple[tuple[Fuel, Fraction, Fraction], ...]
-    lower_stream: LowerReal
-    upper_stream: UpperReal
 
     @property
     def gap(self) -> Fraction:
@@ -465,16 +460,11 @@ def optimal_radius(
             converged = True
             break
     return RadiusReport(
-        point=point,
         lower=lower,
         upper=upper,
-        tolerance=tolerance,
         fuel_used=fuel_used,
         converged=converged,
-        fuel_exhausted=not converged,
         lower_saturated=lower >= top,
         upper_unconfirmed=upper >= top,
         trace=tuple(trace),
-        lower_stream=lower_stream,
-        upper_stream=upper_stream,
     )

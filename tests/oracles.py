@@ -8,12 +8,12 @@ membership tests as given and only walk the radius grid; they are the
 one-membership-per-radius reference for the radius streams.  The interval
 references at the end are the package's former ``Fraction``/``Interval``
 evaluators, kept as the reference for the integer kernels that replaced
-them.  The two learner searches at the very end enumerate ordered tuples
-of added points, as the package did before its searches moved to
-multisets.  The per-color walkers at the end are the region ops as they
-were before each race side became one walk for all its colors: one cover
-walk and one witness walk per color, and the loops over colors around
-them.
+them, together with the ``Interval`` arithmetic they run on.  The two
+learner searches at the very end enumerate ordered tuples of added points,
+as the package did before its searches moved to multisets.  The
+per-color walkers at the end are the region ops as they were before each
+race side became one walk for all its colors: one cover walk and one
+witness walk per color, and the loops over colors around them.
 """
 
 from __future__ import annotations
@@ -245,6 +245,51 @@ def inf_of_confirmed_set(membership, ceiling):
 # ------------------------------------------------------- interval references
 
 
+def iv_add(a: Interval, b: Interval) -> Interval:
+    return Interval(a.lo + b.lo, a.hi + b.hi)
+
+
+def iv_sub(a: Interval, b: Interval) -> Interval:
+    return Interval(a.lo - b.hi, a.hi - b.lo)
+
+
+def iv_neg(a: Interval) -> Interval:
+    return Interval(-a.hi, -a.lo)
+
+
+def iv_mul(a: Interval, b: Interval) -> Interval:
+    products = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
+    return Interval(min(products), max(products))
+
+
+def iv_scale(a: Interval, q: Fraction) -> Interval:
+    if q >= 0:
+        return Interval(a.lo * q, a.hi * q)
+    return Interval(a.hi * q, a.lo * q)
+
+
+def iv_shift(a: Interval, q: Fraction) -> Interval:
+    return Interval(a.lo + q, a.hi + q)
+
+
+def iv_relu(a: Interval) -> Interval:
+    return Interval(max(a.lo, Q(0)), max(a.hi, Q(0)))
+
+
+def iv_abs(a: Interval) -> Interval:
+    """Range of |t| for t in the interval."""
+    if a.lo >= 0:
+        return a
+    if a.hi <= 0:
+        return Interval(-a.hi, -a.lo)
+    return Interval(Q(0), max(-a.lo, a.hi))
+
+
+def iv_square(a: Interval) -> Interval:
+    m = iv_abs(a)
+    return Interval(m.lo * m.lo, m.hi * m.hi)
+
+
 def ref_dist_point(x, y, metric: MetricKind) -> Fraction:
     """Exact distance, squared for euclid-sq, in Fraction arithmetic."""
     if metric is MetricKind.MAX:
@@ -254,7 +299,7 @@ def ref_dist_point(x, y, metric: MetricKind) -> Fraction:
 
 def ref_dist_range(box, x, metric: MetricKind) -> Interval:
     """Range of the distance to x over a box, one Interval per axis."""
-    per_axis = [side.shift(-c).abs() for side, c in zip(box.sides, x)]
+    per_axis = [iv_abs(iv_shift(side, -c)) for side, c in zip(box.sides, x)]
     if metric is MetricKind.MAX:
         if not per_axis:
             return Interval.point(0)
@@ -273,7 +318,7 @@ def ref_hyperplane_eval_box(w, b, box) -> ColorEnvelope:
     """Envelope of the sign of w.x + b over a box, by interval sums."""
     acc = Interval.point(b)
     for wi, side in zip(w, box.sides):
-        acc = acc + side.scale(wi)
+        acc = iv_add(acc, iv_scale(side, wi))
     if acc.lo > 0:
         return ColorEnvelope(frozenset((1,)), False)
     if acc.hi < 0:
@@ -294,10 +339,10 @@ def ref_net_score_ranges(layers, box) -> list[Interval]:
         for row, bq in zip(layer.weights, layer.bias):
             acc = Interval.point(bq)
             for wi, vi in zip(row, values):
-                acc = acc + vi.scale(wi)
+                acc = iv_add(acc, iv_scale(vi, wi))
             nxt.append(acc)
         if layer.activation == "relu":
-            nxt = [v.relu() for v in nxt]
+            nxt = [iv_relu(v) for v in nxt]
         values = nxt
     return values
 
@@ -420,7 +465,7 @@ def ref_certified_everywhere(A, f, n, fuel) -> bool:
         box = stack.pop()
         if not A.keep(box):
             continue
-        if f.eval_box(box, fuel).committed(n):
+        if f.eval_box(box, fuel).committed_color == n:
             continue
         if box.width <= target:
             return False

@@ -16,11 +16,9 @@ import random
 import subprocess
 import sys
 import time
-import warnings
 from fractions import Fraction as Q
 
 from boxcert import (
-    EmptyRegionWarning,
     KBot,
     MetricKind,
     Sample,
@@ -190,9 +188,7 @@ def test_c1_committed_answers_never_retract_with_more_fuel():
             d = rng.randint(0, 3)
 
             def run(d, learner=learner, s=s, x=x, eps=eps):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", EmptyRegionWarning)
-                    out = sparse_or_dense(learner, 1, eps, s, x, UNIT, d)
+                out = sparse_or_dense(learner, 1, eps, s, x, UNIT, d)
                 return out.verdict is not TwoBot.BOT, out.verdict
 
         committed, key = run(d)
@@ -444,32 +440,30 @@ def test_c6_learner_gold_cases_commit_with_replayable_witnesses():
     s3 = sample_1d((0, 0), (1, 1))
     x = (Q(1, 2),)
     committed = None
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EmptyRegionWarning)
-        for fuel in range(13):
-            out = sparse_or_dense(sparse_nn, 1, Q(1, 5), s3, x, UNIT, fuel)
-            if out.verdict is not TwoBot.BOT:
-                committed = out
-                break
-        assert committed is not None and committed.verdict is TwoBot.ZERO
-        outcomes = set()
-        for witness in committed.witnesses:
-            for point, _label in witness.extension:
-                assert abs(point[0] - Q(1, 2)) > Q(1, 5), "witness not strictly outside"
-            retrained = sparse_nn.train(
-                s3.extend(tuple(((p[0],), l) for p, l in witness.extension))
-            )
-            assert retrained.eval_point(x, 12) == KBot(witness.outcome)
-            outcomes.add(witness.outcome)
-        assert outcomes == {0, 1}
+    for fuel in range(13):
+        out = sparse_or_dense(sparse_nn, 1, Q(1, 5), s3, x, UNIT, fuel)
+        if out.verdict is not TwoBot.BOT:
+            committed = out
+            break
+    assert committed is not None and committed.verdict is TwoBot.ZERO
+    outcomes = set()
+    for witness in committed.witnesses:
+        for point, _label in witness.extension:
+            assert abs(point[0] - Q(1, 2)) > Q(1, 5), "witness not strictly outside"
+        retrained = sparse_nn.train(
+            s3.extend(tuple(((p[0],), l) for p, l in witness.extension))
+        )
+        assert retrained.eval_point(x, 12) == KBot(witness.outcome)
+        outcomes.add(witness.outcome)
+    assert outcomes == {0, 1}
 
-        s4 = sample_1d((Q(45, 100), 0), (Q(40, 100), 0))
-        dense = None
-        for fuel in range(13):
-            out = sparse_or_dense(sparse_nn, 1, Q(1, 5), s4, x, UNIT, fuel)
-            if out.verdict is not TwoBot.BOT:
-                dense = out
-                break
+    s4 = sample_1d((Q(45, 100), 0), (Q(40, 100), 0))
+    dense = None
+    for fuel in range(13):
+        out = sparse_or_dense(sparse_nn, 1, Q(1, 5), s4, x, UNIT, fuel)
+        if out.verdict is not TwoBot.BOT:
+            dense = out
+            break
     assert dense is not None and dense.verdict is TwoBot.ONE and dense.color == 0
 
     elapsed = time.monotonic() - started
@@ -507,12 +501,10 @@ def _c8_regions():
         if kind == "annulus":
             dom = domain_box([(c - 1, c + 1) for c in center])
             eps = Q(rng.randint(1, 4), 8)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", EmptyRegionWarning)
-                region = VKSet(
-                    outside_ball_compact(dom, center, eps, MetricKind.MAX),
-                    outside_ball_overt(dom, center, eps, MetricKind.MAX),
-                )
+            region = VKSet(
+                outside_ball_compact(dom, center, eps, MetricKind.MAX),
+                outside_ball_overt(dom, center, eps, MetricKind.MAX),
+            )
             member = lambda p, c=center, e=eps, d=dom: (
                 max_dist(p, c) > e
                 and all(s.lo <= v <= s.hi for v, s in zip(p, d.compact.bounding.sides))

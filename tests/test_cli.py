@@ -83,6 +83,16 @@ class TestVerifyCommand:
         report = json.loads(out_path.read_text())
         assert report["verdict"] == "confirmed"
 
+    def test_unwritable_out_path_is_a_one_line_error(self, tmp_path, capsys):
+        query = write_query(tmp_path, confirm_query())
+        out_path = tmp_path / "missing" / "report.json"
+        assert main(["verify", str(query), "--out", str(out_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert str(out_path) in captured.err
+
     def test_text_format_is_line_oriented(self, tmp_path, capsys):
         query = write_query(tmp_path, confirm_query())
         main(["verify", str(query), "--format", "text"])
@@ -125,6 +135,17 @@ class TestMalformedQueries:
         with pytest.raises(ParseError):
             parse_query(query)
         assert main(["verify", str(query)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["verify", "explain"])
+    def test_nesting_deeper_than_the_decoder_is_a_parse_error(self, tmp_path, capsys, command):
+        query = tmp_path / "query.json"
+        query.write_text("[" * 200_000)
+        with pytest.raises(ParseError):
+            parse_query(query)
+        assert main([command, str(query)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert err.count("\n") == 1
@@ -259,6 +280,43 @@ class TestTwoBotReports:
         assert code == 0
         assert report["verdict"] == "0"
         assert len(report["witnesses"]) == 2
+
+
+class TestRadiusReports:
+    def test_unconverged_optimal_radius_report(self, tmp_path, capsys):
+        """A one-output net is color 0 everywhere: no radius ever brackets."""
+        body = {
+            "op": "optimalRadius",
+            "maxFuel": 9,
+            "classifier": {
+                "kind": "net",
+                "k": 1,
+                "margin": "1/10",
+                "layers": [{"weights": [[1]], "bias": [0], "activation": "none"}],
+            },
+            "point": [0],
+            "ceiling": 1,
+            "tol": "1/4",
+        }
+        query = write_query(tmp_path, body)
+        assert main(["verify", str(query), "--max-fuel", "4"]) == 2
+        assert json.loads(capsys.readouterr().out) == {
+            "diagnostics": {
+                "converged": False,
+                "fuelExhausted": True,
+                "lowerSaturated": True,
+                "upperUnconfirmed": True,
+            },
+            "fuelUsed": 4,
+            "maxFuel": 4,
+            "op": "optimalRadius",
+            "perFuelTrace": [
+                {"fuel": fuel, "lower": "1/1", "upper": "1/1"} for fuel in range(5)
+            ],
+            "radius": {"gap": "0/1", "lower": "1/1", "upper": "1/1"},
+            "verdict": "unknown",
+            "witnesses": [],
+        }
 
 
 class TestExplain:

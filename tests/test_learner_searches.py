@@ -9,14 +9,12 @@ committed witness must replay through a real retrain.
 
 from __future__ import annotations
 
-import warnings
 from fractions import Fraction as Q
 
 from hypothesis import given, settings, strategies as st
 
 from boxcert import (
     Box,
-    EmptyRegionWarning,
     Interval,
     KBot,
     MetricKind,
@@ -92,24 +90,22 @@ def test_does_deviate_matches_ordered_search(spec, domain):
 def test_sparse_or_dense_matches_ordered_search(spec, domain, sample, x, n, eps):
     L, metric = spec
     s, point = Sample(tuple(sample)), (x,)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EmptyRegionWarning)
-        for fuel in FUELS:
-            got = sparse_or_dense(L, n, eps, s, point, domain, fuel, metric)
-            want = ref_sparse_or_dense(L, n, eps, s, point, domain, fuel, metric)
-            assert (got.verdict, got.color) == (want.verdict, want.color)
-            if got.verdict is TwoBot.ONE:
-                assert L.train(s).eval_point(point, fuel) == KBot(got.color)
-            if got.verdict is TwoBot.ZERO:
-                outcomes = set()
-                for witness in got.witnesses:
-                    assert len(witness.extension) <= n
-                    for p, _ in witness.extension:
-                        assert domain.overt.member(p) and dist_point(p, point, metric) > eps
-                    retrained = L.train(s.extend(witness.extension))
-                    assert retrained.eval_point(point, fuel) == KBot(witness.outcome)
-                    outcomes.add(witness.outcome)
-                assert len(outcomes) == 2
+    for fuel in FUELS:
+        got = sparse_or_dense(L, n, eps, s, point, domain, fuel, metric)
+        want = ref_sparse_or_dense(L, n, eps, s, point, domain, fuel, metric)
+        assert (got.verdict, got.color) == (want.verdict, want.color)
+        if got.verdict is TwoBot.ONE:
+            assert L.train(s).eval_point(point, fuel) == KBot(got.color)
+        if got.verdict is TwoBot.ZERO:
+            outcomes = set()
+            for witness in got.witnesses:
+                assert len(witness.extension) <= n
+                for p, _ in witness.extension:
+                    assert domain.overt.member(p) and dist_point(p, point, metric) > eps
+                retrained = L.train(s.extend(witness.extension))
+                assert retrained.eval_point(point, fuel) == KBot(witness.outcome)
+                outcomes.add(witness.outcome)
+            assert len(outcomes) == 2
 
 
 # ---------------------------------------------------------- order-freeness

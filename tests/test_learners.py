@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-import warnings
 from fractions import Fraction as Q
 
 import pytest
@@ -12,7 +11,6 @@ from boxcert import (
     Box,
     ColorEnvelope,
     DimensionMismatch,
-    EmptyRegionWarning,
     Interval,
     KBot,
     Learner,
@@ -47,7 +45,7 @@ def bot_learner(k=2):
     def family_at(sample, additions, point, fuel):
         return ColorEnvelope(frozenset(range(k)), True)
 
-    return Learner(k=k, train=train, family_at=family_at, description="bot learner")
+    return Learner(k=k, train=train, family_at=family_at)
 
 
 class TestSample:
@@ -186,7 +184,7 @@ class TestRobustPoint:
         def family_at(sample, additions, point, fuel):
             return ColorEnvelope(frozenset({0}), False)
 
-        L = Learner(k=2, train=train, family_at=family_at, description="constant 0")
+        L = Learner(k=2, train=train, family_at=family_at)
         out = robust_point((Q(1, 2),), sample_1d((Q(0), 0)), L, UNIT, 0)
         assert out.verdict is TwoBot.ONE
 
@@ -226,13 +224,11 @@ class TestSparseOrDense:
         L = nn_learner(tie_margin=Q(1, 100))
         s = sample_1d((Q(0), 0), (Q(1), 1))
         committed = None
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", EmptyRegionWarning)
-            for fuel in range(13):
-                out = sparse_or_dense(L, 1, Q(1, 5), s, (Q(1, 2),), UNIT, fuel)
-                if out.verdict is not TwoBot.BOT:
-                    committed = out
-                    break
+        for fuel in range(13):
+            out = sparse_or_dense(L, 1, Q(1, 5), s, (Q(1, 2),), UNIT, fuel)
+            if out.verdict is not TwoBot.BOT:
+                committed = out
+                break
         assert committed is not None and committed.verdict is TwoBot.ZERO
         outcomes = set()
         for witness in committed.witnesses:
@@ -248,23 +244,19 @@ class TestSparseOrDense:
         L = nn_learner(tie_margin=Q(1, 100))
         s = sample_1d((Q(45, 100), 0), (Q(40, 100), 0))
         committed = None
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", EmptyRegionWarning)
-            for fuel in range(13):
-                out = sparse_or_dense(L, 1, Q(1, 5), s, (Q(1, 2),), UNIT, fuel)
-                if out.verdict is not TwoBot.BOT:
-                    committed = out
-                    break
+        for fuel in range(13):
+            out = sparse_or_dense(L, 1, Q(1, 5), s, (Q(1, 2),), UNIT, fuel)
+            if out.verdict is not TwoBot.BOT:
+                committed = out
+                break
         assert committed is not None and committed.verdict is TwoBot.ONE
         assert committed.color == 0
 
     def test_bot_learner_stays_bot(self):
         s = sample_1d((Q(0), 0))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", EmptyRegionWarning)
-            for fuel in range(8):
-                out = sparse_or_dense(bot_learner(), 1, Q(1, 5), s, (Q(1, 2),), UNIT, fuel)
-                assert out.verdict is TwoBot.BOT
+        for fuel in range(8):
+            out = sparse_or_dense(bot_learner(), 1, Q(1, 5), s, (Q(1, 2),), UNIT, fuel)
+            assert out.verdict is TwoBot.BOT
 
     def test_augmentation_cap(self):
         L = majority_learner(k=2)
@@ -280,12 +272,10 @@ class TestSparseOrDense:
         ]
         for s in cases:
             seen = set()
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", EmptyRegionWarning)
-                for fuel in range(9):
-                    value = sparse_or_dense(L, 1, Q(1, 5), s, (Q(1, 2),), UNIT, fuel).verdict
-                    if value is not TwoBot.BOT:
-                        seen.add(value)
+            for fuel in range(9):
+                value = sparse_or_dense(L, 1, Q(1, 5), s, (Q(1, 2),), UNIT, fuel).verdict
+                if value is not TwoBot.BOT:
+                    seen.add(value)
             assert len(seen) <= 1
 
 

@@ -19,7 +19,19 @@ from boxcert import (
     format_rational,
     parse_rational,
 )
-from oracles import inf_of_confirmed_set, sup_of_confirmed_set
+from oracles import (
+    inf_of_confirmed_set,
+    iv_abs,
+    iv_add,
+    iv_mul,
+    iv_neg,
+    iv_relu,
+    iv_scale,
+    iv_shift,
+    iv_square,
+    iv_sub,
+    sup_of_confirmed_set,
+)
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=64)
 
@@ -57,14 +69,19 @@ class TestInterval:
             Interval(Q(1), Q(0))
 
     def test_arithmetic(self):
+        """The reference interval arithmetic that ``tests/oracles.py`` runs on."""
         a = Interval(Q(1), Q(2))
         b = Interval(Q(-1), Q(3))
-        assert (a + b) == Interval(Q(0), Q(5))
-        assert (a - b) == Interval(Q(-2), Q(3))
-        assert a.scale(Q(-2)) == Interval(Q(-4), Q(-2))
-        assert b.relu() == Interval(Q(0), Q(3))
-        assert b.abs() == Interval(Q(0), Q(3))
-        assert Interval(Q(-2), Q(1)).square() == Interval(Q(0), Q(4))
+        assert iv_add(a, b) == Interval(Q(0), Q(5))
+        assert iv_sub(a, b) == Interval(Q(-2), Q(3))
+        assert iv_neg(b) == Interval(Q(-3), Q(1))
+        assert iv_mul(a, b) == Interval(Q(-2), Q(6))
+        assert iv_scale(a, Q(-2)) == Interval(Q(-4), Q(-2))
+        assert iv_shift(b, Q(1)) == Interval(Q(0), Q(4))
+        assert iv_relu(b) == Interval(Q(0), Q(3))
+        assert iv_abs(b) == Interval(Q(0), Q(3))
+        assert iv_abs(Interval(Q(-2), Q(-1))) == a
+        assert iv_square(Interval(Q(-2), Q(1))) == Interval(Q(0), Q(4))
 
     def test_bisect_splits_at_midpoint(self):
         lo, hi = Interval(Q(0), Q(1)).bisect()

