@@ -21,6 +21,7 @@ from typing import Any, Callable
 
 from .errors import BoxcertError, ParseError, ValidationError
 from .io import (
+    _field,
     classifier_from_json,
     learner_from_json,
     load_json,
@@ -53,23 +54,10 @@ from .verify import (
 
 __all__ = ["QuerySpec", "Report", "run_query", "explain_text", "main"]
 
-OPS = (
-    "existsValue",
-    "forallValue",
-    "fixedValue",
-    "constantValue",
-    "locallyConstant",
-    "radiusLower",
-    "radiusUpper",
-    "optimalRadius",
-    "doesDeviate",
-    "robustPoint",
-    "sprsOrDns",
-)
-
 EXIT_COMMITTED = 0
 EXIT_ERROR = 1
 EXIT_UNDETERMINED = 2
+ERROR_WIDTH = 200  # characters of an error message kept on its one stderr line
 
 
 @dataclass(frozen=True)
@@ -137,21 +125,16 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def _require(spec_obj: dict, key: str) -> Any:
-    if key not in spec_obj:
-        raise ParseError(f"query is missing required field {key!r}")
-    return spec_obj[key]
-
-
 def _positive(spec_obj: dict, key: str) -> Fraction:
-    value = rational_from_json(_require(spec_obj, key))
+    value = rational_from_json(_field(spec_obj, key, "query"))
     if value <= 0:
         raise ValidationError(f"{key} must be positive, got {format_rational(value)}")
     return value
 
 
-def _load_operand(obj: Any, base: Path, loader) -> Any:
+def _load_operand(raw: dict, key: str, base: Path, loader) -> Any:
     """Operands may be inline objects or paths relative to the query file."""
+    obj = _field(raw, key, "query")
     if isinstance(obj, str):
         return loader(load_json(base / obj))
     return loader(obj)
@@ -162,43 +145,43 @@ def parse_query(path: Path, max_fuel_override: int | None = None) -> QuerySpec:
     if not isinstance(raw, dict):
         raise ParseError(f"a query must be a JSON object, got {raw!r}")
     base = path.resolve().parent
-    op = _require(raw, "op")
+    op = _field(raw, "op", "query")
     if op not in OPS:
         raise ValidationError(f"unknown op {op!r}; known ops: {', '.join(OPS)}")
     metric = MetricKind.parse(raw.get("metric", "max"))
-    max_fuel = max_fuel_override if max_fuel_override is not None else _require(raw, "maxFuel")
+    max_fuel = _field(raw, "maxFuel", "query") if max_fuel_override is None else max_fuel_override
     if not isinstance(max_fuel, int) or isinstance(max_fuel, bool) or max_fuel < 0:
         raise ParseError(f"maxFuel must be a nonnegative integer, got {max_fuel!r}")
 
     kwargs: dict[str, Any] = {"op": op, "max_fuel": max_fuel, "metric": metric}
     if op in ("existsValue", "forallValue", "fixedValue", "constantValue"):
-        kwargs["classifier"] = _load_operand(_require(raw, "classifier"), base, classifier_from_json)
-        kwargs["region"] = region_from_json(_require(raw, "region"), metric)
+        kwargs["classifier"] = _load_operand(raw, "classifier", base, classifier_from_json)
+        kwargs["region"] = region_from_json(_field(raw, "region", "query"), metric)
         if op != "constantValue":
-            color = _require(raw, "n")
+            color = _field(raw, "n", "query")
             if not isinstance(color, int) or isinstance(color, bool):
                 raise ParseError(f"color n must be an integer, got {color!r}")
             kwargs["color"] = color
     elif op == "locallyConstant":
-        kwargs["classifier"] = _load_operand(_require(raw, "classifier"), base, classifier_from_json)
-        kwargs["point"] = point_from_json(_require(raw, "point"))
-        kwargs["radius"] = rational_from_json(_require(raw, "radius"))
+        kwargs["classifier"] = _load_operand(raw, "classifier", base, classifier_from_json)
+        kwargs["point"] = point_from_json(_field(raw, "point", "query"))
+        kwargs["radius"] = rational_from_json(_field(raw, "radius", "query"))
     elif op in ("radiusLower", "radiusUpper", "optimalRadius"):
-        kwargs["classifier"] = _load_operand(_require(raw, "classifier"), base, classifier_from_json)
-        kwargs["point"] = point_from_json(_require(raw, "point"))
+        kwargs["classifier"] = _load_operand(raw, "classifier", base, classifier_from_json)
+        kwargs["point"] = point_from_json(_field(raw, "point", "query"))
         kwargs["ceiling"] = _positive(raw, "ceiling")
         if op == "optimalRadius":
             kwargs["tol"] = _positive(raw, "tol")
     else:
         kwargs["learner"] = _load_operand(
-            _require(raw, "learner"), base, lambda obj: learner_from_json(obj, metric)
+            raw, "learner", base, lambda obj: learner_from_json(obj, metric)
         )
         if op != "doesDeviate":
-            kwargs["sample"] = _load_operand(_require(raw, "sample"), base, sample_from_json)
-            kwargs["point"] = point_from_json(_require(raw, "point"))
-        kwargs["domain"] = region_from_json(_require(raw, "domain"), metric)
+            kwargs["sample"] = _load_operand(raw, "sample", base, sample_from_json)
+            kwargs["point"] = point_from_json(_field(raw, "point", "query"))
+        kwargs["domain"] = region_from_json(_field(raw, "domain", "query"), metric)
         if op == "sprsOrDns":
-            count = _require(raw, "N")
+            count = _field(raw, "N", "query")
             if not isinstance(count, int) or isinstance(count, bool) or count < 0:
                 raise ParseError(f"N must be a nonnegative integer, got {count!r}")
             kwargs["count"] = count
@@ -225,12 +208,32 @@ def _witness_json(witness: Any) -> dict:
     raise TypeError(f"cannot serialize witness {witness!r}")
 
 
-def _iterate(spec: QuerySpec, step: Callable[[int], Outcome]) -> Report:
+# One fuel level of each op that stops at its first commitment.  The library
+# names resolve at call time, so rebinding them here (perfbench/tracer.py) works.
+STEPS: dict[str, Callable[[QuerySpec, int], Outcome]] = {
+    "existsValue": lambda q, fuel: exists_value(q.color, q.region.overt, q.classifier, fuel),
+    "forallValue": lambda q, fuel: Outcome(
+        forall_value(q.color, q.region.compact, q.classifier, fuel)
+    ),
+    "fixedValue": lambda q, fuel: fixed_value(q.color, q.region, q.classifier, fuel),
+    "constantValue": lambda q, fuel: constant_value(q.region, q.classifier, fuel),
+    "locallyConstant": lambda q, fuel: locally_constant(
+        q.point, q.radius, q.classifier, fuel, q.metric
+    ),
+    "doesDeviate": lambda q, fuel: does_deviate(q.learner, q.domain, fuel),
+    "robustPoint": lambda q, fuel: robust_point(q.point, q.sample, q.learner, q.domain, fuel),
+    "sprsOrDns": lambda q, fuel: sparse_or_dense(
+        q.learner, q.count, q.eps, q.sample, q.point, q.domain, fuel, q.metric
+    ),
+}
+
+
+def _iterate(spec: QuerySpec, step: Callable[[QuerySpec, int], Outcome]) -> Report:
     """Run an op fuel by fuel, stopping at the first commitment."""
     trace = []
     fuel_used = spec.max_fuel
     for fuel in range(spec.max_fuel + 1):
-        outcome = step(fuel)
+        outcome = step(spec, fuel)
         trace.append({"fuel": fuel, "value": outcome.verdict.value})
         if outcome.verdict.committed:
             fuel_used = fuel
@@ -260,53 +263,24 @@ def run_query(spec: QuerySpec) -> Report:
 
 
 def _dispatch(spec: QuerySpec) -> Report:
-    if spec.op == "existsValue":
-        return _iterate(
-            spec, lambda fuel: exists_value(spec.color, spec.region.overt, spec.classifier, fuel)
-        )
-    if spec.op == "forallValue":
-        return _iterate(
-            spec,
-            lambda fuel: Outcome(
-                forall_value(spec.color, spec.region.compact, spec.classifier, fuel)
-            ),
-        )
-    if spec.op == "fixedValue":
-        return _iterate(
-            spec, lambda fuel: fixed_value(spec.color, spec.region, spec.classifier, fuel)
-        )
-    if spec.op == "constantValue":
-        return _iterate(spec, lambda fuel: constant_value(spec.region, spec.classifier, fuel))
-    if spec.op == "locallyConstant":
-        return _iterate(
-            spec,
-            lambda fuel: locally_constant(
-                spec.point, spec.radius, spec.classifier, fuel, spec.metric
-            ),
-        )
-    if spec.op == "radiusLower":
-        stream = radius_lower(spec.point, spec.classifier, spec.ceiling, spec.metric)
+    if spec.op in STEPS:
+        return _iterate(spec, STEPS[spec.op])
+    if spec.op in ("radiusLower", "radiusUpper"):
+        # One stream value at the budget; lower confirms off its sentinel, upper below the ceiling.
+        lower = spec.op == "radiusLower"
+        make_stream = radius_lower if lower else radius_upper
+        stream = make_stream(spec.point, spec.classifier, spec.ceiling, spec.metric)
         value = stream.approx(spec.max_fuel)
-        confirmed = value >= 0
+        confirmed = value >= 0 if lower else value < stream.ceiling
         return Report(
             op=spec.op,
             verdict="confirmed" if confirmed else "unknown",
             fuel_used=spec.max_fuel,
             max_fuel=spec.max_fuel,
-            radius={"lower": format_rational(value)},
-            diagnostics={"saturated": value >= stream.ceiling},
-        )
-    if spec.op == "radiusUpper":
-        stream = radius_upper(spec.point, spec.classifier, spec.ceiling, spec.metric)
-        value = stream.approx(spec.max_fuel)
-        confirmed = value < stream.ceiling
-        return Report(
-            op=spec.op,
-            verdict="confirmed" if confirmed else "unknown",
-            fuel_used=spec.max_fuel,
-            max_fuel=spec.max_fuel,
-            radius={"upper": format_rational(value)},
-            diagnostics={"unconfirmed": not confirmed},
+            radius={"lower" if lower else "upper": format_rational(value)},
+            diagnostics=(
+                {"saturated": value >= stream.ceiling} if lower else {"unconfirmed": not confirmed}
+            ),
         )
     if spec.op == "optimalRadius":
         report = optimal_radius(
@@ -341,29 +315,6 @@ def _dispatch(spec: QuerySpec) -> Report:
                 "lowerSaturated": report.lower_saturated,
                 "upperUnconfirmed": report.upper_unconfirmed,
             },
-        )
-    if spec.op == "doesDeviate":
-        return _iterate(
-            spec, lambda fuel: does_deviate(spec.learner, spec.domain, fuel)
-        )
-    if spec.op == "robustPoint":
-        return _iterate(
-            spec,
-            lambda fuel: robust_point(spec.point, spec.sample, spec.learner, spec.domain, fuel),
-        )
-    if spec.op == "sprsOrDns":
-        return _iterate(
-            spec,
-            lambda fuel: sparse_or_dense(
-                spec.learner,
-                spec.count,
-                spec.eps,
-                spec.sample,
-                spec.point,
-                spec.domain,
-                fuel,
-                spec.metric,
-            ),
         )
     raise ParseError(f"unknown op {spec.op!r}")
 
@@ -439,6 +390,8 @@ EXPLAIN = {
     ),
 }
 
+OPS = tuple(EXPLAIN)
+
 
 def explain_text(op: str) -> str:
     if not isinstance(op, str) or op not in EXPLAIN:
@@ -469,12 +422,8 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     return EXIT_COMMITTED
 
 
-def _golden_root():
-    return resources.files("boxcert").joinpath("golden")
-
-
 def _cmd_selftest(args: argparse.Namespace) -> int:
-    root = _golden_root()
+    root = resources.files("boxcert").joinpath("golden")
     manifest = json.loads(root.joinpath("manifest.json").read_text())
     failures = 0
     for case in manifest["cases"]:
@@ -536,8 +485,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.handler(args)
     except BoxcertError as exc:
-        # One line, even when the message quotes a name with line breaks.
-        sys.stderr.write(f"error: {' '.join(str(exc).splitlines())}\n")
+        # One bounded line, even when the message has line breaks or echoes a huge value.
+        message = " ".join(str(exc).splitlines())
+        if len(message) > ERROR_WIDTH:
+            message = message[:ERROR_WIDTH] + "..."
+        sys.stderr.write(f"error: {message}\n")
         return EXIT_ERROR
 
 

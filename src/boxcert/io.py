@@ -19,7 +19,7 @@ from .classifiers import (
     make_layer,
     threshold_net_classifier,
 )
-from .errors import BoxcertError, ParseError, ValidationError
+from .errors import ParseError, ValidationError
 from .learners import Learner, Sample, majority_learner, nn_learner
 from .numerics import Box, MetricKind, Point, format_rational, parse_rational
 from .regions import VKSet, closed_ball, domain_box, outside_ball_compact, outside_ball_overt
@@ -91,12 +91,7 @@ def classifier_from_json(obj: Any) -> IntervalClassifier:
         b = rational_from_json(_field(obj, "b", "hyperplane classifier"))
         if not isinstance(w, list) or not w:
             raise ParseError("hyperplane weights must be a nonempty list")
-        try:
-            return hyperplane_classifier([rational_from_json(c) for c in w], b)
-        except BoxcertError:
-            raise
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
+        return hyperplane_classifier([rational_from_json(c) for c in w], b)
     if kind == "net":
         raw_layers = _field(obj, "layers", "net classifier")
         if not isinstance(raw_layers, list) or not raw_layers:

@@ -11,10 +11,11 @@ through squared distances so that all comparisons stay rational.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import DimensionMismatch, ParseError
 from .kernel import Fuel, check_fuel
@@ -36,6 +37,7 @@ __all__ = [
     "dist_range",
     "dyadic_step",
     "dyadic_grid",
+    "grid_points",
     "LowerReal",
     "UpperReal",
 ]
@@ -233,6 +235,11 @@ def dyadic_grid(lo: Fraction, hi: Fraction, fuel: Fuel) -> list[Fraction]:
     first = math.ceil(lo / step)
     last = math.floor(hi / step)
     return [k * step for k in range(first, last + 1)]
+
+
+def grid_points(box: Box, fuel: Fuel) -> Iterator[Point]:
+    """Points of the dyadic grid at 2**-fuel inside ``box``, lexicographic order."""
+    return itertools.product(*[dyadic_grid(side.lo, side.hi, fuel) for side in box.sides])
 
 
 @dataclass(frozen=True)

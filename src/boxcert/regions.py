@@ -14,7 +14,6 @@ existential commitment stable.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -29,8 +28,8 @@ from .numerics import (
     as_rational,
     dist_point,
     dist_range,
-    dyadic_grid,
     dyadic_step,
+    grid_points,
 )
 
 __all__ = [
@@ -106,8 +105,7 @@ class OvertSet:
         check_fuel(fuel)
         if self.bounding is None:
             return []
-        axes = [dyadic_grid(side.lo, side.hi, fuel) for side in self.bounding.sides]
-        return [p for p in itertools.product(*axes) if self.member(p)]
+        return [p for p in grid_points(self.bounding, fuel) if self.member(p)]
 
 
 @dataclass(frozen=True)

@@ -40,8 +40,8 @@ from .numerics import (
     as_rational,
     dist_point,
     dist_range,
-    dyadic_grid,
     dyadic_step,
+    grid_points,
 )
 from .regions import (
     CompactSet,
@@ -138,8 +138,7 @@ def _find_witnesses(
         if A.box_disjoint(box) or wanted.isdisjoint(f.eval_box(box, fuel).colors):
             continue
         if all(side.width <= step for side in box.sides):
-            axes = [dyadic_grid(side.lo, side.hi, fuel) for side in box.sides]
-            for p in itertools.product(*axes):
+            for p in grid_points(box, fuel):
                 if not A.member(p):
                     continue
                 color = f.eval_point(p, fuel).color
@@ -297,8 +296,7 @@ def _nearest_off_color(
         if not want_differ and env.colors <= {c}:
             continue
         if all(side.width <= step for side in box.sides):
-            axes = [dyadic_grid(side.lo, side.hi, fuel) for side in box.sides]
-            for p in itertools.product(*axes):
+            for p in grid_points(box, fuel):
                 d = dist_point(p, x, metric)
                 if d > ceiling or (other is not None and d >= other):
                     continue

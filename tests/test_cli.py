@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from boxcert import ParseError, ValidationError
-from boxcert.cli import explain_text, main, parse_query, run_query
+from boxcert import MetricKind, ParseError, ValidationError
+from boxcert.cli import QuerySpec, explain_text, main, parse_query, run_query
 
 GOLDEN = Path(__file__).resolve().parent.parent / "src" / "boxcert" / "golden"
 
@@ -120,6 +120,11 @@ class TestVerifyCommand:
             parse_query(query)
         assert main(["verify", str(query)]) == 1
 
+    def test_hand_built_spec_with_unknown_op_is_a_parse_error(self):
+        spec = QuerySpec(op="frobnicate", max_fuel=0, metric=MetricKind.MAX)
+        with pytest.raises(ParseError, match="unknown op 'frobnicate'"):
+            run_query(spec)
+
     def test_missing_field_is_a_parse_error(self, tmp_path):
         body = confirm_query()
         del body["region"]
@@ -149,6 +154,34 @@ class TestMalformedQueries:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert err.count("\n") == 1
+
+    def test_all_zero_hyperplane_weights_are_a_one_line_error(self, tmp_path, capsys):
+        body = {**confirm_query(), "classifier": {"kind": "hyperplane", "w": [0, 0], "b": 1}}
+        assert main(["verify", str(write_query(tmp_path, body))]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: hyperplane weights must not all be zero")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "override, reason",
+        [
+            ({"classifier": list(range(100_000))}, "classifier must be a JSON object, got [0, 1,"),
+            (
+                {"classifier": {"kind": "hyperplane", "w": [1], "b": list(range(50_000))}},
+                "rationals must be 'p/q' strings or integers, got [0, 1,",
+            ),
+            ({"metric": "m" * 100_000}, "unknown metric 'mmm"),
+        ],
+        ids=["classifier-list", "bias-list", "metric-string"],
+    )
+    def test_error_line_is_capped(self, tmp_path, capsys, override, reason):
+        query = write_query(tmp_path, {**confirm_query(), **override})
+        assert main(["verify", str(query)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + reason)
+        assert err.endswith("...\n")
+        assert err.count("\n") == 1
+        assert len(err.encode()) <= 256
 
     def test_negative_ball_radius_is_a_validation_error(self, tmp_path, capsys):
         body = {
@@ -282,6 +315,20 @@ class TestTwoBotReports:
         assert len(report["witnesses"]) == 2
 
 
+def stream_report(op: str, key: str, value: str, diagnostics: dict, verdict: str) -> dict:
+    """A radiusLower/radiusUpper report at maxFuel 3: one value, no per-fuel rows."""
+    return {
+        "diagnostics": diagnostics,
+        "fuelUsed": 3,
+        "maxFuel": 3,
+        "op": op,
+        "perFuelTrace": [],
+        "radius": {key: value},
+        "verdict": verdict,
+        "witnesses": [],
+    }
+
+
 class TestRadiusReports:
     def test_unconverged_optimal_radius_report(self, tmp_path, capsys):
         """A one-output net is color 0 everywhere: no radius ever brackets."""
@@ -316,6 +363,72 @@ class TestRadiusReports:
             "radius": {"gap": "0/1", "lower": "1/1", "upper": "1/1"},
             "verdict": "unknown",
             "witnesses": [],
+        }
+
+
+    HYPERPLANE = {"kind": "hyperplane", "w": [1, 0], "b": 0}
+    ONE_OUTPUT = {
+        "kind": "net",
+        "k": 1,
+        "margin": "1/10",
+        "layers": [{"weights": [[1]], "bias": [0], "activation": "none"}],
+    }
+
+    @pytest.mark.parametrize(
+        "op, classifier, point, ceiling, code, expected",
+        [
+            # The boundary x = 0 lies at distance 1 from (1, 0).
+            ("radiusLower", HYPERPLANE, [1, 0], 2, 0,
+             stream_report("radiusLower", "lower", "7/8", {"saturated": False}, "confirmed")),
+            ("radiusUpper", HYPERPLANE, [1, 0], 2, 0,
+             stream_report("radiusUpper", "upper", "9/8", {"unconfirmed": False}, "confirmed")),
+            # A one-output net has no boundary: lower saturates, upper never confirms.
+            ("radiusLower", ONE_OUTPUT, [0], 1, 0,
+             stream_report("radiusLower", "lower", "1/1", {"saturated": True}, "confirmed")),
+            ("radiusUpper", ONE_OUTPUT, [0], 1, 2,
+             stream_report("radiusUpper", "upper", "1/1", {"unconfirmed": True}, "unknown")),
+        ],
+        ids=["lower-committed", "upper-committed", "lower-saturated", "upper-unconfirmed"],
+    )
+    def test_radius_stream_report(
+        self, tmp_path, capsys, op, classifier, point, ceiling, code, expected
+    ):
+        body = {"op": op, "maxFuel": 3, "classifier": classifier, "point": point, "ceiling": ceiling}
+        assert main(["verify", str(write_query(tmp_path, body))]) == code
+        assert json.loads(capsys.readouterr().out) == expected
+
+
+class TestLearnerReports:
+    def test_majority_deviation_report(self, tmp_path, capsys):
+        """Two 0s outvote the 1 they were trained with: the tuple's last label is missed."""
+        body = {
+            "op": "doesDeviate",
+            "maxFuel": 8,
+            "learner": {"kind": "majority", "k": 2},
+            "domain": {"type": "box", "sides": [[0, 1]]},
+        }
+        assert main(["verify", str(write_query(tmp_path, body))]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "diagnostics": {},
+            "fuelUsed": 5,
+            "maxFuel": 8,
+            "op": "doesDeviate",
+            "perFuelTrace": [
+                {"fuel": fuel, "value": "confirmed" if fuel == 5 else "unknown"}
+                for fuel in range(6)
+            ],
+            "verdict": "confirmed",
+            "witnesses": [
+                {
+                    "index": 2,
+                    "observed": 0,
+                    "tuple": [
+                        {"label": 0, "x": ["0/1"]},
+                        {"label": 0, "x": ["1/2"]},
+                        {"label": 1, "x": ["1/1"]},
+                    ],
+                }
+            ],
         }
 
 

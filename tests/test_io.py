@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from boxcert import MetricKind, ParseError
+from boxcert import MetricKind, ParseError, ZeroNormal
 from boxcert.io import classifier_from_json, load_json, region_from_json
 
 
@@ -31,6 +31,12 @@ class TestMalformedNets:
         body = {**net(), "k": "2"}
         with pytest.raises(ParseError, match="k must be an integer"):
             classifier_from_json(body)
+
+
+class TestHyperplanes:
+    def test_all_zero_weights_rejected(self):
+        with pytest.raises(ZeroNormal):
+            classifier_from_json({"kind": "hyperplane", "w": [0, "0/3"], "b": 1})
 
 
 class TestBallRegions:

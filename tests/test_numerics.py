@@ -19,6 +19,7 @@ from boxcert import (
     format_rational,
     parse_rational,
 )
+from boxcert.numerics import grid_points
 from oracles import (
     inf_of_confirmed_set,
     iv_abs,
@@ -146,6 +147,12 @@ class TestDyadicGrid:
     def test_grid_clips_to_range(self):
         pts = dyadic_grid(Q(1, 3), Q(2, 3), 1)
         assert pts == [Q(1, 2)]
+
+    def test_grid_points_are_lexicographic(self):
+        box = Box.from_bounds([(Q(0), Q(1)), (Q(1, 3), Q(1))])
+        assert list(grid_points(box, 1)) == [
+            (x, y) for x in (Q(0), Q(1, 2), Q(1)) for y in (Q(1, 2), Q(1))
+        ]
 
     @given(
         lo=rationals,
