@@ -19,18 +19,7 @@ from .classifiers import (
     make_layer,
     threshold_net_classifier,
 )
-from .errors import (
-    AugmentationCapExceeded,
-    BoxcertError,
-    ColorOutOfRange,
-    DimensionMismatch,
-    IncoherentRace,
-    NonpositiveRadius,
-    ParseError,
-    ShapeMismatch,
-    ValidationError,
-    ZeroNormal,
-)
+from .errors import BoxcertError, IncoherentRace, ParseError, ValidationError
 from .kernel import Fuel, KBot, Outcome, SemiDecider, TwoBot, Verdict, any_of, race
 from .learners import (
     AUGMENTATION_CAP,
@@ -89,15 +78,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AUGMENTATION_CAP",
-    "AugmentationCapExceeded",
     "Box",
     "BoxcertError",
     "ColorEnvelope",
-    "ColorOutOfRange",
     "ColorWitness",
     "CompactSet",
     "DeviationWitness",
-    "DimensionMismatch",
     "ExtensionWitness",
     "Fuel",
     "IncoherentRace",
@@ -108,7 +94,6 @@ __all__ = [
     "Learner",
     "LowerReal",
     "MetricKind",
-    "NonpositiveRadius",
     "Outcome",
     "OvertSet",
     "ParseError",
@@ -117,13 +102,11 @@ __all__ = [
     "RadiusReport",
     "Sample",
     "SemiDecider",
-    "ShapeMismatch",
     "TwoBot",
     "UpperReal",
     "VKSet",
     "ValidationError",
     "Verdict",
-    "ZeroNormal",
     "any_of",
     "as_rational",
     "closed_ball",

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import ColorOutOfRange, DimensionMismatch, ShapeMismatch, ZeroNormal
+from .errors import ValidationError
 from .kernel import Fuel, KBot
 from .numerics import Box, Point, as_rational, common_denominator
 
@@ -47,7 +47,7 @@ class ColorEnvelope:
     def __post_init__(self) -> None:
         object.__setattr__(self, "colors", frozenset(self.colors))
         if not self.colors and not self.maybe_bot:
-            raise ValueError("an envelope must allow at least one outcome")
+            raise ValidationError("an envelope must allow at least one outcome")
 
     @property
     def committed_color(self) -> int | None:
@@ -73,12 +73,12 @@ class IntervalClassifier:
 
     def check_color(self, n: int) -> None:
         if not isinstance(n, int) or isinstance(n, bool) or not 0 <= n < self.k:
-            raise ColorOutOfRange(f"color {n!r} out of range for k={self.k}")
+            raise ValidationError(f"color {n!r} out of range for k={self.k}")
 
 
 def _check_point_dims(point: Point, dims: int) -> None:
     if len(point) != dims:
-        raise DimensionMismatch(f"point has {len(point)} coordinates, expected {dims}")
+        raise ValidationError(f"point has {len(point)} coordinates, expected {dims}")
 
 
 def _int_layer(layer: Layer) -> tuple:
@@ -130,7 +130,7 @@ def hyperplane_classifier(weights: Sequence, bias) -> IntervalClassifier:
     w = tuple(as_rational(c) for c in weights)
     b = as_rational(bias)
     if not w or all(c == 0 for c in w):
-        raise ZeroNormal("hyperplane weights must not all be zero")
+        raise ValidationError("hyperplane weights must not all be zero")
     dims = len(w)
     layers = (_int_layer(Layer((w,), (b,), "none")),)
 
@@ -146,7 +146,7 @@ def hyperplane_classifier(weights: Sequence, bias) -> IntervalClassifier:
 
     def eval_box(box: Box, fuel: Fuel) -> ColorEnvelope:
         if box.dims != dims:
-            raise DimensionMismatch(f"box has {box.dims} dimensions, expected {dims}")
+            raise ValidationError(f"box has {box.dims} dimensions, expected {dims}")
         (lo,), (hi,), _ = _affine(layers, *_box_numerators(box))
         if lo > 0:
             return ColorEnvelope(frozenset((1,)), False)
@@ -172,12 +172,12 @@ class Layer:
 
     def __post_init__(self) -> None:
         if self.activation not in ("relu", "none"):
-            raise ShapeMismatch(f"unknown activation {self.activation!r}")
+            raise ValidationError(f"unknown activation {self.activation!r}")
         if len(self.weights) != len(self.bias):
-            raise ShapeMismatch("bias length must match the number of rows")
+            raise ValidationError("bias length must match the number of rows")
         widths = {len(row) for row in self.weights}
         if len(widths) != 1:
-            raise ShapeMismatch("weight rows must share one input width")
+            raise ValidationError("weight rows must share one input width")
 
     @property
     def out_dim(self) -> int:
@@ -207,13 +207,13 @@ def threshold_net_classifier(layers: Sequence[Layer], margin) -> IntervalClassif
     exceeds it everywhere in the box.
     """
     if not layers:
-        raise ShapeMismatch("a network needs at least one layer")
+        raise ValidationError("a network needs at least one layer")
     tau = as_rational(margin)
     if tau <= 0:
-        raise ValueError("margin must be positive")
+        raise ValidationError("margin must be positive")
     for earlier, later in zip(layers, layers[1:]):
         if earlier.out_dim != later.in_dim:
-            raise ShapeMismatch(
+            raise ValidationError(
                 f"layer output width {earlier.out_dim} does not feed input width {later.in_dim}"
             )
     dims = layers[0].in_dim
@@ -238,7 +238,7 @@ def threshold_net_classifier(layers: Sequence[Layer], margin) -> IntervalClassif
 
     def eval_box(box: Box, fuel: Fuel) -> ColorEnvelope:
         if box.dims != dims:
-            raise DimensionMismatch(f"box has {box.dims} dimensions, expected {dims}")
+            raise ValidationError(f"box has {box.dims} dimensions, expected {dims}")
         if k == 1:
             return ColorEnvelope(frozenset((0,)), False)
         lo, hi, scale = _affine(compiled, *_box_numerators(box))
@@ -257,7 +257,7 @@ def threshold_net_classifier(layers: Sequence[Layer], margin) -> IntervalClassif
 def constant_classifier(k: int, color: int | None, dims: int | None) -> IntervalClassifier:
     """Same answer everywhere: a fixed color, or silence when color is None."""
     if color is not None and not 0 <= color < k:
-        raise ColorOutOfRange(f"color {color} out of range for k={k}")
+        raise ValidationError(f"color {color} out of range for k={k}")
     answer = KBot(color)
     envelope = (
         ColorEnvelope(frozenset((color,)), False)

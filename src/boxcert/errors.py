@@ -1,7 +1,13 @@
 """Error types shared across the package.
 
 Every failure that callers are expected to handle derives from
-:class:`BoxcertError`.
+:class:`BoxcertError`, and there are three kinds:
+
+- :class:`ParseError`: an input file or literal could not be parsed.
+- :class:`ValidationError`: an argument is malformed or out of range (a
+  dimension or shape mismatch, a color outside ``0..k-1``, a nonpositive
+  radius, margin or fuel).  It is also a :class:`ValueError`.
+- :class:`IncoherentRace`: both sides of a race committed at one fuel.
 """
 
 from __future__ import annotations
@@ -20,33 +26,9 @@ class IncoherentRace(BoxcertError):
     """
 
 
-class DimensionMismatch(BoxcertError):
-    """Operands disagree on the ambient dimension."""
-
-
-class ZeroNormal(BoxcertError):
-    """A hyperplane needs at least one nonzero weight."""
-
-
-class ShapeMismatch(BoxcertError):
-    """Layer shapes of a network do not chain."""
-
-
-class ColorOutOfRange(BoxcertError):
-    """A color index fell outside 0..k-1."""
-
-
-class NonpositiveRadius(BoxcertError):
-    """A ball radius that must be positive was not."""
-
-
-class AugmentationCapExceeded(BoxcertError):
-    """A requested augmentation length exceeds the configured cap."""
-
-
 class ParseError(BoxcertError):
     """An input file or literal could not be parsed."""
 
 
-class ValidationError(BoxcertError):
-    """A parsed input failed semantic validation."""
+class ValidationError(BoxcertError, ValueError):
+    """An argument is malformed or out of range."""

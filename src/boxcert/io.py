@@ -114,10 +114,7 @@ def classifier_from_json(obj: Any) -> IntervalClassifier:
         declared_k = _field(obj, "k", "net classifier")
         if not isinstance(declared_k, int) or isinstance(declared_k, bool):
             raise ParseError(f"net k must be an integer, got {declared_k!r}")
-        try:
-            net = threshold_net_classifier(layers, margin)
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
+        net = threshold_net_classifier(layers, margin)
         if net.k != declared_k:
             raise ValidationError(
                 f"declared k={declared_k} but the last layer outputs {net.k} scores"
@@ -138,10 +135,7 @@ def learner_from_json(obj: Any, metric: MetricKind) -> Learner:
             raise ValidationError(
                 f"nn learner metric {obj['metric']!r} differs from the query's {metric.value!r}"
             )
-        try:
-            return nn_learner(margin, k=k, metric=metric)
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
+        return nn_learner(margin, k=k, metric=metric)
     if kind == "majority":
         return majority_learner(k=k)
     raise ParseError(f"unknown learner kind {kind!r}")
@@ -169,11 +163,7 @@ def _box_from_json(obj: Any) -> Box:
     for pair in sides:
         if not isinstance(pair, list) or len(pair) != 2:
             raise ParseError(f"each box side must be a [lo, hi] pair, got {pair!r}")
-        lo = rational_from_json(pair[0])
-        hi = rational_from_json(pair[1])
-        if lo > hi:
-            raise ValidationError(f"box side out of order: [{lo}, {hi}]")
-        bounds.append((lo, hi))
+        bounds.append((rational_from_json(pair[0]), rational_from_json(pair[1])))
     return Box.from_bounds(bounds)
 
 

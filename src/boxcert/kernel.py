@@ -12,7 +12,7 @@ import enum
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
-from .errors import IncoherentRace
+from .errors import IncoherentRace, ValidationError
 
 Fuel = int
 
@@ -97,7 +97,7 @@ SemiDecider = Callable[[Fuel], Verdict]
 def check_fuel(fuel: Fuel) -> None:
     """Reject anything that is not a natural number."""
     if not isinstance(fuel, int) or isinstance(fuel, bool) or fuel < 0:
-        raise ValueError(f"fuel must be a nonnegative integer, got {fuel!r}")
+        raise ValidationError(f"fuel must be a nonnegative integer, got {fuel!r}")
 
 
 def any_of(deciders: Iterable[SemiDecider], fuel: Fuel) -> Verdict:

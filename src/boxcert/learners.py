@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 from .classifiers import ColorEnvelope, IntervalClassifier, constant_classifier
-from .errors import AugmentationCapExceeded, ColorOutOfRange, DimensionMismatch
+from .errors import ValidationError
 from .kernel import Fuel, KBot, Outcome, Verdict, check_fuel, race
 from .numerics import (
     Box,
@@ -66,7 +66,7 @@ class Sample:
         object.__setattr__(self, "points", normalized)
         dims = {len(p) for p, _ in normalized}
         if len(dims) > 1:
-            raise DimensionMismatch("sample points must share one dimension")
+            raise ValidationError("sample points must share one dimension")
 
     @property
     def dims(self) -> int | None:
@@ -108,7 +108,7 @@ class Learner:
     def check_labels(self, sample: Sample) -> None:
         for _, label in sample.points:
             if not 0 <= label < self.k:
-                raise ColorOutOfRange(f"label {label} out of range for k={self.k}")
+                raise ValidationError(f"label {label} out of range for k={self.k}")
 
 
 def _nn_envelope(dists: Sequence[tuple[Interval, int]], margin: Fraction) -> ColorEnvelope:
@@ -143,7 +143,7 @@ def nn_learner(tie_margin, k: int = 2, metric: MetricKind = MetricKind.MAX) -> L
     """
     margin = as_rational(tie_margin)
     if margin <= 0:
-        raise ValueError("tie margin must be positive")
+        raise ValidationError("tie margin must be positive")
 
     def envelope_at(
         sample: Sample, additions: Sequence[tuple[Box, int]], x: Point, fuel: Fuel
@@ -153,7 +153,7 @@ def nn_learner(tie_margin, k: int = 2, metric: MetricKind = MetricKind.MAX) -> L
         ]
         for box, label in additions:
             if not 0 <= label < k:
-                raise ColorOutOfRange(f"label {label} out of range for k={k}")
+                raise ValidationError(f"label {label} out of range for k={k}")
             dists.append((dist_range(box, x, metric), label))
         return _nn_envelope(dists, margin)
 
@@ -171,7 +171,7 @@ def nn_learner(tie_margin, k: int = 2, metric: MetricKind = MetricKind.MAX) -> L
             # beats the runner-up by more than the margin: one pass over
             # integer distances at the common scale suffices.
             if len(x) != dims:
-                raise DimensionMismatch(f"dimension mismatch: {len(x)} vs {dims}")
+                raise ValidationError(f"dimension mismatch: {len(x)} vs {dims}")
             x_den, x_nums = common_denominator(x)
             scale = math.lcm(den, x_den)
             up, x_up = scale // den, scale // x_den
@@ -221,7 +221,7 @@ def majority_learner(k: int = 2) -> Learner:
         labels = [label for _, label in sample.points] + [label for _, label in additions]
         for label in labels:
             if not 0 <= label < k:
-                raise ColorOutOfRange(f"label {label} out of range for k={k}")
+                raise ValidationError(f"label {label} out of range for k={k}")
         color = winner(labels)
         if color is None:
             return ColorEnvelope(frozenset(), True)
@@ -301,9 +301,9 @@ def robust_point(
     check_fuel(fuel)
     point: Point = tuple(as_rational(c) for c in x)
     if sample.dims is not None and sample.dims != len(point):
-        raise DimensionMismatch("query point and sample disagree on dimension")
+        raise ValidationError("query point and sample disagree on dimension")
     if domain.dims != len(point):
-        raise DimensionMismatch("query point and domain disagree on dimension")
+        raise ValidationError("query point and domain disagree on dimension")
     base = L.train(sample).eval_point(point, fuel)
     flip: list[ExtensionWitness] = []
 
@@ -365,17 +365,17 @@ def sparse_or_dense(
     """
     check_fuel(fuel)
     if N < 0:
-        raise ValueError("augmentation count must be nonnegative")
+        raise ValidationError("augmentation count must be nonnegative")
     if N > AUGMENTATION_CAP:
-        raise AugmentationCapExceeded(f"N={N} exceeds the cap of {AUGMENTATION_CAP}")
+        raise ValidationError(f"N={N} exceeds the cap of {AUGMENTATION_CAP}")
     e = as_rational(eps)
     if e <= 0:
-        raise ValueError("eps must be positive")
+        raise ValidationError("eps must be positive")
     point: Point = tuple(as_rational(c) for c in x)
     if sample.dims is not None and sample.dims != len(point):
-        raise DimensionMismatch("query point and sample disagree on dimension")
+        raise ValidationError("query point and sample disagree on dimension")
     if domain.dims != len(point):
-        raise DimensionMismatch("query point and domain disagree on dimension")
+        raise ValidationError("query point and domain disagree on dimension")
     far_points = outside_ball_overt(domain, point, e, metric)
     far_cover = outside_ball_compact(domain, point, e, metric)
     sparse_pair: list[ExtensionWitness] = []

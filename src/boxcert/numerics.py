@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-from .errors import DimensionMismatch, ParseError
+from .errors import ParseError, ValidationError
 from .kernel import Fuel, check_fuel
 
 Q = Fraction
@@ -100,7 +100,7 @@ class Interval:
             object.__setattr__(self, "lo", as_rational(self.lo))
             object.__setattr__(self, "hi", as_rational(self.hi))
         if self.lo > self.hi:
-            raise ValueError(f"interval bounds out of order: [{self.lo}, {self.hi}]")
+            raise ValidationError(f"interval bounds out of order: [{self.lo}, {self.hi}]")
 
     @staticmethod
     def point(q: int | str | Fraction) -> "Interval":
@@ -157,7 +157,7 @@ class Box:
 
     def contains(self, point: Point) -> bool:
         if len(point) != self.dims:
-            raise DimensionMismatch(f"point has {len(point)} coordinates, box has {self.dims}")
+            raise ValidationError(f"point has {len(point)} coordinates, box has {self.dims}")
         return all(side.contains(c) for side, c in zip(self.sides, point))
 
     def bisect(self) -> tuple["Box", "Box"]:
@@ -165,7 +165,7 @@ class Box:
         widths = [side.width for side in self.sides]
         widest = max(widths, default=0)
         if widest == 0:
-            raise ValueError("cannot bisect a degenerate box")
+            raise ValidationError("cannot bisect a degenerate box")
         axis = widths.index(widest)
         left, right = self.sides[axis].bisect()
         lo_sides = self.sides[:axis] + (left,) + self.sides[axis + 1 :]
@@ -189,7 +189,7 @@ class MetricKind(enum.Enum):
 
 def _check_dims(a: int, b: int) -> None:
     if a != b:
-        raise DimensionMismatch(f"dimension mismatch: {a} vs {b}")
+        raise ValidationError(f"dimension mismatch: {a} vs {b}")
 
 
 def dist_point(x: Point, y: Point, metric: MetricKind) -> Fraction:

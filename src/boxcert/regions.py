@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import DimensionMismatch
+from .errors import ValidationError
 from .kernel import Fuel, check_fuel
 from .numerics import (
     Box,
@@ -145,7 +145,7 @@ def closed_ball(center: Sequence, radius, metric: MetricKind) -> VKSet:
     x: Point = tuple(as_rational(c) for c in center)
     r = as_rational(radius)
     if not x:
-        raise DimensionMismatch("a ball needs at least one dimension")
+        raise ValidationError("a ball needs at least one dimension")
     if r < 0:
         return empty_region(len(x))
     bounding = _ball_bounding(x, r, metric)
@@ -164,7 +164,7 @@ def open_ball_overt(center: Sequence, radius, metric: MetricKind) -> OvertSet:
     x: Point = tuple(as_rational(c) for c in center)
     r = as_rational(radius)
     if not x:
-        raise DimensionMismatch("a ball needs at least one dimension")
+        raise ValidationError("a ball needs at least one dimension")
     if r <= 0:
         return OvertSet(len(x), None, lambda p: False, lambda box: True)
     bounding = _ball_bounding(x, r, metric)
@@ -183,7 +183,7 @@ def domain_box(bounds: Sequence) -> VKSet:
     else:
         box = Box.from_bounds(bounds)
     if box.dims == 0:
-        raise DimensionMismatch("a domain needs at least one dimension")
+        raise ValidationError("a domain needs at least one dimension")
     compact = CompactSet(box.dims, box, lambda b: True)
     overt = OvertSet(box.dims, box, box.contains, _never_disjoint)
     return VKSet(compact, overt)
@@ -199,9 +199,9 @@ def outside_ball_overt(domain: VKSet, center: Sequence, eps, metric: MetricKind)
     """
     x: Point = tuple(as_rational(c) for c in center)
     e = as_rational(eps)
+    if len(x) != domain.dims:
+        raise ValidationError(f"dimension mismatch: {domain.dims} vs {len(x)}")
     inner = domain.overt
-    if inner.bounding is not None:
-        _ = dist_range(inner.bounding, x, metric)  # dimension check
     return OvertSet(
         domain.dims,
         inner.bounding,
@@ -214,9 +214,9 @@ def outside_ball_compact(domain: VKSet, center: Sequence, eps, metric: MetricKin
     """Cover of the domain points at distance >= eps from the center."""
     x: Point = tuple(as_rational(c) for c in center)
     e = as_rational(eps)
+    if len(x) != domain.dims:
+        raise ValidationError(f"dimension mismatch: {domain.dims} vs {len(x)}")
     inner = domain.compact
-    if inner.bounding is not None:
-        _ = dist_range(inner.bounding, x, metric)  # dimension check
     return CompactSet(
         domain.dims,
         inner.bounding,

@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .classifiers import IntervalClassifier
-from .errors import DimensionMismatch, NonpositiveRadius
+from .errors import ValidationError
 from .kernel import Fuel, KBot, Outcome, TwoBot, Verdict, any_of, check_fuel, race
 from .numerics import (
     LowerReal,
@@ -76,7 +76,7 @@ class ColorWitness:
 
 def _check_region_dims(region_dims: int, f: IntervalClassifier) -> None:
     if f.dims is not None and region_dims != f.dims:
-        raise DimensionMismatch(f"region has {region_dims} dimensions, classifier expects {f.dims}")
+        raise ValidationError(f"region has {region_dims} dimensions, classifier expects {f.dims}")
 
 
 def _certified_colors(
@@ -254,7 +254,7 @@ def locally_constant(
     point = tuple(as_rational(c) for c in x)
     radius = as_rational(r)
     if radius <= 0:
-        raise NonpositiveRadius(f"ball radius must be positive, got {radius}")
+        raise ValidationError(f"ball radius must be positive, got {radius}")
     _check_region_dims(len(point), f)
     ball = VKSet(
         closed_ball(point, radius, metric).compact, open_ball_overt(point, radius, metric)
@@ -332,7 +332,7 @@ def radius_lower(
     point = tuple(as_rational(c) for c in x)
     top = as_rational(ceiling)
     if top <= 0:
-        raise ValueError("search ceiling must be positive")
+        raise ValidationError("search ceiling must be positive")
     _check_region_dims(len(point), f)
 
     def membership(r: Fraction, fuel: Fuel) -> Verdict:
@@ -376,7 +376,7 @@ def radius_upper(
     point = tuple(as_rational(c) for c in x)
     top = as_rational(ceiling)
     if top <= 0:
-        raise ValueError("search ceiling must be positive")
+        raise ValidationError("search ceiling must be positive")
     _check_region_dims(len(point), f)
 
     def approx(fuel: Fuel) -> Fraction:
@@ -437,7 +437,7 @@ def optimal_radius(
     top = as_rational(ceiling)
     tolerance = as_rational(tol)
     if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+        raise ValidationError("tolerance must be positive")
     lower_stream = radius_lower(point, f, top, metric)
     upper_stream = radius_upper(point, f, top, metric)
     trace: list[tuple[Fuel, Fraction, Fraction]] = []

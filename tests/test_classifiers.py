@@ -7,12 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from boxcert import (
     Box,
-    ColorOutOfRange,
-    DimensionMismatch,
     Interval,
     KBot,
-    ShapeMismatch,
-    ZeroNormal,
+    ValidationError,
     constant_classifier,
     hyperplane_classifier,
     make_layer,
@@ -49,11 +46,11 @@ class TestHyperplane:
         assert self.f.eval_point((Q(-1, 7), Q(2)), 0) == KBot(0)
 
     def test_zero_normal_rejected(self):
-        with pytest.raises(ZeroNormal):
+        with pytest.raises(ValidationError, match="hyperplane weights must not all be zero"):
             hyperplane_classifier((Q(0), Q(0)), Q(1))
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValidationError, match="point has 1 coordinates, expected 2"):
             self.f.eval_point((Q(1),), 0)
 
     @given(
@@ -116,11 +113,13 @@ class TestThresholdNet:
             threshold_net_classifier((layer,), Q(0))
 
     def test_layer_shape_validation(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValidationError, match="weight rows must share one input width"):
             make_layer(((Q(1), Q(2)), (Q(3),)), (Q(0), Q(0)), "none")
         first = make_layer(((Q(1), Q(0)),), (Q(0),), "none")
         second = make_layer(((Q(1), Q(2)),), (Q(0),), "none")
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(
+            ValidationError, match="layer output width 1 does not feed input width 2"
+        ):
             threshold_net_classifier((first, second), Q(1, 10))
 
 
@@ -139,7 +138,7 @@ class TestConstantClassifier:
         assert env.maybe_bot
 
     def test_color_out_of_range(self):
-        with pytest.raises(ColorOutOfRange):
+        with pytest.raises(ValidationError, match="color 2 out of range for k=2"):
             constant_classifier(2, 2, dims=1)
 
 

@@ -162,6 +162,11 @@ class TestMalformedQueries:
         assert err.startswith("error: hyperplane weights must not all be zero")
         assert err.count("\n") == 1
 
+    def test_reversed_box_side_is_a_one_line_error(self, tmp_path, capsys):
+        body = {**confirm_query(), "region": {"type": "box", "sides": [[1, 0]]}}
+        assert main(["verify", str(write_query(tmp_path, body))]) == 1
+        assert capsys.readouterr().err == "error: interval bounds out of order: [1, 0]\n"
+
     @pytest.mark.parametrize(
         "override, reason",
         [
@@ -468,7 +473,8 @@ class TestExplain:
 
 class TestSelftest:
     def test_corpus_matches_and_is_deterministic(self):
-        cmd = [sys.executable, "-m", "boxcert", "selftest"]
+        # --verbose prints every report, so the two runs must agree byte for byte.
+        cmd = [sys.executable, "-m", "boxcert", "selftest", "--verbose"]
         first = subprocess.run(cmd, capture_output=True, text=True)
         second = subprocess.run(cmd, capture_output=True, text=True)
         assert first.returncode == 0

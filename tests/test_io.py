@@ -2,8 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from boxcert import MetricKind, ParseError, ZeroNormal
-from boxcert.io import classifier_from_json, load_json, region_from_json
+from boxcert import MetricKind, ParseError, ValidationError
+from boxcert.io import classifier_from_json, learner_from_json, load_json, region_from_json
 
 
 def net(**layer_overrides) -> dict:
@@ -35,7 +35,7 @@ class TestMalformedNets:
 
 class TestHyperplanes:
     def test_all_zero_weights_rejected(self):
-        with pytest.raises(ZeroNormal):
+        with pytest.raises(ValidationError, match="hyperplane weights must not all be zero"):
             classifier_from_json({"kind": "hyperplane", "w": [0, "0/3"], "b": 1})
 
 
@@ -43,6 +43,19 @@ class TestBallRegions:
     def test_zero_radius_is_a_point(self):
         region = region_from_json({"type": "ball", "center": [0], "radius": 0}, MetricKind.MAX)
         assert region.overt.points_at(0) == [(0,)]
+
+
+class TestValidationPassesThrough:
+    """Library checks reach the caller as ValidationError, message unchanged."""
+
+    def test_nonpositive_net_margin(self):
+        with pytest.raises(ValidationError, match="^margin must be positive$"):
+            classifier_from_json({**net(), "margin": 0})
+
+    def test_nonpositive_tie_margin(self):
+        body = {"kind": "nn", "tieMargin": "-1/8"}
+        with pytest.raises(ValidationError, match="^tie margin must be positive$"):
+            learner_from_json(body, MetricKind.MAX)
 
 
 class TestLoadJson:

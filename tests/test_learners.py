@@ -7,16 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from boxcert import (
-    AugmentationCapExceeded,
     Box,
     ColorEnvelope,
-    DimensionMismatch,
     Interval,
     KBot,
     Learner,
     MetricKind,
     Sample,
     TwoBot,
+    ValidationError,
     Verdict,
     constant_classifier,
     does_deviate,
@@ -50,7 +49,7 @@ def bot_learner(k=2):
 
 class TestSample:
     def test_mixed_dimensions_rejected(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValidationError, match="sample points must share one dimension"):
             Sample((((Q(0),), 0), ((Q(0), Q(1)), 1)))
 
     def test_extend(self):
@@ -64,7 +63,7 @@ class TestSample:
         assert base.extend(((("1/2",), 1),)).points[1] == ((Q(1, 2),), 1)
         with pytest.raises(TypeError):
             base.extend((((0.5,), 1),))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValidationError, match="sample points must share one dimension"):
             base.extend((((Q(0), Q(1)), 1),))
 
     def test_exact_sample_equals_checked_sample(self):
@@ -91,7 +90,7 @@ class TestNNLearner:
 
     def test_wrong_dimension_query_raises(self):
         g = nn_learner(tie_margin=Q(1, 100)).train(sample_1d((Q(1, 5), 0), (Q(4, 5), 1)))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValidationError, match="dimension mismatch: 2 vs 1"):
             g.eval_point((Q(1, 2), Q(1, 2)), 0)
 
     def test_margin_must_be_positive(self):
@@ -260,7 +259,7 @@ class TestSparseOrDense:
 
     def test_augmentation_cap(self):
         L = majority_learner(k=2)
-        with pytest.raises(AugmentationCapExceeded):
+        with pytest.raises(ValidationError, match="N=4 exceeds the cap of 3"):
             sparse_or_dense(L, 4, Q(1, 5), sample_1d((Q(0), 0)), (Q(1, 2),), UNIT, 0)
 
     def test_never_commits_both_values_across_fuels(self):

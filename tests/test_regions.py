@@ -9,6 +9,7 @@ from boxcert import (
     Box,
     Interval,
     MetricKind,
+    ValidationError,
     closed_ball,
     cover_width_target,
     domain_box,
@@ -144,6 +145,12 @@ class TestOutsideBall:
                 assert covered((target,), boxes)
             for box in boxes:
                 assert box.sides[0].lo >= 0 and box.sides[0].hi <= 1
+
+    @pytest.mark.parametrize("build", [outside_ball_overt, outside_ball_compact])
+    def test_center_must_match_the_domain(self, build):
+        domain = domain_box(unit_box((Q(0), Q(1))))
+        with pytest.raises(ValidationError, match="dimension mismatch: 1 vs 2"):
+            build(domain, (Q(0), Q(0)), Q(1), MetricKind.MAX)
 
 
 class TestEmptyRegion:

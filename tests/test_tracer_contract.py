@@ -1,9 +1,11 @@
 """The benchmark's tracer still finds every attribute it patches.
 
 ``perfbench/tracer.py`` rebinds module attributes of the package by name.
-Importing it by path and running two golden queries under it makes a
+Importing it by path and running golden queries under it makes a
 rename of one of those attributes fail here rather than inside a
-benchmark run.  Nothing under ``perfbench/`` is written.
+benchmark run.  The radius and learner queries reach the wrappers the
+tracer builds with ``dataclasses.replace`` around radius streams and
+learners.  Nothing under ``perfbench/`` is written.
 """
 
 from __future__ import annotations
@@ -32,10 +34,16 @@ def test_tracer_installs_and_counts_golden_queries(capsys):
         tracer.install()
         assert cli.main(["verify", str(GOLDEN / "constant-bot.json")]) == 2
         assert cli.main(["verify", str(GOLDEN / "exists-hyperplane.json")]) == 0
+        assert cli.main(["verify", str(GOLDEN / "optimal-radius.json")]) == 0
+        assert cli.main(["verify", str(GOLDEN / "robust-majority.json")]) == 0
+        assert cli.main(["verify", str(GOLDEN / "sparse-dense-one.json")]) == 0
     finally:
         tracer.uninstall()
     counts = tracer.counts()
-    assert counts["cli.main.calls"] == 2
+    assert counts["cli.main.calls"] == 5
     assert counts["verify.constant_value.calls"] > 0
     assert counts["verify.exists_value.calls"] > 0
+    assert counts["verify.radius_lower.approx.calls"] > 0
+    assert counts["learners.train.calls"] > 0
+    assert counts["learners.family_at.calls"] > 0
     assert not hasattr(cli.main, "__wrapped__")

@@ -10,8 +10,8 @@ from boxcert import (
     Interval,
     KBot,
     MetricKind,
-    NonpositiveRadius,
     TwoBot,
+    ValidationError,
     Verdict,
     closed_ball,
     constant_classifier,
@@ -167,7 +167,7 @@ class TestLocallyConstant:
             assert locally_constant((Q(1), Q(0)), Q(1), SPLIT, fuel).verdict is TwoBot.BOT
 
     def test_radius_must_be_positive(self):
-        with pytest.raises(NonpositiveRadius):
+        with pytest.raises(ValidationError, match="ball radius must be positive, got 0"):
             locally_constant((Q(1), Q(0)), Q(0), SPLIT, 0)
 
 
