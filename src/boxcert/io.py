@@ -127,8 +127,6 @@ def learner_from_json(obj: Any, metric: MetricKind) -> Learner:
     """Build a learner; an nn learner measures with the query's metric."""
     kind = _field(obj, "kind", "learner")
     k = obj.get("k", 2)
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValidationError(f"learner k must be a positive integer, got {k!r}")
     if kind == "nn":
         margin = rational_from_json(_field(obj, "tieMargin", "nn learner"))
         if "metric" in obj and MetricKind.parse(obj["metric"]) is not metric:

@@ -20,7 +20,7 @@ from typing import Callable, Iterator, Sequence
 
 from .classifiers import ColorEnvelope, IntervalClassifier, constant_classifier
 from .errors import ValidationError
-from .kernel import Fuel, KBot, Outcome, Verdict, check_fuel, race
+from .kernel import Fuel, KBot, Outcome, TwoBot, Verdict, check_fuel, race
 from .numerics import (
     Box,
     Interval,
@@ -105,6 +105,10 @@ class Learner:
     train: Callable[[Sample], IntervalClassifier]
     family_at: FamilyEvaluator
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
+            raise ValidationError(f"learner k must be a positive integer, got {self.k!r}")
+
     def check_labels(self, sample: Sample) -> None:
         for _, label in sample.points:
             if not 0 <= label < self.k:
@@ -120,8 +124,6 @@ def _nn_envelope(dists: Sequence[tuple[Interval, int]], margin: Fraction) -> Col
     certain winner silences every differently-labeled rival, so the
     envelope collapses to its label.
     """
-    if not dists:
-        return ColorEnvelope(frozenset(), True)
     colors = set()
     certain = False
     for i, (di, label) in enumerate(dists):
@@ -305,11 +307,11 @@ def robust_point(
     if domain.dims != len(point):
         raise ValidationError("query point and domain disagree on dimension")
     base = L.train(sample).eval_point(point, fuel)
+    if base.is_bot:
+        return Outcome(TwoBot.BOT, base=base)
     flip: list[ExtensionWitness] = []
 
     def yes_side(d: Fuel) -> Verdict:
-        if base.is_bot:
-            return Verdict.UNKNOWN
         for box in domain.compact.cover_at(d):
             for label in range(L.k):
                 env = L.family_at(sample, [(box, label)], point, d)
@@ -318,8 +320,6 @@ def robust_point(
         return Verdict.CONFIRMED
 
     def no_side(d: Fuel) -> Verdict:
-        if base.is_bot:
-            return Verdict.UNKNOWN
         for y in domain.overt.points_at(d):
             for label in range(L.k):
                 got = L.train(Sample._exact(sample.points + ((y, label),))).eval_point(point, d)
@@ -364,6 +364,8 @@ def sparse_or_dense(
     presented by covers.
     """
     check_fuel(fuel)
+    if not isinstance(N, int) or isinstance(N, bool):
+        raise ValidationError(f"augmentation count must be an integer, got {N!r}")
     if N < 0:
         raise ValidationError("augmentation count must be nonnegative")
     if N > AUGMENTATION_CAP:
@@ -389,7 +391,7 @@ def sparse_or_dense(
                 continue
             seen.setdefault(got.color, ExtensionWitness(ext, got.color))
             if len(seen) >= 2:
-                sparse_pair.extend(list(seen.values())[:2])
+                sparse_pair.extend(seen.values())
                 return Verdict.CONFIRMED
         return Verdict.UNKNOWN
 

@@ -62,18 +62,12 @@ def parse_rational(text: str) -> Fraction:
     """Parse a 'p/q' or plain integer string into a reduced rational."""
     if not isinstance(text, str):
         raise ParseError(f"expected a rational string, got {text!r}")
-    body = text.strip()
+    num, slash, den = text.strip().partition("/")
     try:
-        if "/" in body:
-            num, _, den = body.partition("/")
-            d = int(den)
-            if d == 0:
-                raise ParseError(f"zero denominator in rational {text!r}")
-            return Fraction(int(num), d)
-        return Fraction(int(body))
-    except ParseError:
-        raise
-    except (ValueError, ZeroDivisionError) as exc:
+        return Fraction(int(num), int(den) if slash else 1)
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in rational {text!r}") from None
+    except ValueError as exc:
         raise ParseError(f"malformed rational {text!r}") from exc
 
 

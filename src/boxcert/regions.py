@@ -56,19 +56,18 @@ class CompactSet:
 
     ``keep`` decides whether a box meets the set; it must be antitone under
     inclusion (a box inside a discarded box is discarded too), which makes
-    pruning whole subtrees of the subdivision sound.
+    pruning whole subtrees of the subdivision sound.  Every set has a
+    ``bounding`` box where subdivision starts; the empty set's is the
+    origin point, and its ``keep`` rejects every box.
     """
 
-    dims: int
-    bounding: Box | None
+    bounding: Box
     keep: Callable[[Box], bool]
 
     def cover_at(self, fuel: Fuel) -> list[Box]:
         """Kept boxes of the subdivision, each no wider than 2**-fuel
         times the bounding width, in deterministic depth-first order."""
         check_fuel(fuel)
-        if self.bounding is None:
-            return []
         target = cover_width_target(self.bounding, fuel)
         out: list[Box] = []
         stack = [self.bounding]
@@ -92,19 +91,18 @@ class OvertSet:
     ``member`` is the exact membership test; every enumerated point passes
     it.  ``box_disjoint`` may say that a box certainly misses the set,
     also antitone under inclusion; it exists so that searches can skip
-    regions without enumerating them.
+    regions without enumerating them.  Every set has a ``bounding`` box
+    whose grid is enumerated; the empty set's is the origin point, which
+    ``member`` rejects, as ``box_disjoint`` does every box.
     """
 
-    dims: int
-    bounding: Box | None
+    bounding: Box
     member: Callable[[Point], bool]
     box_disjoint: Callable[[Box], bool]
 
     def points_at(self, fuel: Fuel) -> list[Point]:
         """Grid members at denominator 2**fuel, lexicographic order."""
         check_fuel(fuel)
-        if self.bounding is None:
-            return []
         return [p for p in grid_points(self.bounding, fuel) if self.member(p)]
 
 
@@ -117,7 +115,7 @@ class VKSet:
 
     @property
     def dims(self) -> int:
-        return self.compact.dims
+        return self.compact.bounding.dims
 
 
 def _never_disjoint(_: Box) -> bool:
@@ -125,8 +123,10 @@ def _never_disjoint(_: Box) -> bool:
 
 
 def empty_region(dims: int) -> VKSet:
-    compact = CompactSet(dims, None, lambda box: False)
-    overt = OvertSet(dims, None, lambda p: False, lambda box: True)
+    """The empty set, bounded by the origin point, which its tests reject."""
+    origin = Box.from_bounds([(0, 0)] * dims)
+    compact = CompactSet(origin, lambda box: False)
+    overt = OvertSet(origin, lambda p: False, lambda box: True)
     return VKSet(compact, overt)
 
 
@@ -149,9 +149,8 @@ def closed_ball(center: Sequence, radius, metric: MetricKind) -> VKSet:
     if r < 0:
         return empty_region(len(x))
     bounding = _ball_bounding(x, r, metric)
-    compact = CompactSet(len(x), bounding, lambda box: dist_range(box, x, metric).lo <= r)
+    compact = CompactSet(bounding, lambda box: dist_range(box, x, metric).lo <= r)
     overt = OvertSet(
-        len(x),
         bounding,
         lambda p: dist_point(p, x, metric) <= r,
         lambda box: dist_range(box, x, metric).lo > r,
@@ -166,10 +165,9 @@ def open_ball_overt(center: Sequence, radius, metric: MetricKind) -> OvertSet:
     if not x:
         raise ValidationError("a ball needs at least one dimension")
     if r <= 0:
-        return OvertSet(len(x), None, lambda p: False, lambda box: True)
+        return empty_region(len(x)).overt
     bounding = _ball_bounding(x, r, metric)
     return OvertSet(
-        len(x),
         bounding,
         lambda p: dist_point(p, x, metric) < r,
         lambda box: dist_range(box, x, metric).lo >= r,
@@ -184,8 +182,8 @@ def domain_box(bounds: Sequence) -> VKSet:
         box = Box.from_bounds(bounds)
     if box.dims == 0:
         raise ValidationError("a domain needs at least one dimension")
-    compact = CompactSet(box.dims, box, lambda b: True)
-    overt = OvertSet(box.dims, box, box.contains, _never_disjoint)
+    compact = CompactSet(box, lambda b: True)
+    overt = OvertSet(box, box.contains, _never_disjoint)
     return VKSet(compact, overt)
 
 
@@ -203,7 +201,6 @@ def outside_ball_overt(domain: VKSet, center: Sequence, eps, metric: MetricKind)
         raise ValidationError(f"dimension mismatch: {domain.dims} vs {len(x)}")
     inner = domain.overt
     return OvertSet(
-        domain.dims,
         inner.bounding,
         lambda p: inner.member(p) and dist_point(p, x, metric) > e,
         lambda box: inner.box_disjoint(box) or dist_range(box, x, metric).hi <= e,
@@ -218,7 +215,6 @@ def outside_ball_compact(domain: VKSet, center: Sequence, eps, metric: MetricKin
         raise ValidationError(f"dimension mismatch: {domain.dims} vs {len(x)}")
     inner = domain.compact
     return CompactSet(
-        domain.dims,
         inner.bounding,
         lambda box: inner.keep(box) and dist_range(box, x, metric).hi >= e,
     )

@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 
 from .classifiers import IntervalClassifier
 from .errors import ValidationError
-from .kernel import Fuel, KBot, Outcome, TwoBot, Verdict, any_of, check_fuel, race
+from .kernel import Fuel, KBot, Outcome, Verdict, any_of, check_fuel, race
 from .numerics import (
     LowerReal,
     MetricKind,
@@ -91,8 +91,6 @@ def _certified_colors(
     because the keep test and the envelope are antitone under inclusion.
     """
     wanted = frozenset(colors)
-    if A.bounding is None:
-        return wanted
     target = cover_width_target(A.bounding, fuel)
     failed: frozenset[int] = frozenset()
     stack = [(A.bounding, wanted)]
@@ -127,8 +125,6 @@ def _find_witnesses(
     order, so its first point is the one the flat grid scan finds first.
     After each hit, only colors below the ``need``-th lowest hit stay wanted.
     """
-    if A.bounding is None:
-        return []
     hits: dict[int, Point] = {}
     wanted = set(colors)
     step = dyadic_step(fuel)
@@ -165,7 +161,7 @@ def exists_value(n: int, A: OvertSet, f: IntervalClassifier, fuel: Fuel) -> Outc
     """
     check_fuel(fuel)
     f.check_color(n)
-    _check_region_dims(A.dims, f)
+    _check_region_dims(A.bounding.dims, f)
     found = _find_witnesses(A, f, (n,), 1, fuel)
     if not found:
         return Outcome(Verdict.UNKNOWN)
@@ -179,32 +175,49 @@ def forall_value(n: int, A: CompactSet, f: IntervalClassifier, fuel: Fuel) -> Ve
     """
     check_fuel(fuel)
     f.check_color(n)
-    _check_region_dims(A.dims, f)
+    _check_region_dims(A.bounding.dims, f)
     return Verdict.CONFIRMED if _certified_colors(A, f, (n,), fuel) else Verdict.UNKNOWN
+
+
+def _race_colors(
+    A: VKSet, f: IntervalClassifier, certify: Iterable[int], seek: Iterable[int],
+    need: int, fuel: Fuel,
+) -> Outcome:
+    """Race some color of ``certify`` certifying on A's cover against ``need``
+    colors of ``seek`` having points in A's enumeration, at equal fuel.
+
+    ONE reports the lowest certified color, ZERO the first points of the
+    ``need`` lowest colors found.  The callers' colors make the two sides
+    mutually exclusive on a coherent classifier.
+    """
+    certified: list[int] = []
+    found: list[ColorWitness] = []
+
+    def yes_side(d: Fuel) -> Verdict:
+        certified.extend(sorted(_certified_colors(A.compact, f, certify, d)))
+        return Verdict.CONFIRMED if certified else Verdict.UNKNOWN
+
+    def no_side(d: Fuel) -> Verdict:
+        hits = _find_witnesses(A.overt, f, seek, need, d)
+        if len(hits) < need:
+            return Verdict.UNKNOWN
+        found.extend(hits)
+        return Verdict.CONFIRMED
+
+    value = race(yes_side, no_side, fuel)
+    return Outcome(value, color=certified[0] if certified else None, witnesses=tuple(found))
 
 
 def fixed_value(n: int, A: VKSet, f: IntervalClassifier, fuel: Fuel) -> Outcome:
     """Is the region uniformly color n, or does some point refuse it?
 
-    The two sides are mutually exclusive on a coherent classifier, so they
-    are raced at equal fuel.  A refutation is witnessed by the first point
-    of the lowest other color that has one.
+    A refutation is witnessed by the first point of the lowest other color
+    that has one.
     """
     check_fuel(fuel)
     f.check_color(n)
     _check_region_dims(A.dims, f)
-    found: list[ColorWitness] = []
-
-    def yes_side(d: Fuel) -> Verdict:
-        return forall_value(n, A.compact, f, d)
-
-    def no_side(d: Fuel) -> Verdict:
-        others = [m for m in range(f.k) if m != n]
-        found.extend(_find_witnesses(A.overt, f, others, 1, d))
-        return Verdict.CONFIRMED if found else Verdict.UNKNOWN
-
-    value = race(yes_side, no_side, fuel)
-    return Outcome(value, color=n if value is TwoBot.ONE else None, witnesses=tuple(found))
+    return _race_colors(A, f, (n,), [m for m in range(f.k) if m != n], 1, fuel)
 
 
 def constant_value(A: VKSet, f: IntervalClassifier, fuel: Fuel) -> Outcome:
@@ -217,22 +230,7 @@ def constant_value(A: VKSet, f: IntervalClassifier, fuel: Fuel) -> Outcome:
     """
     check_fuel(fuel)
     _check_region_dims(A.dims, f)
-    certified: list[int] = []
-    found: list[ColorWitness] = []
-
-    def yes_side(d: Fuel) -> Verdict:
-        certified.extend(sorted(_certified_colors(A.compact, f, range(f.k), d)))
-        return Verdict.CONFIRMED if certified else Verdict.UNKNOWN
-
-    def no_side(d: Fuel) -> Verdict:
-        hits = _find_witnesses(A.overt, f, range(f.k), 2, d)
-        if len(hits) < 2:
-            return Verdict.UNKNOWN
-        found.extend(hits)
-        return Verdict.CONFIRMED
-
-    value = race(yes_side, no_side, fuel)
-    return Outcome(value, color=certified[0] if certified else None, witnesses=tuple(found))
+    return _race_colors(A, f, range(f.k), range(f.k), 2, fuel)
 
 
 def locally_constant(

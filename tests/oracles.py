@@ -160,16 +160,6 @@ def sweep_ball(center, radius: Fraction, step: Fraction, metric: str = "max"):
     return [p for p in sweep_box(sides, step) if dist(p, center, metric) <= radius]
 
 
-def color_multiset(color_fn, points):
-    """Map a pointwise color function over points, keeping committed ones."""
-    out = {}
-    for p in points:
-        c = color_fn(p)
-        if c is not None:
-            out.setdefault(c, p)
-    return out
-
-
 def grid_search_radius(color_fn, x, step: Fraction, ceiling: Fraction):
     """Dense 1-D-style grid search bracketing the stable radius at x.
 

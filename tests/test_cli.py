@@ -288,6 +288,16 @@ class TestLearnerMetric:
         assert err.count("\n") == 1
 
 
+class TestLearnerCount:
+    @pytest.mark.parametrize("kind", ["nn", "majority"])
+    @pytest.mark.parametrize("k", [0, -3, 1.5, "2", True, None], ids=repr)
+    def test_bad_k_is_a_one_line_error(self, tmp_path, capsys, kind, k):
+        learner = {"kind": kind, "tieMargin": "1/16", "k": k}
+        body = {**TestLearnerMetric.QUERY, "learner": learner}
+        assert main(["verify", str(write_query(tmp_path, body))]) == 1
+        assert capsys.readouterr().err == f"error: learner k must be a positive integer, got {k!r}\n"
+
+
 class TestTwoBotReports:
     def test_bot_at_budget_exits_two(self, tmp_path, capsys):
         body = {

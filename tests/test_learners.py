@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -13,6 +14,7 @@ from boxcert import (
     KBot,
     Learner,
     MetricKind,
+    Outcome,
     Sample,
     TwoBot,
     ValidationError,
@@ -45,6 +47,33 @@ def bot_learner(k=2):
         return ColorEnvelope(frozenset(range(k)), True)
 
     return Learner(k=k, train=train, family_at=family_at)
+
+
+class TestCountArguments:
+    """A count that is not a nonnegative (k: positive) int is a ValidationError."""
+
+    @pytest.mark.parametrize("k", [0, -1, Q(2), 1.5, "2", True], ids=repr)
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda k: nn_learner(Q(1, 8), k=k),
+            lambda k: majority_learner(k=k),
+            lambda k: Learner(k=k, train=None, family_at=None),
+        ],
+        ids=["nn", "majority", "Learner"],
+    )
+    def test_learner_k_must_be_a_positive_integer(self, make, k):
+        message = f"learner k must be a positive integer, got {k!r}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            make(k)
+
+    @pytest.mark.parametrize("N", [Q(3, 2), 1.5, Q(1), "1", True, None], ids=repr)
+    def test_augmentation_count_must_be_an_integer(self, N):
+        message = f"augmentation count must be an integer, got {N!r}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            sparse_or_dense(
+                majority_learner(), N, Q(1, 5), sample_1d((Q(0), 0)), (Q(1, 2),), UNIT, 0
+            )
 
 
 class TestSample:
@@ -186,6 +215,19 @@ class TestRobustPoint:
         L = Learner(k=2, train=train, family_at=family_at)
         out = robust_point((Q(1, 2),), sample_1d((Q(0), 0)), L, UNIT, 0)
         assert out.verdict is TwoBot.ONE
+
+    def test_bottom_base_is_bot_without_a_search(self):
+        searched = []
+
+        def family_at(sample, additions, point, fuel):
+            searched.append(additions)
+            return ColorEnvelope(frozenset({0}), False)
+
+        L = Learner(k=2, train=bot_learner().train, family_at=family_at)
+        for fuel in range(4):
+            out = robust_point((Q(1, 2),), sample_1d((Q(0), 0)), L, UNIT, fuel)
+            assert out == Outcome(TwoBot.BOT, base=KBot.bot())
+        assert searched == []
 
     def test_nn_flip_found_by_the_enumeration(self):
         L = nn_learner(tie_margin=Q(1, 200))

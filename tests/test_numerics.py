@@ -53,6 +53,45 @@ class TestRationalIO:
         with pytest.raises(ParseError):
             parse_rational(bad)
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("3/4", Q(3, 4)),
+            (" 7 / 8 ", Q(7, 8)),
+            ("\t5/10\n", Q(1, 2)),
+            ("+1/-2", Q(-1, 2)),
+            ("-0/5", Q(0)),
+            ("1_000/3", Q(1000, 3)),
+            ("  -7  ", Q(-7)),
+            ("1/" + "9" * 4000, Q(1, int("9" * 4000))),
+            ("1/0", "zero denominator in rational '1/0'"),
+            ("0/0", "zero denominator in rational '0/0'"),
+            ("1/ 0", "zero denominator in rational '1/ 0'"),
+            ("1/", "malformed rational '1/'"),
+            ("/2", "malformed rational '/2'"),
+            ("/0", "malformed rational '/0'"),
+            ("x/0", "malformed rational 'x/0'"),
+            ("1/2/3", "malformed rational '1/2/3'"),
+            ("1//2", "malformed rational '1//2'"),
+            ("1.5", "malformed rational '1.5'"),
+            ("1e3", "malformed rational '1e3'"),
+            ("", "malformed rational ''"),
+            ("/", "malformed rational '/'"),
+            ("9" * 5000, "malformed rational '999"),
+            (None, "expected a rational string, got None"),
+            (3, "expected a rational string, got 3"),
+            (b"1/2", "expected a rational string, got b'1/2'"),
+        ],
+        ids=repr,
+    )
+    def test_parse_value_or_message(self, text, expected):
+        if isinstance(expected, Q):
+            assert parse_rational(text) == expected
+        else:
+            with pytest.raises(ParseError) as info:
+                parse_rational(text)
+            assert str(info.value).startswith(expected)
+
     def test_floats_rejected_at_the_boundary(self):
         with pytest.raises(TypeError):
             as_rational(0.5)

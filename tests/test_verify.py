@@ -10,9 +10,11 @@ from boxcert import (
     Interval,
     KBot,
     MetricKind,
+    Outcome,
     TwoBot,
     ValidationError,
     Verdict,
+    VKSet,
     closed_ball,
     constant_classifier,
     constant_value,
@@ -24,6 +26,7 @@ from boxcert import (
     hyperplane_classifier,
     locally_constant,
     make_layer,
+    open_ball_overt,
     optimal_radius,
     radius_lower,
     radius_upper,
@@ -140,6 +143,48 @@ class TestConstantValue:
         region = domain_box(Box((Interval(Q(0), Q(1)),)))
         for fuel in range(8):
             assert constant_value(region, net, fuel).verdict is TwoBot.BOT
+
+
+EMPTY_CENTER = (Q(1, 3), Q(-1, 2), Q(2))
+
+
+def empty_regions(dims, metric):
+    """Every way to build an empty region: the sentinel, a negative closed
+    ball, and that ball's cover paired with a nonpositive open ball."""
+    c = EMPTY_CENTER[:dims]
+    return {
+        "empty_region": empty_region(dims),
+        "negative-ball": closed_ball(c, -1, metric),
+        **{
+            f"open-ball-r{r}": VKSet(
+                closed_ball(c, -1, metric).compact, open_ball_overt(c, r, metric)
+            )
+            for r in (0, -1)
+        },
+    }
+
+
+@pytest.mark.parametrize("metric", [MetricKind.MAX, MetricKind.EUCLID_SQ])
+@pytest.mark.parametrize("fuel", range(5))
+@pytest.mark.parametrize("dims", [1, 2, 3])
+def test_empty_regions_answer_vacuously(dims, fuel, metric):
+    """Nothing to cover or enumerate: every color certifies, none is found.
+
+    The classifiers commit everywhere, so any nonempty region would refute
+    some color; an empty region must still affirm each of them."""
+    classifiers = [
+        hyperplane_classifier((Q(1),) + (Q(0),) * (dims - 1), Q(0)),
+        constant_classifier(3, 1, dims),
+    ]
+    for name, region in empty_regions(dims, metric).items():
+        assert region.compact.cover_at(fuel) == [], name
+        assert region.overt.points_at(fuel) == [], name
+        for f in classifiers:
+            for n in range(f.k):
+                assert exists_value(n, region.overt, f, fuel) == Outcome(Verdict.UNKNOWN), name
+                assert forall_value(n, region.compact, f, fuel) is Verdict.CONFIRMED, name
+                assert fixed_value(n, region, f, fuel) == Outcome(TwoBot.ONE, color=n), name
+            assert constant_value(region, f, fuel) == Outcome(TwoBot.ONE, color=0), name
 
 
 class TestLocallyConstant:
