@@ -16,7 +16,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .classifiers import ColorEnvelope, IntervalClassifier, constant_classifier
 from .errors import ValidationError
@@ -31,7 +31,7 @@ from .numerics import (
     dist_point,
     dist_range,
 )
-from .regions import VKSet, outside_ball_compact, outside_ball_overt
+from .regions import CompactSet, OvertSet, VKSet, outside_ball_compact, outside_ball_overt
 
 __all__ = [
     "Sample",
@@ -98,7 +98,9 @@ class Learner:
     Both ``train`` and ``family_at`` must be order-free: permuting the
     sample's pairs, or the added ``(box, label)`` pairs, must not change
     what they return.  The robustness searches rely on this and try each
-    labeled multiset of added points once, in one order.
+    labeled multiset of added points once, in one order.  They call
+    ``family_at`` only with at least one addition: the trained classifier
+    itself judges the empty augmentation.
     """
 
     k: int
@@ -109,8 +111,8 @@ class Learner:
         if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
             raise ValidationError(f"learner k must be a positive integer, got {self.k!r}")
 
-    def check_labels(self, sample: Sample) -> None:
-        for _, label in sample.points:
+    def check_labels(self, pairs: Iterable[tuple[object, int]]) -> None:
+        for _, label in pairs:
             if not 0 <= label < self.k:
                 raise ValidationError(f"label {label} out of range for k={self.k}")
 
@@ -153,14 +155,12 @@ def nn_learner(tie_margin, k: int = 2, metric: MetricKind = MetricKind.MAX) -> L
         dists: list[tuple[Interval, int]] = [
             (Interval.point(dist_point(x, p, metric)), label) for p, label in sample.points
         ]
-        for box, label in additions:
-            if not 0 <= label < k:
-                raise ValidationError(f"label {label} out of range for k={k}")
-            dists.append((dist_range(box, x, metric), label))
+        learner.check_labels(itertools.chain(sample.points, additions))
+        dists += [(dist_range(box, x, metric), label) for box, label in additions]
         return _nn_envelope(dists, margin)
 
     def train(sample: Sample) -> IntervalClassifier:
-        learner.check_labels(sample)
+        learner.check_labels(sample.points)
         pts = sample.points
         if not pts:
             return constant_classifier(k, None, sample.dims)
@@ -214,17 +214,14 @@ def majority_learner(k: int = 2) -> Learner:
         return counts[0][0]
 
     def train(sample: Sample) -> IntervalClassifier:
-        learner.check_labels(sample)
+        learner.check_labels(sample.points)
         return constant_classifier(k, winner([label for _, label in sample.points]), sample.dims)
 
     def envelope_at(
         sample: Sample, additions: Sequence[tuple[Box, int]], x: Point, fuel: Fuel
     ) -> ColorEnvelope:
-        labels = [label for _, label in sample.points] + [label for _, label in additions]
-        for label in labels:
-            if not 0 <= label < k:
-                raise ValidationError(f"label {label} out of range for k={k}")
-        color = winner(labels)
+        learner.check_labels(itertools.chain(sample.points, additions))
+        color = winner([label for _, label in sample.points] + [label for _, label in additions])
         if color is None:
             return ColorEnvelope(frozenset(), True)
         return ColorEnvelope(frozenset((color,)), False)
@@ -290,57 +287,81 @@ def does_deviate(L: Learner, domain: VKSet, fuel: Fuel) -> Outcome:
     return Outcome(Verdict.UNKNOWN)
 
 
-def robust_point(
-    x: Sequence, sample: Sample, L: Learner, domain: VKSet, fuel: Fuel
-) -> Outcome:
-    """Does one poisoned training point flip the prediction at x?
-
-    ONE: the base prediction commits and survives every single-point
-    augmentation ranging over the whole domain, any label.  ZERO: some
-    enumerated augmentation retrains to a committed different color.  Both
-    need the base commitment first.
-    """
-    check_fuel(fuel)
+def _query_point(x: Sequence, sample: Sample, domain: VKSet) -> Point:
+    """The query point as exact rationals, of the sample's and domain's dimension."""
     point: Point = tuple(as_rational(c) for c in x)
     if sample.dims is not None and sample.dims != len(point):
         raise ValidationError("query point and sample disagree on dimension")
     if domain.dims != len(point):
         raise ValidationError("query point and domain disagree on dimension")
-    base = L.train(sample).eval_point(point, fuel)
-    if base.is_bot:
-        return Outcome(TwoBot.BOT, base=base)
-    flip: list[ExtensionWitness] = []
-
-    def yes_side(d: Fuel) -> Verdict:
-        for box in domain.compact.cover_at(d):
-            for label in range(L.k):
-                env = L.family_at(sample, [(box, label)], point, d)
-                if env.committed_color != base.color:
-                    return Verdict.UNKNOWN
-        return Verdict.CONFIRMED
-
-    def no_side(d: Fuel) -> Verdict:
-        for y in domain.overt.points_at(d):
-            for label in range(L.k):
-                got = L.train(Sample._exact(sample.points + ((y, label),))).eval_point(point, d)
-                if got.committed and got.color != base.color:
-                    flip.append(ExtensionWitness(((y, label),), got.color))
-                    return Verdict.CONFIRMED
-        return Verdict.UNKNOWN
-
-    value = race(yes_side, no_side, fuel)
-    return Outcome(value, base=base, witnesses=tuple(flip))
+    return point
 
 
 def _labeled_multisets(items: Sequence, k: int, n: int) -> Iterator[tuple]:
-    """Every multiset of at most n labeled items, each once, smallest first.
+    """Every nonempty multiset of at most n labeled items, each once, smallest first.
 
     The learners are order-free, so one sorted tuple of ``(item, label)``
     pairs stands for every ordering of the same additions.
     """
     pairs = [(item, label) for item in items for label in range(k)]
-    for j in range(n + 1):
+    for j in range(1, n + 1):
         yield from itertools.combinations_with_replacement(pairs, j)
+
+
+def _augmentation_race(
+    L: Learner, sample: Sample, point: Point, base: KBot, cover: CompactSet, points: OvertSet,
+    N: int, fuel: Fuel,
+) -> tuple[TwoBot, tuple[ExtensionWitness, ...]]:
+    """Race density against sparsity of up to N points added to the sample.
+
+    ``base``, the trained prediction at the point, is the empty augmentation
+    on both sides.  ONE (dense): base commits and every nonempty labeled
+    multiset of at most N ``cover`` boxes yields its color.  ZERO (sparse):
+    two augmentations by at most N enumerated ``points`` retrain to two
+    different committed colors; the witnesses are those two, in the order
+    found.
+    """
+    found: list[ExtensionWitness] = []
+
+    def dense(d: Fuel) -> Verdict:
+        if base.is_bot:
+            return Verdict.UNKNOWN
+        for additions in _labeled_multisets(cover.cover_at(d), L.k, N):
+            if L.family_at(sample, additions, point, d).committed_color != base.color:
+                return Verdict.UNKNOWN
+        return Verdict.CONFIRMED
+
+    def sparse(d: Fuel) -> Verdict:
+        seen = {base.color: ExtensionWitness((), base.color)} if base.committed else {}
+        for ext in _labeled_multisets(points.points_at(d), L.k, N):
+            got = L.train(Sample._exact(sample.points + ext)).eval_point(point, d)
+            if got.committed:
+                seen.setdefault(got.color, ExtensionWitness(ext, got.color))
+                if len(seen) == 2:
+                    found.extend(seen.values())
+                    return Verdict.CONFIRMED
+        return Verdict.UNKNOWN
+
+    return race(dense, sparse, fuel), tuple(found)
+
+
+def robust_point(x: Sequence, sample: Sample, L: Learner, domain: VKSet, fuel: Fuel) -> Outcome:
+    """Does one poisoned training point flip the prediction at x?
+
+    Once the base prediction commits, this is ``sparse_or_dense``'s race
+    with N = 1 over the whole domain.  ONE: the base survives every
+    single-point augmentation ranging over the domain, any label.  ZERO:
+    some enumerated augmentation retrains to a committed different color,
+    the one witness.
+    """
+    check_fuel(fuel)
+    point = _query_point(x, sample, domain)
+    base = L.train(sample).eval_point(point, fuel)
+    if base.is_bot:
+        return Outcome(TwoBot.BOT, base=base)
+    cover, points = domain.compact, domain.overt
+    value, witnesses = _augmentation_race(L, sample, point, base, cover, points, 1, fuel)
+    return Outcome(value, base=base, witnesses=witnesses[1:])
 
 
 def sparse_or_dense(
@@ -373,44 +394,9 @@ def sparse_or_dense(
     e = as_rational(eps)
     if e <= 0:
         raise ValidationError("eps must be positive")
-    point: Point = tuple(as_rational(c) for c in x)
-    if sample.dims is not None and sample.dims != len(point):
-        raise ValidationError("query point and sample disagree on dimension")
-    if domain.dims != len(point):
-        raise ValidationError("query point and domain disagree on dimension")
-    far_points = outside_ball_overt(domain, point, e, metric)
+    point = _query_point(x, sample, domain)
+    base = L.train(sample).eval_point(point, fuel)
     far_cover = outside_ball_compact(domain, point, e, metric)
-    sparse_pair: list[ExtensionWitness] = []
-    dense_color: list[int] = []
-
-    def zero_side(d: Fuel) -> Verdict:
-        seen: dict[int, ExtensionWitness] = {}
-        for ext in _labeled_multisets(far_points.points_at(d), L.k, N):
-            got = L.train(Sample._exact(sample.points + ext)).eval_point(point, d)
-            if not got.committed:
-                continue
-            seen.setdefault(got.color, ExtensionWitness(ext, got.color))
-            if len(seen) >= 2:
-                sparse_pair.extend(seen.values())
-                return Verdict.CONFIRMED
-        return Verdict.UNKNOWN
-
-    def yes_side(d: Fuel) -> Verdict:
-        target: int | None = None
-        for additions in _labeled_multisets(far_cover.cover_at(d), L.k, N):
-            color = L.family_at(sample, additions, point, d).committed_color
-            if color is None:
-                return Verdict.UNKNOWN
-            if target is None:
-                target = color
-            elif color != target:
-                return Verdict.UNKNOWN
-        if target is None:
-            return Verdict.UNKNOWN
-        dense_color.append(target)
-        return Verdict.CONFIRMED
-
-    value = race(yes_side, zero_side, fuel)
-    return Outcome(
-        value, color=dense_color[0] if dense_color else None, witnesses=tuple(sparse_pair)
-    )
+    far_points = outside_ball_overt(domain, point, e, metric)
+    value, witnesses = _augmentation_race(L, sample, point, base, far_cover, far_points, N, fuel)
+    return Outcome(value, color=base.color if value is TwoBot.ONE else None, witnesses=witnesses)

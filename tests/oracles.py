@@ -10,10 +10,12 @@ references at the end are the package's former ``Fraction``/``Interval``
 evaluators, kept as the reference for the integer kernels that replaced
 them, together with the ``Interval`` arithmetic they run on.  The two
 learner searches at the very end enumerate ordered tuples of added points,
-as the package did before its searches moved to multisets.  The
-per-color walkers at the end are the region ops as they were before each
-race side became one walk for all its colors: one cover walk and one
-witness walk per color, and the loops over colors around them.
+as the package did before its searches moved to multisets, and the
+``robust_point`` reference keeps the two race sides it had before it
+shared ``sparse_or_dense``'s race body.  The per-color walkers at the end
+are the region ops as they were before each race side became one walk for
+all its colors: one cover walk and one witness walk per color, and the
+loops over colors around them.
 """
 
 from __future__ import annotations
@@ -442,13 +444,40 @@ def ref_sparse_or_dense(L, N, eps, sample, point, domain, fuel, metric) -> Outco
     )
 
 
+def ref_robust_point(x, sample, L, domain, fuel) -> Outcome:
+    """``robust_point`` with the single-point race sides of its own."""
+    point = tuple(frac(c) for c in x)
+    base = L.train(sample).eval_point(point, fuel)
+    if base.is_bot:
+        return Outcome(TwoBot.BOT, base=base)
+    flip: list = []
+
+    def yes_side(d):
+        for box in domain.compact.cover_at(d):
+            for label in range(L.k):
+                env = L.family_at(sample, [(box, label)], point, d)
+                if env.committed_color != base.color:
+                    return Verdict.UNKNOWN
+        return Verdict.CONFIRMED
+
+    def no_side(d):
+        for y in domain.overt.points_at(d):
+            for label in range(L.k):
+                got = L.train(Sample._exact(sample.points + ((y, label),))).eval_point(point, d)
+                if got.committed and got.color != base.color:
+                    flip.append(ExtensionWitness(((y, label),), got.color))
+                    return Verdict.CONFIRMED
+        return Verdict.UNKNOWN
+
+    value = race(yes_side, no_side, fuel)
+    return Outcome(value, base=base, witnesses=tuple(flip))
+
+
 # ------------------------------------------------------ per-color walkers
 
 
 def ref_certified_everywhere(A, f, n, fuel) -> bool:
     """Does every box of the cover at this fuel commit to color n?"""
-    if A.bounding is None:
-        return True
     target = cover_width_target(A.bounding, fuel)
     stack = [A.bounding]
     while stack:
@@ -467,8 +496,6 @@ def ref_certified_everywhere(A, f, n, fuel) -> bool:
 
 def ref_find_witness(A, f, n, fuel):
     """First enumerated point of A evaluating to color n, in search order."""
-    if A.bounding is None:
-        return None
     step = dyadic_step(fuel)
     stack = [A.bounding]
     while stack:

@@ -4,7 +4,9 @@
 added points once, which is sound only because the learners are
 order-free.  The references in ``oracles`` retrain every ordering, so the
 two must reach the same verdict and color at every fuel, and every
-committed witness must replay through a real retrain.
+committed witness must replay through a real retrain.  ``robust_point``
+runs ``sparse_or_dense``'s race body; its reference keeps the two
+single-point race sides it had before, and the outcomes must be equal.
 """
 
 from __future__ import annotations
@@ -25,16 +27,18 @@ from boxcert import (
     domain_box,
     majority_learner,
     nn_learner,
+    robust_point,
     sparse_or_dense,
 )
 from boxcert.numerics import dist_point
 
-from oracles import ref_does_deviate, ref_sparse_or_dense
+from oracles import ref_does_deviate, ref_robust_point, ref_sparse_or_dense
 
 FUELS = range(5)
 # Majority first deviates at fuel 4 on [-1, 1] and at fuel 5 on [0, 1],
 # from a finer grid; the deviation search is cheap enough to go to 6.
 DEVIATE_FUELS = range(7)
+ROBUST_FUELS = range(7)
 METRICS = st.sampled_from([MetricKind.MAX, MetricKind.EUCLID_SQ])
 DOMAINS = st.sampled_from(
     [
@@ -106,6 +110,26 @@ def test_sparse_or_dense_matches_ordered_search(spec, domain, sample, x, n, eps)
                 assert retrained.eval_point(point, fuel) == KBot(witness.outcome)
                 outcomes.add(witness.outcome)
             assert len(outcomes) == 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    spec=learners(),
+    domain=DOMAINS,
+    sample=st.lists(st.tuples(st.tuples(GRID), st.integers(0, 1)), max_size=3),
+    x=GRID,
+)
+def test_robust_point_matches_its_own_race_sides(spec, domain, sample, x):
+    L, _ = spec
+    s, point = Sample(tuple(sample)), (x,)
+    for fuel in ROBUST_FUELS:
+        got = robust_point(point, s, L, domain, fuel)
+        assert got == ref_robust_point(point, s, L, domain, fuel)
+        for witness in got.witnesses:
+            (p, _), = witness.extension
+            assert domain.overt.member(p)
+            retrained = L.train(s.extend(witness.extension))
+            assert retrained.eval_point(point, fuel) == KBot(witness.outcome) != got.base
 
 
 # ---------------------------------------------------------- order-freeness

@@ -76,6 +76,32 @@ class TestCountArguments:
             )
 
 
+class TestLabelRange:
+    """A label outside 0..k-1 is a ValidationError wherever a learner meets it."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: nn_learner(Q(1, 8), k=2, metric=MetricKind.MAX),
+            lambda: nn_learner(Q(1, 8), k=2, metric=MetricKind.EUCLID_SQ),
+            lambda: majority_learner(k=2),
+        ],
+        ids=["nn-max", "nn-euclid-sq", "majority"],
+    )
+    @pytest.mark.parametrize("where", ["train", "family-sample", "family-additions"])
+    def test_label_out_of_range(self, make, where):
+        L = make()
+        good, bad = sample_1d((Q(0), 1)), sample_1d((Q(0), 5))
+        box = Box((Interval(Q(1, 4), Q(3, 4)),))
+        call = {
+            "train": lambda: L.train(bad),
+            "family-sample": lambda: L.family_at(bad, [], (Q(1, 2),), 0),
+            "family-additions": lambda: L.family_at(good, [(box, 0), (box, 5)], (Q(1, 2),), 0),
+        }[where]
+        with pytest.raises(ValidationError, match="^label 5 out of range for k=2$"):
+            call()
+
+
 class TestSample:
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(ValidationError, match="sample points must share one dimension"):
@@ -318,6 +344,38 @@ class TestSparseOrDense:
                 if value is not TwoBot.BOT:
                     seen.add(value)
             assert len(seen) <= 1
+
+
+class TestEmptyAugmentation:
+    """Both searches judge the empty augmentation by the trained classifier.
+
+    This learner's trained classifier commits to 0 everywhere, and so does
+    its family envelope given at least one addition; with none it is loose.
+    The searches never ask it about no additions, so both certify ONE.
+    """
+
+    @staticmethod
+    def loose_learner(asked):
+        def train(sample):
+            return constant_classifier(2, 0, dims=None)
+
+        def family_at(sample, additions, point, fuel):
+            asked.append(len(additions))
+            if additions:
+                return ColorEnvelope(frozenset({0}), False)
+            return ColorEnvelope(frozenset({0, 1}), True)
+
+        return Learner(k=2, train=train, family_at=family_at)
+
+    def test_both_searches_certify_the_trained_color(self):
+        asked = []
+        L = self.loose_learner(asked)
+        s, x = sample_1d((Q(0), 0)), (Q(1, 2),)
+        for fuel in range(3):
+            got = sparse_or_dense(L, 1, Q(1, 4), s, x, UNIT, fuel)
+            assert got == Outcome(TwoBot.ONE, color=0)
+            assert robust_point(x, s, L, UNIT, fuel) == Outcome(TwoBot.ONE, base=KBot(0))
+        assert asked and 0 not in asked
 
 
 class TestFamilyEnvelopes:

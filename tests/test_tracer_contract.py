@@ -44,6 +44,8 @@ def test_tracer_installs_and_counts_golden_queries(capsys):
     assert counts["verify.constant_value.calls"] > 0
     assert counts["verify.exists_value.calls"] > 0
     assert counts["verify.radius_lower.approx.calls"] > 0
+    assert counts["learners.robust_point.calls"] > 0
+    assert counts["learners.sparse_or_dense.calls"] > 0
     assert counts["learners.train.calls"] > 0
     assert counts["learners.family_at.calls"] > 0
     assert not hasattr(cli.main, "__wrapped__")
