@@ -29,6 +29,7 @@ __all__ = [
     "Layer",
     "threshold_net_classifier",
     "constant_classifier",
+    "make_layer",
 ]
 
 
@@ -256,8 +257,10 @@ def threshold_net_classifier(layers: Sequence[Layer], margin) -> IntervalClassif
 
 def constant_classifier(k: int, color: int | None, dims: int | None) -> IntervalClassifier:
     """Same answer everywhere: a fixed color, or silence when color is None."""
-    if color is not None and not 0 <= color < k:
-        raise ValidationError(f"color {color} out of range for k={k}")
+    if color is not None and (
+        not isinstance(color, int) or isinstance(color, bool) or not 0 <= color < k
+    ):
+        raise ValidationError(f"color {color!r} out of range for k={k}")
     answer = KBot(color)
     envelope = (
         ColorEnvelope(frozenset((color,)), False)

@@ -12,6 +12,8 @@ Every failure that callers are expected to handle derives from
 
 from __future__ import annotations
 
+__all__ = ["BoxcertError", "IncoherentRace", "ParseError", "ValidationError"]
+
 
 class BoxcertError(Exception):
     """Base class for all errors raised by this package."""

@@ -23,7 +23,6 @@ __all__ = [
     "KBot",
     "Outcome",
     "SemiDecider",
-    "check_fuel",
     "any_of",
     "race",
 ]

@@ -112,9 +112,10 @@ class Learner:
             raise ValidationError(f"learner k must be a positive integer, got {self.k!r}")
 
     def check_labels(self, pairs: Iterable[tuple[object, int]]) -> None:
+        k = self.k
         for _, label in pairs:
-            if not 0 <= label < self.k:
-                raise ValidationError(f"label {label} out of range for k={self.k}")
+            if not isinstance(label, int) or isinstance(label, bool) or not 0 <= label < k:
+                raise ValidationError(f"label {label!r} out of range for k={k}")
 
 
 def _nn_envelope(dists: Sequence[tuple[Interval, int]], margin: Fraction) -> ColorEnvelope:

@@ -29,7 +29,6 @@ __all__ = [
     "as_rational",
     "parse_rational",
     "format_rational",
-    "common_denominator",
     "Interval",
     "Box",
     "MetricKind",
@@ -37,7 +36,6 @@ __all__ = [
     "dist_range",
     "dyadic_step",
     "dyadic_grid",
-    "grid_points",
     "LowerReal",
     "UpperReal",
 ]

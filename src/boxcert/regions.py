@@ -42,6 +42,7 @@ __all__ = [
     "outside_ball_overt",
     "outside_ball_compact",
     "empty_region",
+    "cover_width_target",
 ]
 
 

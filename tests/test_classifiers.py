@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -140,6 +141,12 @@ class TestConstantClassifier:
     def test_color_out_of_range(self):
         with pytest.raises(ValidationError, match="color 2 out of range for k=2"):
             constant_classifier(2, 2, dims=1)
+
+    @pytest.mark.parametrize("color", [True, 0.5, Q(1), "1"], ids=["bool", "float", "fraction", "str"])
+    def test_color_not_an_integer(self, color):
+        message = f"color {color!r} out of range for k=2"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            constant_classifier(2, color, dims=1)
 
 
 net_params = st.tuples(

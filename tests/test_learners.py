@@ -76,30 +76,46 @@ class TestCountArguments:
             )
 
 
-class TestLabelRange:
-    """A label outside 0..k-1 is a ValidationError wherever a learner meets it."""
+EVERY_LEARNER = pytest.mark.parametrize(
+    "make",
+    [
+        lambda: nn_learner(Q(1, 8), k=2, metric=MetricKind.MAX),
+        lambda: nn_learner(Q(1, 8), k=2, metric=MetricKind.EUCLID_SQ),
+        lambda: majority_learner(k=2),
+    ],
+    ids=["nn-max", "nn-euclid-sq", "majority"],
+)
+EVERY_CHECK = pytest.mark.parametrize("where", ["train", "family-sample", "family-additions"])
 
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda: nn_learner(Q(1, 8), k=2, metric=MetricKind.MAX),
-            lambda: nn_learner(Q(1, 8), k=2, metric=MetricKind.EUCLID_SQ),
-            lambda: majority_learner(k=2),
-        ],
-        ids=["nn-max", "nn-euclid-sq", "majority"],
-    )
-    @pytest.mark.parametrize("where", ["train", "family-sample", "family-additions"])
-    def test_label_out_of_range(self, make, where):
+
+class TestLabelRange:
+    """A label that is not an integer in 0..k-1 is a ValidationError
+    wherever a learner meets it."""
+
+    @staticmethod
+    def meet(make, where, label):
         L = make()
-        good, bad = sample_1d((Q(0), 1)), sample_1d((Q(0), 5))
+        good, bad = sample_1d((Q(0), 1)), sample_1d((Q(0), label))
         box = Box((Interval(Q(1, 4), Q(3, 4)),))
         call = {
             "train": lambda: L.train(bad),
             "family-sample": lambda: L.family_at(bad, [], (Q(1, 2),), 0),
-            "family-additions": lambda: L.family_at(good, [(box, 0), (box, 5)], (Q(1, 2),), 0),
+            "family-additions": lambda: L.family_at(good, [(box, 0), (box, label)], (Q(1, 2),), 0),
         }[where]
-        with pytest.raises(ValidationError, match="^label 5 out of range for k=2$"):
+        message = f"label {label!r} out of range for k=2"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             call()
+
+    @EVERY_LEARNER
+    @EVERY_CHECK
+    def test_label_out_of_range(self, make, where):
+        self.meet(make, where, 5)
+
+    @pytest.mark.parametrize("label", [True, 0.5, Q(1), "1"], ids=["bool", "float", "fraction", "str"])
+    @EVERY_LEARNER
+    @EVERY_CHECK
+    def test_label_not_an_integer(self, make, where, label):
+        self.meet(make, where, label)
 
 
 class TestSample:
