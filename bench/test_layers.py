@@ -10,8 +10,10 @@ boxes 1/256 wide (about fuel 8) at non-dyadic offsets, a net shaped like
 the ones in the benchmark's robustness sweep (2 inputs, 3 relu units,
 3 scores) and a 9-point nearest-neighbor sample.  The two learner searches
 are timed as whole calls: ``does_deviate`` on the unit interval at fuel 6
-and ``sparse_or_dense`` with two added points at fuel 4, on a sample that
-the dense side certifies only after trying every augmentation.
+and on the 4-D unit box at fuel 5, where the search reads a few points of
+grids up to 17**4 points large, and ``sparse_or_dense`` with two added
+points at fuel 4, on a sample that the dense side certifies only after
+trying every augmentation.
 
 The region layer is timed at fuel 6 on two of the sweep's
 ``locallyConstant`` queries: a 2-D relu net with k = 3 on small
@@ -108,6 +110,10 @@ def test_nn_eval_point(benchmark):
 
 def test_does_deviate_nn(benchmark):
     benchmark(does_deviate, nn_learner(Q(1, 16)), UNIT, 6)
+
+
+def test_does_deviate_nn_4d(benchmark):
+    benchmark(does_deviate, nn_learner(Q(1, 16)), domain_box([(0, 1)] * 4), 5)
 
 
 def test_sparse_or_dense_nn(benchmark):

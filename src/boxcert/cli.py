@@ -1,10 +1,13 @@
 """Command line front end.
 
 The library operations are pure functions of a single fuel value; the fuel
-loop lives here.  ``verify`` iterates fuel from zero to the budget, stops at
-the first committed answer, and renders a deterministic report: same input
-files and flags give byte-identical output.  Exit codes: 0 for a committed
-answer, 2 for unknown or bottom at budget, 1 for a hard error.
+loop lives here.  For the region and learner ops ``verify`` iterates fuel
+from zero to the budget and stops at the first committed answer;
+``radiusLower`` and ``radiusUpper`` evaluate their stream once at the
+budget, and ``optimalRadius`` runs the loop of ``optimal_radius``.  Every
+report is deterministic: same input files and flags give byte-identical
+output.  Exit codes: 0 for a committed answer, 2 for unknown or bottom at
+budget, 1 for a hard error.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from .classifiers import (
 from .errors import ParseError, ValidationError
 from .learners import Learner, Sample, majority_learner, nn_learner
 from .numerics import Box, MetricKind, Point, format_rational, parse_rational
-from .regions import VKSet, closed_ball, domain_box, outside_ball_compact, outside_ball_overt
+from .regions import VKSet, closed_ball, domain_box, outside_ball
 
 __all__ = [
     "load_json",
@@ -184,8 +184,5 @@ def region_from_json(obj: Any, metric: MetricKind) -> VKSet:
         eps = rational_from_json(_field(obj, "eps", "outside-ball region"))
         if eps <= 0:
             raise ValidationError(f"outside-ball eps must be positive, got {eps}")
-        return VKSet(
-            compact=outside_ball_compact(domain, center, eps, metric),
-            overt=outside_ball_overt(domain, center, eps, metric),
-        )
+        return outside_ball(domain, center, eps, metric)
     raise ParseError(f"unknown region type {rtype!r}")

@@ -31,7 +31,7 @@ from .numerics import (
     dist_point,
     dist_range,
 )
-from .regions import CompactSet, OvertSet, VKSet, outside_ball_compact, outside_ball_overt
+from .regions import VKSet, outside_ball
 
 __all__ = [
     "Sample",
@@ -276,7 +276,7 @@ def does_deviate(L: Learner, domain: VKSet, fuel: Fuel) -> Outcome:
                     continue
                 if depth not in grids:
                     # No stage up to this fuel reads further into the grid.
-                    grids[depth] = domain.overt.points_at(depth)[: 2 ** (fuel - 1 - depth) + 1]
+                    grids[depth] = domain.overt.points_at(depth, 2 ** (fuel - 1 - depth) + 1)
                 for tup in itertools.combinations(grids[depth][:window], t):
                     for labels in itertools.product(range(L.k), repeat=t):
                         trained = L.train(Sample._exact(tuple(zip(tup, labels))))
@@ -310,31 +310,30 @@ def _labeled_multisets(items: Sequence, k: int, n: int) -> Iterator[tuple]:
 
 
 def _augmentation_race(
-    L: Learner, sample: Sample, point: Point, base: KBot, cover: CompactSet, points: OvertSet,
-    N: int, fuel: Fuel,
+    L: Learner, sample: Sample, point: Point, base: KBot, region: VKSet, N: int, fuel: Fuel
 ) -> tuple[TwoBot, tuple[ExtensionWitness, ...]]:
     """Race density against sparsity of up to N points added to the sample.
 
     ``base``, the trained prediction at the point, is the empty augmentation
     on both sides.  ONE (dense): base commits and every nonempty labeled
-    multiset of at most N ``cover`` boxes yields its color.  ZERO (sparse):
-    two augmentations by at most N enumerated ``points`` retrain to two
-    different committed colors; the witnesses are those two, in the order
-    found.
+    multiset of at most N of the ``region``'s cover boxes yields its color.
+    ZERO (sparse): two augmentations by at most N of its enumerated points
+    retrain to two different committed colors; the witnesses are those
+    two, in the order found.
     """
     found: list[ExtensionWitness] = []
 
     def dense(d: Fuel) -> Verdict:
         if base.is_bot:
             return Verdict.UNKNOWN
-        for additions in _labeled_multisets(cover.cover_at(d), L.k, N):
+        for additions in _labeled_multisets(region.compact.cover_at(d), L.k, N):
             if L.family_at(sample, additions, point, d).committed_color != base.color:
                 return Verdict.UNKNOWN
         return Verdict.CONFIRMED
 
     def sparse(d: Fuel) -> Verdict:
         seen = {base.color: ExtensionWitness((), base.color)} if base.committed else {}
-        for ext in _labeled_multisets(points.points_at(d), L.k, N):
+        for ext in _labeled_multisets(region.overt.points_at(d), L.k, N):
             got = L.train(Sample._exact(sample.points + ext)).eval_point(point, d)
             if got.committed:
                 seen.setdefault(got.color, ExtensionWitness(ext, got.color))
@@ -360,8 +359,7 @@ def robust_point(x: Sequence, sample: Sample, L: Learner, domain: VKSet, fuel: F
     base = L.train(sample).eval_point(point, fuel)
     if base.is_bot:
         return Outcome(TwoBot.BOT, base=base)
-    cover, points = domain.compact, domain.overt
-    value, witnesses = _augmentation_race(L, sample, point, base, cover, points, 1, fuel)
+    value, witnesses = _augmentation_race(L, sample, point, base, domain, 1, fuel)
     return Outcome(value, base=base, witnesses=witnesses[1:])
 
 
@@ -381,9 +379,7 @@ def sparse_or_dense(
     strictly farther than eps from x, retrain to two different committed
     colors.  ONE (dense): every augmentation by at most N points at
     distance eps or more, placed anywhere, yields one committed color.
-    The strict/non-strict pair is deliberate: the sparse side searches an
-    open set presented by enumeration, the dense side certifies its closure
-    presented by covers.
+    :func:`outside_ball` explains the strict/non-strict pair.
     """
     check_fuel(fuel)
     if not isinstance(N, int) or isinstance(N, bool):
@@ -397,7 +393,6 @@ def sparse_or_dense(
         raise ValidationError("eps must be positive")
     point = _query_point(x, sample, domain)
     base = L.train(sample).eval_point(point, fuel)
-    far_cover = outside_ball_compact(domain, point, e, metric)
-    far_points = outside_ball_overt(domain, point, e, metric)
-    value, witnesses = _augmentation_race(L, sample, point, base, far_cover, far_points, N, fuel)
+    far = outside_ball(domain, point, e, metric)
+    value, witnesses = _augmentation_race(L, sample, point, base, far, N, fuel)
     return Outcome(value, color=base.color if value is TwoBot.ONE else None, witnesses=witnesses)

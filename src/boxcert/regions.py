@@ -14,6 +14,7 @@ existential commitment stable.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -39,8 +40,7 @@ __all__ = [
     "closed_ball",
     "open_ball_overt",
     "domain_box",
-    "outside_ball_overt",
-    "outside_ball_compact",
+    "outside_ball",
     "empty_region",
     "cover_width_target",
 ]
@@ -101,10 +101,11 @@ class OvertSet:
     member: Callable[[Point], bool]
     box_disjoint: Callable[[Box], bool]
 
-    def points_at(self, fuel: Fuel) -> list[Point]:
-        """Grid members at denominator 2**fuel, lexicographic order."""
+    def points_at(self, fuel: Fuel, limit: int | None = None) -> list[Point]:
+        """Grid members at denominator 2**fuel, lexicographic order; with a
+        ``limit``, only the first ``limit``, walking the grid no further."""
         check_fuel(fuel)
-        return [p for p in grid_points(self.bounding, fuel) if self.member(p)]
+        return list(itertools.islice(filter(self.member, grid_points(self.bounding, fuel)), limit))
 
 
 @dataclass(frozen=True)
@@ -188,34 +189,27 @@ def domain_box(bounds: Sequence) -> VKSet:
     return VKSet(compact, overt)
 
 
-def outside_ball_overt(domain: VKSet, center: Sequence, eps, metric: MetricKind) -> OvertSet:
-    """Members of the domain strictly farther than eps from the center.
+def outside_ball(domain: VKSet, center: Sequence, eps, metric: MetricKind) -> VKSet:
+    """The domain points strictly farther than eps from the center.
 
-    The strictness matters: the enumerated set is the open complement,
-    whose closure the matching compact side covers with a non-strict test.
-    Whether this set is empty is not decidable from the outside; a search
-    that finds nothing at its fuel stays undetermined there.
+    The strictness matters: the enumeration lists only points of this open
+    set, and the covers bracket its closure, the points at distance eps or
+    more, with a non-strict test.  Whether this set is empty is not
+    decidable from the outside; a search that finds nothing at its fuel
+    stays undetermined there.
     """
     x: Point = tuple(as_rational(c) for c in center)
     e = as_rational(eps)
     if len(x) != domain.dims:
         raise ValidationError(f"dimension mismatch: {domain.dims} vs {len(x)}")
-    inner = domain.overt
-    return OvertSet(
-        inner.bounding,
-        lambda p: inner.member(p) and dist_point(p, x, metric) > e,
-        lambda box: inner.box_disjoint(box) or dist_range(box, x, metric).hi <= e,
+    inner_cover, inner_points = domain.compact, domain.overt
+    compact = CompactSet(
+        inner_cover.bounding,
+        lambda box: inner_cover.keep(box) and dist_range(box, x, metric).hi >= e,
     )
-
-
-def outside_ball_compact(domain: VKSet, center: Sequence, eps, metric: MetricKind) -> CompactSet:
-    """Cover of the domain points at distance >= eps from the center."""
-    x: Point = tuple(as_rational(c) for c in center)
-    e = as_rational(eps)
-    if len(x) != domain.dims:
-        raise ValidationError(f"dimension mismatch: {domain.dims} vs {len(x)}")
-    inner = domain.compact
-    return CompactSet(
-        inner.bounding,
-        lambda box: inner.keep(box) and dist_range(box, x, metric).hi >= e,
+    overt = OvertSet(
+        inner_points.bounding,
+        lambda p: inner_points.member(p) and dist_point(p, x, metric) > e,
+        lambda box: inner_points.box_disjoint(box) or dist_range(box, x, metric).hi <= e,
     )
+    return VKSet(compact, overt)

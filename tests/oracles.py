@@ -44,7 +44,7 @@ from boxcert import (
     race,
 )
 from boxcert.learners import _ceil_div, _nn_envelope
-from boxcert.regions import outside_ball_compact, outside_ball_overt
+from boxcert.regions import outside_ball
 
 Q = Fraction
 
@@ -401,13 +401,12 @@ def ref_does_deviate(L, domain, fuel) -> Outcome:
 
 def ref_sparse_or_dense(L, N, eps, sample, point, domain, fuel, metric) -> Outcome:
     """``sparse_or_dense`` over ordered tuples of points and of labels."""
-    far_points = outside_ball_overt(domain, point, eps, metric)
-    far_cover = outside_ball_compact(domain, point, eps, metric)
+    far = outside_ball(domain, point, eps, metric)
     sparse_pair: list = []
     dense_color: list = []
 
     def zero_side(d):
-        pts = far_points.points_at(d)
+        pts = far.overt.points_at(d)
         seen: dict = {}
         for j in range(N + 1):
             for combo in product(pts, repeat=j):
@@ -423,7 +422,7 @@ def ref_sparse_or_dense(L, N, eps, sample, point, domain, fuel, metric) -> Outco
         return Verdict.UNKNOWN
 
     def yes_side(d):
-        cover = far_cover.cover_at(d)
+        cover = far.compact.cover_at(d)
         target = None
         for j in range(N + 1):
             for boxes in product(cover, repeat=j):

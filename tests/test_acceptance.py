@@ -39,8 +39,7 @@ from boxcert import (
     make_layer,
     nn_learner,
     optimal_radius,
-    outside_ball_compact,
-    outside_ball_overt,
+    outside_ball,
     radius_lower,
     radius_upper,
     robust_point,
@@ -501,10 +500,7 @@ def _c8_regions():
         if kind == "annulus":
             dom = domain_box([(c - 1, c + 1) for c in center])
             eps = Q(rng.randint(1, 4), 8)
-            region = VKSet(
-                outside_ball_compact(dom, center, eps, MetricKind.MAX),
-                outside_ball_overt(dom, center, eps, MetricKind.MAX),
-            )
+            region = outside_ball(dom, center, eps, MetricKind.MAX)
             member = lambda p, c=center, e=eps, d=dom: (
                 max_dist(p, c) > e
                 and all(s.lo <= v <= s.hi for v, s in zip(p, d.compact.bounding.sides))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 import re
 from fractions import Fraction as Q
@@ -19,6 +20,7 @@ from boxcert import (
     TwoBot,
     ValidationError,
     Verdict,
+    VKSet,
     constant_classifier,
     does_deviate,
     domain_box,
@@ -237,6 +239,24 @@ class TestDoesDeviate:
     def test_bot_learner_never_deviates(self):
         for fuel in range(7):
             assert does_deviate(bot_learner(), UNIT, fuel).verdict is Verdict.UNKNOWN
+
+    def test_reads_only_the_grid_prefix_it_searches(self):
+        cube = domain_box([(0, 1)] * 3)
+        tested = []
+
+        def member(p):
+            tested.append(p)
+            return cube.overt.member(p)
+
+        counted = VKSet(cube.compact, dataclasses.replace(cube.overt, member=member))
+        fuel = 5
+        assert does_deviate(bot_learner(), counted, fuel).verdict is Verdict.UNKNOWN
+        # A search that finds nothing reads every window, and the widest at
+        # depth d holds the first 2**(fuel-1-d)+1 of the grid's (2**d+1)**3
+        # points.  Each of those is tested once: 27 tests, where the whole
+        # grids hold 5,802 points.
+        prefixes = [min(2 ** (fuel - 1 - d) + 1, (2**d + 1) ** 3) for d in range(fuel)]
+        assert len(tested) == sum(prefixes) == 27
 
 
 class TestRobustPoint:

@@ -17,8 +17,7 @@ from boxcert import (
     dyadic_step,
     empty_region,
     open_ball_overt,
-    outside_ball_compact,
-    outside_ball_overt,
+    outside_ball,
 )
 
 
@@ -99,8 +98,8 @@ class TestDomainBox:
 class TestOutsideBall:
     def test_enumeration_within_the_two_segments(self):
         domain = domain_box(unit_box((Q(0), Q(1))))
-        overt = outside_ball_overt(domain, (Q(1, 2),), Q(1, 5), MetricKind.MAX)
-        pts = overt.points_at(2)
+        region = outside_ball(domain, (Q(1, 2),), Q(1, 5), MetricKind.MAX)
+        pts = region.overt.points_at(2)
         assert (Q(1, 4),) in pts
         assert (Q(3, 4),) in pts
         for (y,) in pts:
@@ -108,20 +107,20 @@ class TestOutsideBall:
 
     def test_oversized_ball_leaves_nothing(self):
         domain = domain_box(unit_box((Q(0), Q(1))))
-        overt = outside_ball_overt(domain, (Q(1, 2),), Q(3, 5), MetricKind.MAX)
+        region = outside_ball(domain, (Q(1, 2),), Q(3, 5), MetricKind.MAX)
         for fuel in range(6):
-            assert overt.points_at(fuel) == []
+            assert region.overt.points_at(fuel) == []
 
     def test_boundary_distance_is_not_strictly_outside(self):
         domain = domain_box(unit_box((Q(0), Q(1))))
-        overt = outside_ball_overt(domain, (Q(0),), Q(1), MetricKind.MAX)
+        region = outside_ball(domain, (Q(0),), Q(1), MetricKind.MAX)
         for fuel in range(5):
-            assert overt.points_at(fuel) == []
+            assert region.overt.points_at(fuel) == []
 
     def test_cover_brackets_the_two_segments(self):
         domain = domain_box(unit_box((Q(0), Q(1))))
-        compact = outside_ball_compact(domain, (Q(1, 2),), Q(1, 5), MetricKind.MAX)
-        boxes = compact.cover_at(4)
+        region = outside_ball(domain, (Q(1, 2),), Q(1, 5), MetricKind.MAX)
+        boxes = region.compact.cover_at(4)
         slack = Q(1, 16)
         for box in boxes:
             side = box.sides[0]
@@ -133,24 +132,23 @@ class TestOutsideBall:
 
     def test_cover_empties_when_the_ball_swallows_the_domain(self):
         domain = domain_box(unit_box((Q(0), Q(1))))
-        compact = outside_ball_compact(domain, (Q(1, 2),), Q(2), MetricKind.MAX)
-        assert compact.cover_at(0) == []
+        region = outside_ball(domain, (Q(1, 2),), Q(2), MetricKind.MAX)
+        assert region.compact.cover_at(0) == []
 
     def test_cover_is_whole_domain_when_ball_is_far_away(self):
         domain = domain_box(unit_box((Q(0), Q(1))))
-        compact = outside_ball_compact(domain, (Q(5),), Q(1), MetricKind.MAX)
+        region = outside_ball(domain, (Q(5),), Q(1), MetricKind.MAX)
         for fuel in (0, 2):
-            boxes = compact.cover_at(fuel)
+            boxes = region.compact.cover_at(fuel)
             for target in [Q(0), Q(1, 3), Q(1)]:
                 assert covered((target,), boxes)
             for box in boxes:
                 assert box.sides[0].lo >= 0 and box.sides[0].hi <= 1
 
-    @pytest.mark.parametrize("build", [outside_ball_overt, outside_ball_compact])
-    def test_center_must_match_the_domain(self, build):
+    def test_center_must_match_the_domain(self):
         domain = domain_box(unit_box((Q(0), Q(1))))
         with pytest.raises(ValidationError, match="dimension mismatch: 1 vs 2"):
-            build(domain, (Q(0), Q(0)), Q(1), MetricKind.MAX)
+            outside_ball(domain, (Q(0), Q(0)), Q(1), MetricKind.MAX)
 
 
 class TestEmptyRegion:
@@ -204,3 +202,31 @@ def test_enumerations_nest_across_fuel(params, fuel):
     coarse = set(ball.overt.points_at(fuel))
     fine = set(ball.overt.points_at(fuel + 1))
     assert coarse <= fine
+
+
+@st.composite
+def outside_ball_specs(draw):
+    """A 1-2-D box domain, a center near it, eps and a metric."""
+    coords = st.fractions(min_value=-2, max_value=2, max_denominator=8)
+    dims = draw(st.integers(min_value=1, max_value=2))
+    sides = []
+    for _ in range(dims):
+        lo = draw(coords)
+        sides.append((lo, lo + draw(st.fractions(min_value=0, max_value=2, max_denominator=8))))
+    center = tuple(draw(coords) for _ in range(dims))
+    eps = draw(st.fractions(min_value=Q(1, 16), max_value=2, max_denominator=16))
+    metric = draw(st.sampled_from([MetricKind.MAX, MetricKind.EUCLID_SQ]))
+    return domain_box(sides), center, eps, metric
+
+
+@given(spec=outside_ball_specs(), fuel=st.integers(min_value=0, max_value=4))
+@settings(deadline=None, max_examples=150)
+def test_outside_ball_presentations_agree(spec, fuel):
+    """Every enumerated point is a strict member and lies in the same-fuel cover."""
+    domain, center, eps, metric = spec
+    region = outside_ball(domain, center, eps, metric)
+    cover = region.compact.cover_at(fuel)
+    for p in region.overt.points_at(fuel):
+        assert domain.compact.bounding.contains(p)
+        assert dist_point(p, center, metric) > eps
+        assert covered(p, cover)
