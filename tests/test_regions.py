@@ -145,10 +145,13 @@ class TestOutsideBall:
             for box in boxes:
                 assert box.sides[0].lo >= 0 and box.sides[0].hi <= 1
 
-    def test_center_must_match_the_domain(self):
+    @pytest.mark.parametrize(
+        "half", ["overt", "compact"], ids=["outside_ball_overt", "outside_ball_compact"]
+    )
+    def test_center_must_match_the_domain(self, half):
         domain = domain_box(unit_box((Q(0), Q(1))))
         with pytest.raises(ValidationError, match="dimension mismatch: 1 vs 2"):
-            outside_ball(domain, (Q(0), Q(0)), Q(1), MetricKind.MAX)
+            getattr(outside_ball(domain, (Q(0), Q(0)), Q(1), MetricKind.MAX), half)
 
 
 class TestEmptyRegion:
