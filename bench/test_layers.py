@@ -20,7 +20,12 @@ The region layer is timed at fuel 6 on two of the sweep's
 ``euclid-sq`` balls.  On ``zero`` the open ball holds colors 0 and 1, and
 the no side finds both early; on ``one`` color 2 certifies, so both sides
 walk their whole trees.  Each race side walker is timed on its own, for
-all three colors, and so is the whole ``constant_value`` race.
+all three colors, and so is the whole ``constant_value`` race.  The
+walkers resume their last walk when asked the same of the same region
+again, so every round of these gets a freshly built ball and times a walk
+from the root.  The whole ``locally_constant`` fuel loop 0..12 is timed on
+``bot``, a ball that meets color 2 and the band where the net abstains, so
+neither side ever commits: the shape of the sweep's slowest queries.
 ``Box.bisect`` is timed on the 1/256 box.
 """
 
@@ -42,6 +47,7 @@ from boxcert import (
     does_deviate,
     domain_box,
     hyperplane_classifier,
+    locally_constant,
     make_layer,
     nn_learner,
     open_ball_overt,
@@ -64,15 +70,19 @@ NET3 = threshold_net_classifier(
     Q(1, 16),
 )
 BALLS = {
-    name: VKSet(
+    "zero": ((Q(313, 384), Q(217, 128)), Q(1, 64)),
+    "one": ((Q(289, 384), Q(255, 128)), Q(1, 256)),
+}
+BOT_BALL = ((Q(175, 192), Q(721, 384)), Q(1, 1024))
+ROUNDS = 20
+
+
+def fresh_ball(name: str) -> VKSet:
+    center, radius = BALLS[name]
+    return VKSet(
         closed_ball(center, radius, MetricKind.EUCLID_SQ).compact,
         open_ball_overt(center, radius, MetricKind.EUCLID_SQ),
     )
-    for name, center, radius in [
-        ("zero", (Q(313, 384), Q(217, 128)), Q(1, 64)),
-        ("one", (Q(289, 384), Q(255, 128)), Q(1, 256)),
-    ]
-}
 
 
 def test_net_eval_box(benchmark):
@@ -127,14 +137,37 @@ def test_box_bisect(benchmark):
 
 @pytest.mark.parametrize("ball", BALLS)
 def test_certified_colors(benchmark, ball):
-    benchmark(_certified_colors, BALLS[ball].compact, NET3, range(3), 6)
+    benchmark.pedantic(
+        _certified_colors,
+        setup=lambda: ((fresh_ball(ball).compact, NET3, range(3), 6), {}),
+        rounds=ROUNDS,
+    )
 
 
 @pytest.mark.parametrize("ball", BALLS)
 def test_find_witnesses(benchmark, ball):
-    benchmark(_find_witnesses, BALLS[ball].overt, NET3, range(3), 2, 6)
+    benchmark.pedantic(
+        _find_witnesses,
+        setup=lambda: ((fresh_ball(ball).overt, NET3, range(3), 2, 6), {}),
+        rounds=ROUNDS,
+    )
 
 
 @pytest.mark.parametrize("ball", BALLS)
 def test_constant_value(benchmark, ball):
-    benchmark(constant_value, BALLS[ball], NET3, 6)
+    benchmark.pedantic(
+        constant_value, setup=lambda: ((fresh_ball(ball), NET3, 6), {}), rounds=ROUNDS
+    )
+
+
+def locally_constant_loop(center, radius):
+    """Every fuel 0..12 in turn, as ``boxcert verify`` runs a query that stays bot."""
+    return [
+        locally_constant(center, radius, NET3, fuel, MetricKind.EUCLID_SQ).verdict
+        for fuel in range(13)
+    ]
+
+
+def test_locally_constant_fuel_loop(benchmark):
+    verdicts = benchmark.pedantic(locally_constant_loop, args=BOT_BALL, rounds=ROUNDS)
+    assert not any(v.committed for v in verdicts)

@@ -62,9 +62,11 @@ class ColorEnvelope:
 class IntervalClassifier:
     """A k-color classifier with exact point and enveloping box evaluators.
 
-    Both evaluators take a fuel argument for interface uniformity; the
-    concrete classifiers here are exact rational machines, so they give
-    their final answer at every fuel.
+    Both evaluators take a fuel argument for interface uniformity, but
+    their answers must not depend on it: the region walkers resume at
+    fuel d + 1 from what they found at fuel d.  The concrete classifiers
+    here are exact rational machines, so they give their final answer at
+    every fuel.
     """
 
     k: int

@@ -1,18 +1,21 @@
 """Command line front end.
 
-The library operations are pure functions of a single fuel value; the fuel
-loop lives here.  For the region and learner ops ``verify`` iterates fuel
-from zero to the budget and stops at the first committed answer;
-``radiusLower`` and ``radiusUpper`` evaluate their stream once at the
-budget, and ``optimalRadius`` runs the loop of ``optimal_radius``.  Every
-report is deterministic: same input files and flags give byte-identical
-output.  Exit codes: 0 for a committed answer, 2 for unknown or bottom at
-budget, 1 for a hard error.
+The library operations give results that are pure functions of a single
+fuel value; the fuel loop lives here.  Each region walker resumes its last
+walk when the loop asks about the same region at the next fuel, so the
+loop walks each subdivision tree once.  For the region and learner ops
+``verify`` iterates fuel from zero to the budget and stops at the first
+committed answer; ``radiusLower`` and ``radiusUpper`` evaluate their
+stream once at the budget, and ``optimalRadius`` runs the loop of
+``optimal_radius``.  Every report is deterministic: same input files and
+flags give byte-identical output.  Exit codes: 0 for a committed answer,
+2 for unknown or bottom at budget, 1 for a hard error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -457,7 +460,10 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     return EXIT_COMMITTED if failures == 0 else EXIT_ERROR
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args leaves the parser as it was and
+    # returns a fresh namespace on every call.
     parser = argparse.ArgumentParser(
         prog="boxcert",
         description="Certified region verification for exact-arithmetic classifiers.",

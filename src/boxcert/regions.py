@@ -57,7 +57,9 @@ class CompactSet:
 
     ``keep`` decides whether a box meets the set; it must be antitone under
     inclusion (a box inside a discarded box is discarded too), which makes
-    pruning whole subtrees of the subdivision sound.  Every set has a
+    pruning whole subtrees of the subdivision sound.  It may over-approximate,
+    but it must be a fixed function of the box, the same at every fuel: the
+    cover walk resumes its last walk at the next fuel.  Every set has a
     ``bounding`` box where subdivision starts; the empty set's is the
     origin point, and its ``keep`` rejects every box.
     """
@@ -92,7 +94,9 @@ class OvertSet:
     ``member`` is the exact membership test; every enumerated point passes
     it.  ``box_disjoint`` may say that a box certainly misses the set,
     also antitone under inclusion; it exists so that searches can skip
-    regions without enumerating them.  Every set has a ``bounding`` box
+    regions without enumerating them.  Both are fixed functions of their
+    argument, the same at every fuel: the witness walk resumes its last
+    walk at the next fuel.  Every set has a ``bounding`` box
     whose grid is enumerated; the empty set's is the origin point, which
     ``member`` rejects, as ``box_disjoint`` does every box.
     """

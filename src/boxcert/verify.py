@@ -17,6 +17,14 @@ Each race side is one walk for all the colors it asks about: the universal
 walk carries the colors still open in each subtree, the existential walk
 the colors still wanted, and a two-sided question reports the lowest
 colors that certify or have a hit.
+
+Results stay pure functions of the arguments, but each walker keeps its
+last walk in one module slot: asked the same again about the same region
+and classifier objects at the same fuel or more, it walks on from where
+the last walk stopped instead of from the bounding box, since fuel d + 1
+only refines the subdivision of fuel d.  A fuel loop over one query
+therefore walks each tree once.  The slots keep the last query's region,
+classifier and frontier alive until the next walk.
 """
 
 from __future__ import annotations
@@ -79,6 +87,18 @@ def _check_region_dims(region_dims: int, f: IntervalClassifier) -> None:
         raise ValidationError(f"region has {region_dims} dimensions, classifier expects {f.dims}")
 
 
+# The last walk of each walker: (region, classifier, key, fuel, frontier).
+_last_cover: tuple = (None, None, None, 0, None)
+_last_grid: tuple = (None, None, None, 0, None)
+
+
+def _resume(last: tuple, A, f: IntervalClassifier, key, fuel: Fuel, root):
+    """The frontier ``last`` left if it walked ``key`` on A and f at no
+    more fuel, else ``root``, where a fresh walk starts."""
+    region, g, k, at, frontier = last
+    return frontier if region is A and g is f and k == key and at <= fuel else root
+
+
 def _certified_colors(
     A: CompactSet, f: IntervalClassifier, colors: Iterable[int], fuel: Fuel
 ) -> frozenset[int]:
@@ -89,27 +109,47 @@ def _certified_colors(
     c settles c, and an open color that reaches the target width fails
     everywhere.  Equivalent to scanning the flat cover once per color,
     because the keep test and the envelope are antitone under inclusion.
+
+    The walk leaves a frontier in depth-first order: its open leaves, the
+    entries it passed over only because their colors had already failed,
+    and the stack left by the early stop, each with its open colors.  A
+    failure can vanish at the next fuel, because ``keep`` may
+    over-approximate and envelopes tighten on sub-boxes.
+    A color that certifies never fails again, and at more fuel the cover
+    only refines the open leaves, so the next fuel walks on from that
+    frontier with the colors that failed.  This relies on ``keep`` and
+    ``f.eval_box`` not depending on fuel.
     """
+    global _last_cover
     wanted = frozenset(colors)
+    root = (wanted, ((A.bounding, wanted),))
+    open_colors, entries = _resume(_last_cover, A, f, wanted, fuel, root)
     target = cover_width_target(A.bounding, fuel)
     failed: frozenset[int] = frozenset()
-    stack = [(A.bounding, wanted)]
+    frontier = []
+    stack = list(reversed(entries))
     while stack:
         box, still = stack.pop()
-        still -= failed
+        passed = still & failed
+        if passed:
+            frontier.append((box, passed))
+            still -= passed
         if not still or not A.keep(box):
             continue
         still -= {f.eval_box(box, fuel).committed_color}
         if not still:
             continue
         if box.width <= target:
+            frontier.append((box, still))
             failed |= still
-            if failed == wanted:
+            if failed == open_colors:
                 break
             continue
         lo, hi = box.bisect()
         stack.append((hi, still))
         stack.append((lo, still))
+    frontier.extend(reversed(stack))
+    _last_cover = (A, f, wanted, fuel, (failed, frontier))
     return wanted - failed
 
 
@@ -124,16 +164,28 @@ def _find_witnesses(
     color's own walk visits a subsequence of these boxes in the same
     order, so its first point is the one the flat grid scan finds first.
     After each hit, only colors below the ``need``-th lowest hit stay wanted.
+
+    The walk leaves the leaves it enumerated, in search order, and the
+    next fuel walks on from them with its hits starting afresh.  Grids
+    nest, so at more fuel every color is settled no later in search order
+    than before: a box dropped against the colors still wanted, or left
+    behind the stop, is dropped again.  This relies on ``member``,
+    ``box_disjoint`` and both evaluators of f not depending on fuel.
     """
+    global _last_grid
+    key = (frozenset(colors), need)
+    leaves = _resume(_last_grid, A, f, key, fuel, (A.bounding,))
     hits: dict[int, Point] = {}
     wanted = set(colors)
     step = dyadic_step(fuel)
-    stack = [A.bounding]
+    enumerated = []
+    stack = list(reversed(leaves))
     while stack and wanted:
         box = stack.pop()
         if A.box_disjoint(box) or wanted.isdisjoint(f.eval_box(box, fuel).colors):
             continue
         if all(side.width <= step for side in box.sides):
+            enumerated.append(box)
             for p in grid_points(box, fuel):
                 if not A.member(p):
                     continue
@@ -150,6 +202,7 @@ def _find_witnesses(
         lo, hi = box.bisect()
         stack.append(hi)
         stack.append(lo)
+    _last_grid = (A, f, key, fuel, enumerated)
     return [ColorWitness(hits[c], c) for c in sorted(hits)[:need]]
 
 
@@ -254,10 +307,17 @@ def locally_constant(
     if radius <= 0:
         raise ValidationError(f"ball radius must be positive, got {radius}")
     _check_region_dims(len(point), f)
-    ball = VKSet(
+    return constant_value(_ball(point, radius, metric), f, fuel)
+
+
+@functools.lru_cache(maxsize=1)
+def _ball(point: Point, radius: Fraction, metric: MetricKind) -> VKSet:
+    """The closed ball's cover with the open ball's enumeration, built once
+    per center, radius and metric, so that consecutive fuels resume the
+    walks over one region."""
+    return VKSet(
         closed_ball(point, radius, metric).compact, open_ball_overt(point, radius, metric)
     )
-    return constant_value(ball, f, fuel)
 
 
 @functools.lru_cache(maxsize=1)

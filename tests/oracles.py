@@ -15,7 +15,9 @@ as the package did before its searches moved to multisets, and the
 shared ``sparse_or_dense``'s race body.  The per-color walkers at the end
 are the region ops as they were before each race side became one walk for
 all its colors: one cover walk and one witness walk per color, and the
-loops over colors around them.
+loops over colors around them.  Next to them, the one-walk-per-side
+walkers as they were before each walk resumed the last one across fuels:
+a fresh walk from the root box at every call.
 """
 
 from __future__ import annotations
@@ -513,6 +515,65 @@ def ref_find_witness(A, f, n, fuel):
         stack.append(hi)
         stack.append(lo)
     return None
+
+
+def ref_certified_colors(A, f, colors, fuel) -> frozenset:
+    """``verify._certified_colors`` as a fresh walk from the root at every
+    fuel: one walk for all the colors, each pending box carrying the colors
+    still open in its subtree."""
+    wanted = frozenset(colors)
+    target = cover_width_target(A.bounding, fuel)
+    failed: frozenset = frozenset()
+    stack = [(A.bounding, wanted)]
+    while stack:
+        box, still = stack.pop()
+        still -= failed
+        if not still or not A.keep(box):
+            continue
+        still -= {f.eval_box(box, fuel).committed_color}
+        if not still:
+            continue
+        if box.width <= target:
+            failed |= still
+            if failed == wanted:
+                break
+            continue
+        lo, hi = box.bisect()
+        stack.append((hi, still))
+        stack.append((lo, still))
+    return wanted - failed
+
+
+def ref_find_witnesses(A, f, colors, need, fuel) -> list:
+    """``verify._find_witnesses`` as a fresh walk from the root at every
+    fuel: one walk for all the colors still wanted."""
+    hits: dict = {}
+    wanted = set(colors)
+    step = dyadic_step(fuel)
+    stack = [A.bounding]
+    while stack and wanted:
+        box = stack.pop()
+        if A.box_disjoint(box) or wanted.isdisjoint(f.eval_box(box, fuel).colors):
+            continue
+        if all(side.width <= step for side in box.sides):
+            axes = [dyadic_grid(side.lo, side.hi, fuel) for side in box.sides]
+            for p in product(*axes):
+                if not A.member(p):
+                    continue
+                color = f.eval_point(p, fuel).color
+                if color in wanted:
+                    hits[color] = p
+                    wanted.discard(color)
+                    if len(hits) >= need:
+                        bound = sorted(hits)[need - 1]
+                        wanted = {c for c in wanted if c < bound}
+                    if not wanted:
+                        break
+            continue
+        lo, hi = box.bisect()
+        stack.append(hi)
+        stack.append(lo)
+    return [ColorWitness(hits[c], c) for c in sorted(hits)[:need]]
 
 
 def ref_exists_value(n, A, f, fuel) -> Outcome:

@@ -10,10 +10,13 @@ from boxcert import (
     Box,
     Interval,
     KBot,
+    MetricKind,
+    Sample,
     ValidationError,
     constant_classifier,
     hyperplane_classifier,
     make_layer,
+    nn_learner,
     threshold_net_classifier,
 )
 
@@ -200,3 +203,41 @@ def test_net_envelope_shrinks_on_sub_boxes(params, lo, width):
     assert inner.colors <= outer.colors
     if not outer.maybe_bot:
         assert not inner.maybe_bot
+
+
+COORD = st.fractions(min_value=-2, max_value=2, max_denominator=16)
+WEIGHT = st.fractions(min_value=-2, max_value=2, max_denominator=8)
+
+
+@st.composite
+def shipped_classifiers(draw):
+    """A 2-D hyperplane, threshold net, constant classifier or trained nn."""
+    kind = draw(st.sampled_from(["hyperplane", "net", "constant", "nn"]))
+    if kind == "hyperplane":
+        w = (draw(WEIGHT.filter(bool)), draw(WEIGHT))
+        return hyperplane_classifier(w, draw(WEIGHT))
+    if kind == "net":
+        hidden = make_layer([[draw(WEIGHT), draw(WEIGHT)] for _ in range(3)],
+                            [draw(WEIGHT) for _ in range(3)], "relu")
+        scores = make_layer([[draw(WEIGHT) for _ in range(3)] for _ in range(3)],
+                            [draw(WEIGHT) for _ in range(3)], "none")
+        return threshold_net_classifier([hidden, scores], Q(1, 16))
+    if kind == "constant":
+        return constant_classifier(3, draw(st.sampled_from([None, 0, 2])), dims=2)
+    points = draw(st.lists(st.tuples(st.tuples(COORD, COORD), st.integers(0, 1)),
+                           min_size=1, max_size=4))
+    metric = draw(st.sampled_from([MetricKind.MAX, MetricKind.EUCLID_SQ]))
+    return nn_learner(Q(1, 16), metric=metric).train(Sample(tuple(points)))
+
+
+@settings(deadline=None)
+@given(
+    f=shipped_classifiers(),
+    corner=st.tuples(COORD, COORD),
+    size=st.tuples(COORD.map(abs), COORD.map(abs)),
+)
+def test_evaluators_do_not_read_fuel(f, corner, size):
+    """The walkers resume across fuels only because no evaluator reads it."""
+    box = Box.from_bounds([(c, c + s) for c, s in zip(corner, size)])
+    assert f.eval_box(box, 0) == f.eval_box(box, 12)
+    assert f.eval_point(corner, 0) == f.eval_point(corner, 12)

@@ -74,6 +74,20 @@ class TestVerifyCommand:
         report = json.loads(capsys.readouterr().out)
         assert "wallTimeSeconds" not in report
 
+    def test_parsed_flags_do_not_leak_into_later_calls(self, tmp_path, capsys):
+        query = write_query(tmp_path, confirm_query())
+        main(["verify", str(query)])
+        plain = capsys.readouterr().out
+        main(["verify", str(query), "--timing", "--max-fuel", "0", "--format", "text"])
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            main(["verify", str(query), "--timing", "--format", "yaml"])
+        assert "invalid choice" in capsys.readouterr().err
+        assert main(["verify", str(query)]) == 0
+        out = capsys.readouterr().out
+        assert "wallTimeSeconds" not in json.loads(out)
+        assert out == plain
+
     def test_out_writes_the_report_to_a_file(self, tmp_path, capsys):
         query = write_query(tmp_path, confirm_query())
         out_path = tmp_path / "report.json"

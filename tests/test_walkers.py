@@ -1,20 +1,31 @@
-"""The one-walk-per-side region ops against the per-color references.
+"""The one-walk-per-side region ops against the per-color references,
+and the resumed walkers against fresh walks.
 
 Each race side of ``verify`` now walks the subdivision tree once for all
 the colors it asks about.  The references in ``oracles`` walk it once per
 color and loop over the colors, lowest first, as the ops did before.  So
 every op must return an equal ``Outcome`` at every fuel, witnesses
 included: the same verdict, the same color and the same first points.
+
+Each walker also resumes its last walk when asked the same again at the
+same fuel or more.  Driven through rising, repeated, falling and
+interleaved fuels, it must return what a fresh walk from the root returns
+at every call.
 """
 
 from __future__ import annotations
 
+import sys
+import threading
 from fractions import Fraction as Q
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from boxcert import (
+    Box,
     ColorWitness,
+    CompactSet,
     MetricKind,
     TwoBot,
     VKSet,
@@ -24,15 +35,19 @@ from boxcert import (
     exists_value,
     fixed_value,
     forall_value,
+    hyperplane_classifier,
     locally_constant,
     make_layer,
     open_ball_overt,
     threshold_net_classifier,
 )
+from boxcert.verify import _certified_colors, _find_witnesses
 
 from oracles import (
+    ref_certified_colors,
     ref_constant_value,
     ref_exists_value,
+    ref_find_witnesses,
     ref_fixed_value,
     ref_forall_value,
 )
@@ -116,3 +131,94 @@ def test_no_side_reports_the_lowest_colors_not_the_first_found():
     assert got == ref_constant_value(UNIT_SQUARE, LATE_ZERO, 0)
     refuted = fixed_value(1, UNIT_SQUARE, LATE_ZERO, 0)
     assert refuted.witnesses == (ColorWitness((Q(1), Q(0)), 0),)
+
+
+# Rising from the root, rising with gaps, and repeated then falling fuels.
+FUEL_SEQUENCES = [list(range(9)), [0, 3, 4, 8], [2, 2, 5, 1, 6]]
+
+# The set [1/2, 1] through a keep test that over-approximates it by one box
+# width, and the plane x = 9/16.  At fuel 3 color 1 fails on [1/4, 3/8],
+# which the keep test still lets in, the walk passes over [3/8, 1/2] as
+# already failed, and color 0 fails on [1/2, 5/8].  At fuel 4 the keep test
+# drops both halves of [1/4, 3/8], and color 1 fails only on [3/8, 7/16],
+# inside the box fuel 3 passed over.
+# With the plane x = 3/8 instead, both colors fail on [1/4, 3/8] at fuel 3
+# and the walk stops there, leaving [3/8, 1/2] and [1/2, 1] on its stack.
+# At fuel 4 both halves of [1/4, 3/8] are dropped, and both colors fail
+# only on [3/8, 7/16], inside the stack fuel 3 left.
+HALF = CompactSet(Box.from_bounds([(0, 1)]), lambda b: b.sides[0].hi >= Q(1, 2) - b.width)
+
+
+def walk_both(region, f, colors, need, fuel):
+    """Each walker once at this fuel, checked against its fresh walk."""
+    got = _certified_colors(region.compact, f, colors, fuel)
+    assert got == ref_certified_colors(region.compact, f, colors, fuel)
+    found = _find_witnesses(region.overt, f, colors, need, fuel)
+    assert found == ref_find_witnesses(region.overt, f, colors, need, fuel)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    f=nets(),
+    region=regions(),
+    other=regions(),
+    colors=st.frozensets(st.integers(0, 2), min_size=1),
+    need=st.integers(1, 2),
+)
+@example(f=LATE_ZERO, region=UNIT_SQUARE, other=UNIT_SQUARE, colors=frozenset({0, 1, 2}), need=2)
+def test_resumed_walks_match_fresh_walks(f, region, other, colors, need):
+    colors = {c for c in colors if c < f.k}
+    for fuels in FUEL_SEQUENCES:
+        for fuel in fuels:
+            walk_both(region, f, colors, need, fuel)
+    # A second region takes both slots; the first then starts over at the
+    # root and resumes from there.
+    for fuel, walked in [(0, region), (2, region), (2, other), (3, region), (5, region),
+                         (5, other), (6, other), (7, region)]:
+        walk_both(walked, f, colors, need, fuel)
+
+
+@pytest.mark.parametrize("bias", [Q(-9, 16), Q(-3, 8)], ids=["passed-over", "stack-left"])
+def test_resume_walks_what_the_last_walk_left(bias):
+    plane = hyperplane_classifier([1], bias)
+    for fuel in (3, 4):
+        assert ref_certified_colors(HALF, plane, {0, 1}, fuel) == frozenset()
+        assert _certified_colors(HALF, plane, {0, 1}, fuel) == frozenset()
+
+
+def test_walks_in_threads_match_fresh_walks():
+    """Threads that take each other's slots only lose a resumption: every
+    walk still starts from a frontier its own region left, or the root."""
+    balls = [closed_ball((Q(i, 8), Q(1, 3)), Q(1, 4), MetricKind.MAX) for i in range(4)]
+    colors = range(LATE_ZERO.k)
+    expected = {
+        (i, fuel): (
+            ref_certified_colors(ball.compact, LATE_ZERO, colors, fuel),
+            ref_find_witnesses(ball.overt, LATE_ZERO, colors, 2, fuel),
+        )
+        for i, ball in enumerate(balls)
+        for fuel in range(6)
+    }
+    errors = []
+
+    def loop(i):
+        for fuel in range(6):
+            got = (
+                _certified_colors(balls[i].compact, LATE_ZERO, colors, fuel),
+                _find_witnesses(balls[i].overt, LATE_ZERO, colors, 2, fuel),
+            )
+            if got != expected[i, fuel]:
+                errors.append((i, fuel, got))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=loop, args=(i % 4,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
