@@ -94,12 +94,12 @@ def test_net_eval_box(benchmark):
         ],
         Q(1, 8),
     )
-    benchmark(net.eval_box, BOX, 8)
+    benchmark(net.eval_box, BOX)
 
 
 def test_hyperplane_eval_box(benchmark):
     plane = hyperplane_classifier((Q(3, 7), Q(-2, 5)), Q(1, 3))
-    benchmark(plane.eval_box, BOX, 8)
+    benchmark(plane.eval_box, BOX)
 
 
 @pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.value)
@@ -115,7 +115,7 @@ def test_dist_point(benchmark, metric):
 def test_nn_eval_point(benchmark):
     points = tuple(((Q(i, 3), Q(j, 5)), (i + j) % 2) for i in range(3) for j in range(3))
     trained = nn_learner(Q(1, 16)).train(Sample(points))
-    benchmark(trained.eval_point, (Q(1, 2), Q(1, 4)), 8)
+    benchmark(trained.eval_point, (Q(1, 2), Q(1, 4)))
 
 
 def test_does_deviate_nn(benchmark):

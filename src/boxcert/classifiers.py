@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import ValidationError
-from .kernel import Fuel, KBot
+from .kernel import KBot
 from .numerics import Box, Point, as_rational, common_denominator
 
 __all__ = [
@@ -62,16 +62,12 @@ class ColorEnvelope:
 class IntervalClassifier:
     """A k-color classifier with exact point and enveloping box evaluators.
 
-    Both evaluators take a fuel argument for interface uniformity, but
-    their answers must not depend on it: the region walkers resume at
-    fuel d + 1 from what they found at fuel d.  The concrete classifiers
-    here are exact rational machines, so they give their final answer at
-    every fuel.
+    Both evaluators are fixed functions of their point or box.
     """
 
     k: int
-    eval_point: Callable[[Point, Fuel], KBot]
-    eval_box: Callable[[Box, Fuel], ColorEnvelope]
+    eval_point: Callable[[Point], KBot]
+    eval_box: Callable[[Box], ColorEnvelope]
     dims: int | None
 
     def check_color(self, n: int) -> None:
@@ -137,7 +133,7 @@ def hyperplane_classifier(weights: Sequence, bias) -> IntervalClassifier:
     dims = len(w)
     layers = (_int_layer(Layer((w,), (b,), "none")),)
 
-    def eval_point(point: Point, fuel: Fuel) -> KBot:
+    def eval_point(point: Point) -> KBot:
         _check_point_dims(point, dims)
         den, x = common_denominator(point)
         (value,), _, _ = _affine(layers, x, x, den)
@@ -147,7 +143,7 @@ def hyperplane_classifier(weights: Sequence, bias) -> IntervalClassifier:
             return KBot(0)
         return KBot.bot()
 
-    def eval_box(box: Box, fuel: Fuel) -> ColorEnvelope:
+    def eval_box(box: Box) -> ColorEnvelope:
         if box.dims != dims:
             raise ValidationError(f"box has {box.dims} dimensions, expected {dims}")
         (lo,), (hi,), _ = _affine(layers, *_box_numerators(box))
@@ -228,7 +224,7 @@ def threshold_net_classifier(layers: Sequence[Layer], margin) -> IntervalClassif
         """(high - rival) / scale > tau, in integers."""
         return q * (high - rival) > p * scale
 
-    def eval_point(point: Point, fuel: Fuel) -> KBot:
+    def eval_point(point: Point) -> KBot:
         _check_point_dims(point, dims)
         if k == 1:
             return KBot(0)
@@ -239,7 +235,7 @@ def threshold_net_classifier(layers: Sequence[Layer], margin) -> IntervalClassif
                 return KBot(j)
         return KBot.bot()
 
-    def eval_box(box: Box, fuel: Fuel) -> ColorEnvelope:
+    def eval_box(box: Box) -> ColorEnvelope:
         if box.dims != dims:
             raise ValidationError(f"box has {box.dims} dimensions, expected {dims}")
         if k == 1:
@@ -271,7 +267,7 @@ def constant_classifier(k: int, color: int | None, dims: int | None) -> Interval
     )
     return IntervalClassifier(
         k=k,
-        eval_point=lambda point, fuel: answer,
-        eval_box=lambda box, fuel: envelope,
+        eval_point=lambda point: answer,
+        eval_box=lambda box: envelope,
         dims=dims,
     )

@@ -88,7 +88,7 @@ class Sample:
 
 # The family evaluator receives box-valued additions and a query point and
 # returns an envelope valid for every placement of the added points.
-FamilyEvaluator = Callable[[Sample, Sequence[tuple[Box, int]], Point, Fuel], ColorEnvelope]
+FamilyEvaluator = Callable[[Sample, Sequence[tuple[Box, int]], Point], ColorEnvelope]
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,9 @@ class Learner:
     what they return.  The robustness searches rely on this and try each
     labeled multiset of added points once, in one order.  They call
     ``family_at`` only with at least one addition: the trained classifier
-    itself judges the empty augmentation.
+    itself judges the empty augmentation.  Like the evaluators,
+    ``family_at`` takes no fuel, so every search stage is a fixed function
+    of its candidates.
     """
 
     k: int
@@ -151,7 +153,7 @@ def nn_learner(tie_margin, k: int = 2, metric: MetricKind = MetricKind.MAX) -> L
         raise ValidationError("tie margin must be positive")
 
     def envelope_at(
-        sample: Sample, additions: Sequence[tuple[Box, int]], x: Point, fuel: Fuel
+        sample: Sample, additions: Sequence[tuple[Box, int]], x: Point
     ) -> ColorEnvelope:
         dists: list[tuple[Interval, int]] = [
             (Interval.point(dist_point(x, p, metric)), label) for p, label in sample.points
@@ -169,7 +171,7 @@ def nn_learner(tie_margin, k: int = 2, metric: MetricKind = MetricKind.MAX) -> L
         den, nums = common_denominator([c for p, _ in pts for c in p])
         rows = [(nums[i * dims : (i + 1) * dims], label) for i, (_, label) in enumerate(pts)]
 
-        def eval_point(x: Point, fuel: Fuel) -> KBot:
+        def eval_point(x: Point) -> KBot:
             # _nn_envelope on point distances commits iff the nearest point
             # beats the runner-up by more than the margin: one pass over
             # integer distances at the common scale suffices.
@@ -193,7 +195,7 @@ def nn_learner(tie_margin, k: int = 2, metric: MetricKind = MetricKind.MAX) -> L
                 return KBot(color)
             return KBot.bot()
 
-        def eval_box(box: Box, fuel: Fuel) -> ColorEnvelope:
+        def eval_box(box: Box) -> ColorEnvelope:
             dists = [(dist_range(box, p, metric), label) for p, label in pts]
             return _nn_envelope(dists, margin)
 
@@ -219,7 +221,7 @@ def majority_learner(k: int = 2) -> Learner:
         return constant_classifier(k, winner([label for _, label in sample.points]), sample.dims)
 
     def envelope_at(
-        sample: Sample, additions: Sequence[tuple[Box, int]], x: Point, fuel: Fuel
+        sample: Sample, additions: Sequence[tuple[Box, int]], x: Point
     ) -> ColorEnvelope:
         learner.check_labels(itertools.chain(sample.points, additions))
         color = winner([label for _, label in sample.points] + [label for _, label in additions])
@@ -281,7 +283,7 @@ def does_deviate(L: Learner, domain: VKSet, fuel: Fuel) -> Outcome:
                     for labels in itertools.product(range(L.k), repeat=t):
                         trained = L.train(Sample._exact(tuple(zip(tup, labels))))
                         for m in range(t):
-                            got = trained.eval_point(tup[m], fuel)
+                            got = trained.eval_point(tup[m])
                             if got.committed and got.color != labels[m]:
                                 witness = DeviationWitness(tuple(zip(tup, labels)), m, got.color)
                                 return Outcome(Verdict.CONFIRMED, witnesses=(witness,))
@@ -327,14 +329,14 @@ def _augmentation_race(
         if base.is_bot:
             return Verdict.UNKNOWN
         for additions in _labeled_multisets(region.compact.cover_at(d), L.k, N):
-            if L.family_at(sample, additions, point, d).committed_color != base.color:
+            if L.family_at(sample, additions, point).committed_color != base.color:
                 return Verdict.UNKNOWN
         return Verdict.CONFIRMED
 
     def sparse(d: Fuel) -> Verdict:
         seen = {base.color: ExtensionWitness((), base.color)} if base.committed else {}
         for ext in _labeled_multisets(region.overt.points_at(d), L.k, N):
-            got = L.train(Sample._exact(sample.points + ext)).eval_point(point, d)
+            got = L.train(Sample._exact(sample.points + ext)).eval_point(point)
             if got.committed:
                 seen.setdefault(got.color, ExtensionWitness(ext, got.color))
                 if len(seen) == 2:
@@ -356,7 +358,7 @@ def robust_point(x: Sequence, sample: Sample, L: Learner, domain: VKSet, fuel: F
     """
     check_fuel(fuel)
     point = _query_point(x, sample, domain)
-    base = L.train(sample).eval_point(point, fuel)
+    base = L.train(sample).eval_point(point)
     if base.is_bot:
         return Outcome(TwoBot.BOT, base=base)
     value, witnesses = _augmentation_race(L, sample, point, base, domain, 1, fuel)
@@ -392,7 +394,7 @@ def sparse_or_dense(
     if e <= 0:
         raise ValidationError("eps must be positive")
     point = _query_point(x, sample, domain)
-    base = L.train(sample).eval_point(point, fuel)
+    base = L.train(sample).eval_point(point)
     far = outside_ball(domain, point, e, metric)
     value, witnesses = _augmentation_race(L, sample, point, base, far, N, fuel)
     return Outcome(value, color=base.color if value is TwoBot.ONE else None, witnesses=witnesses)

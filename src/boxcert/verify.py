@@ -117,8 +117,8 @@ def _certified_colors(
     over-approximate and envelopes tighten on sub-boxes.
     A color that certifies never fails again, and at more fuel the cover
     only refines the open leaves, so the next fuel walks on from that
-    frontier with the colors that failed.  This relies on ``keep`` and
-    ``f.eval_box`` not depending on fuel.
+    frontier with the colors that failed.  This is sound because neither
+    ``keep`` nor ``f.eval_box`` takes a fuel.
     """
     global _last_cover
     wanted = frozenset(colors)
@@ -136,7 +136,7 @@ def _certified_colors(
             still -= passed
         if not still or not A.keep(box):
             continue
-        still -= {f.eval_box(box, fuel).committed_color}
+        still -= {f.eval_box(box).committed_color}
         if not still:
             continue
         if box.width <= target:
@@ -169,8 +169,8 @@ def _find_witnesses(
     next fuel walks on from them with its hits starting afresh.  Grids
     nest, so at more fuel every color is settled no later in search order
     than before: a box dropped against the colors still wanted, or left
-    behind the stop, is dropped again.  This relies on ``member``,
-    ``box_disjoint`` and both evaluators of f not depending on fuel.
+    behind the stop, is dropped again.  This is sound because none of
+    ``member``, ``box_disjoint`` or the evaluators of f takes a fuel.
     """
     global _last_grid
     key = (frozenset(colors), need)
@@ -182,14 +182,14 @@ def _find_witnesses(
     stack = list(reversed(leaves))
     while stack and wanted:
         box = stack.pop()
-        if A.box_disjoint(box) or wanted.isdisjoint(f.eval_box(box, fuel).colors):
+        if A.box_disjoint(box) or wanted.isdisjoint(f.eval_box(box).colors):
             continue
         if all(side.width <= step for side in box.sides):
             enumerated.append(box)
             for p in grid_points(box, fuel):
                 if not A.member(p):
                     continue
-                color = f.eval_point(p, fuel).color
+                color = f.eval_point(p).color
                 if color in wanted:
                     hits[color] = p
                     wanted.discard(color)
@@ -327,7 +327,7 @@ def _nearest_off_color(
     """Distances from x to the nearest grid points off the center's color c.
 
     Returns the distance to the nearest enumerated point of the closed
-    ball of radius ``ceiling`` whose value at this fuel is not color c
+    ball of radius ``ceiling`` whose value is not color c
     (bottom counts), and to the nearest one committing to another color;
     None where no such point lies within the ceiling.  Best-first over the
     ball's bounding box by each box's least distance to x, so the first
@@ -347,7 +347,7 @@ def _nearest_off_color(
         near, _, box = heapq.heappop(heap)
         if other is not None and near >= other:
             break
-        env = f.eval_box(box, fuel)
+        env = f.eval_box(box)
         if env.committed_color == c:
             continue
         want_differ = differ is None or near < differ
@@ -358,7 +358,7 @@ def _nearest_off_color(
                 d = dist_point(p, x, metric)
                 if d > ceiling or (other is not None and d >= other):
                     continue
-                value = f.eval_point(p, fuel)
+                value = f.eval_point(p)
                 if value == center:
                     continue
                 if differ is None or d < differ:
@@ -400,9 +400,10 @@ def radius_lower(
         ]
         return any_of(deciders, fuel)
 
+    base = f.eval_point(point)
+
     def approx(fuel: Fuel) -> Fraction:
         step = dyadic_step(fuel)
-        base = f.eval_point(point, fuel)
         if base.is_bot:
             return -step
         differ, _ = _nearest_off_color(point, base.color, f, top, metric, fuel)
@@ -437,8 +438,9 @@ def radius_upper(
         raise ValidationError("search ceiling must be positive")
     _check_region_dims(len(point), f)
 
+    base = f.eval_point(point)
+
     def approx(fuel: Fuel) -> Fraction:
-        base = f.eval_point(point, fuel)
         if base.is_bot:
             return top
         _, other = _nearest_off_color(point, base.color, f, top, metric, fuel)

@@ -394,7 +394,7 @@ def ref_does_deviate(L, domain, fuel) -> Outcome:
                     for labels in product(range(L.k), repeat=t):
                         trained = L.train(Sample(tuple(zip(tup, labels))))
                         for m in range(t):
-                            got = trained.eval_point(tup[m], fuel)
+                            got = trained.eval_point(tup[m])
                             if got.committed and got.color != labels[m]:
                                 witness = DeviationWitness(tuple(zip(tup, labels)), m, got.color)
                                 return Outcome(Verdict.CONFIRMED, witnesses=(witness,))
@@ -414,7 +414,7 @@ def ref_sparse_or_dense(L, N, eps, sample, point, domain, fuel, metric) -> Outco
             for combo in product(pts, repeat=j):
                 for labels in product(range(L.k), repeat=j):
                     ext = tuple(zip(combo, labels))
-                    got = L.train(sample.extend(ext)).eval_point(point, d)
+                    got = L.train(sample.extend(ext)).eval_point(point)
                     if not got.committed:
                         continue
                     seen.setdefault(got.color, ExtensionWitness(ext, got.color))
@@ -429,7 +429,7 @@ def ref_sparse_or_dense(L, N, eps, sample, point, domain, fuel, metric) -> Outco
         for j in range(N + 1):
             for boxes in product(cover, repeat=j):
                 for labels in product(range(L.k), repeat=j):
-                    env = L.family_at(sample, tuple(zip(boxes, labels)), point, d)
+                    env = L.family_at(sample, tuple(zip(boxes, labels)), point)
                     color = env.committed_color
                     if color is None or (target is not None and color != target):
                         return Verdict.UNKNOWN
@@ -448,7 +448,7 @@ def ref_sparse_or_dense(L, N, eps, sample, point, domain, fuel, metric) -> Outco
 def ref_robust_point(x, sample, L, domain, fuel) -> Outcome:
     """``robust_point`` with the single-point race sides of its own."""
     point = tuple(frac(c) for c in x)
-    base = L.train(sample).eval_point(point, fuel)
+    base = L.train(sample).eval_point(point)
     if base.is_bot:
         return Outcome(TwoBot.BOT, base=base)
     flip: list = []
@@ -456,7 +456,7 @@ def ref_robust_point(x, sample, L, domain, fuel) -> Outcome:
     def yes_side(d):
         for box in domain.compact.cover_at(d):
             for label in range(L.k):
-                env = L.family_at(sample, [(box, label)], point, d)
+                env = L.family_at(sample, [(box, label)], point)
                 if env.committed_color != base.color:
                     return Verdict.UNKNOWN
         return Verdict.CONFIRMED
@@ -464,7 +464,7 @@ def ref_robust_point(x, sample, L, domain, fuel) -> Outcome:
     def no_side(d):
         for y in domain.overt.points_at(d):
             for label in range(L.k):
-                got = L.train(Sample._exact(sample.points + ((y, label),))).eval_point(point, d)
+                got = L.train(Sample._exact(sample.points + ((y, label),))).eval_point(point)
                 if got.committed and got.color != base.color:
                     flip.append(ExtensionWitness(((y, label),), got.color))
                     return Verdict.CONFIRMED
@@ -485,7 +485,7 @@ def ref_certified_everywhere(A, f, n, fuel) -> bool:
         box = stack.pop()
         if not A.keep(box):
             continue
-        if f.eval_box(box, fuel).committed_color == n:
+        if f.eval_box(box).committed_color == n:
             continue
         if box.width <= target:
             return False
@@ -503,12 +503,12 @@ def ref_find_witness(A, f, n, fuel):
         box = stack.pop()
         if A.box_disjoint(box):
             continue
-        if n not in f.eval_box(box, fuel).colors:
+        if n not in f.eval_box(box).colors:
             continue
         if all(side.width <= step for side in box.sides):
             axes = [dyadic_grid(side.lo, side.hi, fuel) for side in box.sides]
             for p in product(*axes):
-                if A.member(p) and f.eval_point(p, fuel) == KBot(n):
+                if A.member(p) and f.eval_point(p) == KBot(n):
                     return p
             continue
         lo, hi = box.bisect()
@@ -530,7 +530,7 @@ def ref_certified_colors(A, f, colors, fuel) -> frozenset:
         still -= failed
         if not still or not A.keep(box):
             continue
-        still -= {f.eval_box(box, fuel).committed_color}
+        still -= {f.eval_box(box).committed_color}
         if not still:
             continue
         if box.width <= target:
@@ -553,14 +553,14 @@ def ref_find_witnesses(A, f, colors, need, fuel) -> list:
     stack = [A.bounding]
     while stack and wanted:
         box = stack.pop()
-        if A.box_disjoint(box) or wanted.isdisjoint(f.eval_box(box, fuel).colors):
+        if A.box_disjoint(box) or wanted.isdisjoint(f.eval_box(box).colors):
             continue
         if all(side.width <= step for side in box.sides):
             axes = [dyadic_grid(side.lo, side.hi, fuel) for side in box.sides]
             for p in product(*axes):
                 if not A.member(p):
                     continue
-                color = f.eval_point(p, fuel).color
+                color = f.eval_point(p).color
                 if color in wanted:
                     hits[color] = p
                     wanted.discard(color)

@@ -432,7 +432,7 @@ def test_c6_learner_gold_cases_commit_with_replayable_witnesses():
     assert flipped is not None and flipped.verdict is TwoBot.ZERO
     (added, label), = flipped.witnesses[0].extension
     retrained = nn.train(s2.extend((((added[0],), label),)))
-    assert retrained.eval_point((Q(21, 100),), 12) == KBot(flipped.witnesses[0].outcome)
+    assert retrained.eval_point((Q(21, 100),)) == KBot(flipped.witnesses[0].outcome)
     assert flipped.witnesses[0].outcome != flipped.base.color
 
     sparse_nn = nn_learner(tie_margin=Q(1, 100))
@@ -452,7 +452,7 @@ def test_c6_learner_gold_cases_commit_with_replayable_witnesses():
         retrained = sparse_nn.train(
             s3.extend(tuple(((p[0],), l) for p, l in witness.extension))
         )
-        assert retrained.eval_point(x, 12) == KBot(witness.outcome)
+        assert retrained.eval_point(x) == KBot(witness.outcome)
         outcomes.add(witness.outcome)
     assert outcomes == {0, 1}
 
@@ -480,7 +480,7 @@ def test_c7_self_deviation_confirms_and_stays_honestly_unknown():
     assert confirmed is not None, "majority self-deviation not found by fuel 10"
     trained = majority.train(Sample(tuple(confirmed.witnesses[0].sample)))
     point, label = confirmed.witnesses[0].sample[confirmed.witnesses[0].index]
-    assert trained.eval_point(point, 6) == KBot(confirmed.witnesses[0].observed)
+    assert trained.eval_point(point) == KBot(confirmed.witnesses[0].observed)
     assert confirmed.witnesses[0].observed != label
 
     # The search schedule is nested in fuel, so a single unknown at fuel 12

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import re
 from fractions import Fraction as Q
 
@@ -32,22 +33,21 @@ class TestHyperplane:
         self.f = hyperplane_classifier((Q(1), Q(0)), Q(0))
 
     def test_positive_halfspace_box_commits(self):
-        env = self.f.eval_box(box2(Q(1, 2), Q(1), Q(-1), Q(1)), 0)
+        env = self.f.eval_box(box2(Q(1, 2), Q(1), Q(-1), Q(1)))
         assert env.colors == frozenset({1})
         assert not env.maybe_bot
 
     def test_straddling_box_keeps_all_outcomes(self):
-        env = self.f.eval_box(box2(Q(-1), Q(1), Q(-1), Q(1)), 0)
+        env = self.f.eval_box(box2(Q(-1), Q(1), Q(-1), Q(1)))
         assert env.colors == frozenset({0, 1})
         assert env.maybe_bot
 
     def test_point_on_plane_is_bot_at_any_fuel(self):
-        for fuel in (0, 3, 9):
-            assert self.f.eval_point((Q(0), Q(0)), fuel) == KBot.bot()
+        assert self.f.eval_point((Q(0), Q(0))) == KBot.bot()
 
     def test_point_signs(self):
-        assert self.f.eval_point((Q(1, 7), Q(2)), 0) == KBot(1)
-        assert self.f.eval_point((Q(-1, 7), Q(2)), 0) == KBot(0)
+        assert self.f.eval_point((Q(1, 7), Q(2))) == KBot(1)
+        assert self.f.eval_point((Q(-1, 7), Q(2))) == KBot(0)
 
     def test_zero_normal_rejected(self):
         with pytest.raises(ValidationError, match="hyperplane weights must not all be zero"):
@@ -55,7 +55,7 @@ class TestHyperplane:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError, match="point has 1 coordinates, expected 2"):
-            self.f.eval_point((Q(1),), 0)
+            self.f.eval_point((Q(1),))
 
     @given(
         w1=st.fractions(min_value=-4, max_value=4, max_denominator=16),
@@ -68,7 +68,7 @@ class TestHyperplane:
         if w1 == 0 and w2 == 0:
             return
         f = hyperplane_classifier((w1, w2), b)
-        got = f.eval_point((x1, x2), 0)
+        got = f.eval_point((x1, x2))
         assert got.color == hyperplane_color((w1, w2), b, (x1, x2))
 
 
@@ -81,24 +81,24 @@ def crossing_net():
 class TestThresholdNet:
     def test_wide_margin_point(self):
         net = crossing_net()
-        assert net.eval_point((Q(1), Q(0)), 0) == KBot(0)
+        assert net.eval_point((Q(1), Q(0))) == KBot(0)
 
     def test_symmetric_point_is_bot(self):
         net = crossing_net()
-        assert net.eval_point((Q(0), Q(0)), 0) == KBot.bot()
+        assert net.eval_point((Q(0), Q(0))) == KBot.bot()
 
     def test_box_with_certain_margin(self):
         net = crossing_net()
-        env = net.eval_box(box2(Q(1), Q(2), Q(0), Q(1)), 0)
+        env = net.eval_box(box2(Q(1), Q(2), Q(0), Q(1)))
         assert env.colors == frozenset({0})
         assert not env.maybe_bot
 
     def test_relu_scores(self):
         layer = make_layer(((Q(1),), (Q(-1),)), (Q(0), Q(0)), "relu")
         net = threshold_net_classifier((layer,), Q(1, 10))
-        assert net.eval_point((Q(1),), 0) == KBot(0)
-        assert net.eval_point((Q(0),), 0) == KBot.bot()
-        env = net.eval_box(Box((Interval(Q(1, 4), Q(1)),)), 0)
+        assert net.eval_point((Q(1),)) == KBot(0)
+        assert net.eval_point((Q(0),)) == KBot.bot()
+        env = net.eval_box(Box((Interval(Q(1, 4), Q(1)),)))
         assert env.colors == frozenset({0})
         assert not env.maybe_bot
 
@@ -106,8 +106,8 @@ class TestThresholdNet:
         layer = make_layer(((Q(1),),), (Q(0),), "none")
         net = threshold_net_classifier((layer,), Q(1, 10))
         assert net.k == 1
-        assert net.eval_point((Q(5),), 0) == KBot(0)
-        env = net.eval_box(Box((Interval(Q(-9), Q(9)),)), 0)
+        assert net.eval_point((Q(5),)) == KBot(0)
+        env = net.eval_box(Box((Interval(Q(-9), Q(9)),)))
         assert env.colors == frozenset({0})
         assert not env.maybe_bot
 
@@ -130,15 +130,15 @@ class TestThresholdNet:
 class TestConstantClassifier:
     def test_committed_constant(self):
         f = constant_classifier(3, 2, dims=1)
-        assert f.eval_point((Q(0),), 0) == KBot(2)
-        env = f.eval_box(Box((Interval(Q(-1), Q(1)),)), 0)
+        assert f.eval_point((Q(0),)) == KBot(2)
+        env = f.eval_box(Box((Interval(Q(-1), Q(1)),)))
         assert env.colors == frozenset({2})
         assert not env.maybe_bot
 
     def test_bot_constant(self):
         f = constant_classifier(2, None, dims=1)
-        assert f.eval_point((Q(0),), 0) == KBot.bot()
-        env = f.eval_box(Box((Interval(Q(-1), Q(1)),)), 0)
+        assert f.eval_point((Q(0),)) == KBot.bot()
+        env = f.eval_box(Box((Interval(Q(-1), Q(1)),)))
         assert env.maybe_bot
 
     def test_color_out_of_range(self):
@@ -173,9 +173,9 @@ def test_net_envelope_soundness_on_sampled_points(params, lo, width, t):
     layer = make_layer(((a,), (b,)), (c, d), act)
     net = threshold_net_classifier((layer,), Q(1, 10))
     box = Box((Interval(lo, lo + width),))
-    env = net.eval_box(box, 0)
+    env = net.eval_box(box)
     x = (lo + t * width,)
-    value = net.eval_point(x, 0)
+    value = net.eval_point(x)
     oracle = net_color([(((a,), (b,)), (c, d), act)], Q(1, 10), 2, x)
     assert value.color == oracle
     if value.committed:
@@ -198,8 +198,8 @@ def test_net_envelope_shrinks_on_sub_boxes(params, lo, width):
     net = threshold_net_classifier((layer,), Q(1, 10))
     box = Box((Interval(lo, lo + width),))
     sub, _ = box.bisect()
-    outer = net.eval_box(box, 0)
-    inner = net.eval_box(sub, 0)
+    outer = net.eval_box(box)
+    inner = net.eval_box(sub)
     assert inner.colors <= outer.colors
     if not outer.maybe_bot:
         assert not inner.maybe_bot
@@ -231,13 +231,11 @@ def shipped_classifiers(draw):
 
 
 @settings(deadline=None)
-@given(
-    f=shipped_classifiers(),
-    corner=st.tuples(COORD, COORD),
-    size=st.tuples(COORD.map(abs), COORD.map(abs)),
-)
-def test_evaluators_do_not_read_fuel(f, corner, size):
-    """The walkers resume across fuels only because no evaluator reads it."""
-    box = Box.from_bounds([(c, c + s) for c, s in zip(corner, size)])
-    assert f.eval_box(box, 0) == f.eval_box(box, 12)
-    assert f.eval_point(corner, 0) == f.eval_point(corner, 12)
+@given(f=shipped_classifiers())
+def test_evaluators_do_not_read_fuel(f):
+    """Each evaluator is a function of its point or box alone, so the
+    walkers may resume across fuels."""
+    plain = (inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty)
+    for evaluator in (f.eval_point, f.eval_box):
+        params = inspect.signature(evaluator).parameters.values()
+        assert [(p.kind, p.default) for p in params] == [plain]

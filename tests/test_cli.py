@@ -274,7 +274,7 @@ class TestLearnerMetric:
 
     def base_color(self, tmp_path, body):
         spec = parse_query(write_query(tmp_path, body))
-        return spec.learner.train(spec.sample).eval_point(spec.point, 0).color
+        return spec.learner.train(spec.sample).eval_point(spec.point).color
 
     def test_omitted_learner_metric_inherits_the_query_metric(self, tmp_path):
         assert self.base_color(tmp_path, self.QUERY) == 0

@@ -90,9 +90,9 @@ def test_net_matches_interval_evaluator(data, spec):
     layers, margin = spec
     f = threshold_net_classifier(layers, margin)
     box = data.draw(boxes(layers[0].in_dim))
-    assert f.eval_box(box, 0) == ref_net_eval_box(layers, margin, box)
+    assert f.eval_box(box) == ref_net_eval_box(layers, margin, box)
     for p in sample_corners(box) + [data.draw(points(layers[0].in_dim))]:
-        assert f.eval_point(p, 0) == ref_net_eval_point(layers, margin, p)
+        assert f.eval_point(p) == ref_net_eval_point(layers, margin, p)
 
 
 @settings(max_examples=200, deadline=None)
@@ -104,9 +104,9 @@ def test_net_matches_interval_evaluator(data, spec):
 def test_hyperplane_matches_interval_evaluator(data, w, b):
     f = hyperplane_classifier(w, b)
     box = data.draw(boxes(len(w)))
-    assert f.eval_box(box, 0) == ref_hyperplane_eval_box(w, b, box)
+    assert f.eval_box(box) == ref_hyperplane_eval_box(w, b, box)
     for p in sample_corners(box) + [data.draw(points(len(w)))]:
-        assert f.eval_point(p, 0) == ref_hyperplane_eval_point(w, b, p)
+        assert f.eval_point(p) == ref_hyperplane_eval_point(w, b, p)
 
 
 @settings(max_examples=200, deadline=None)
@@ -150,4 +150,4 @@ QUERY_GRID = st.one_of(SAMPLE_GRID, st.sampled_from([Q(n, 7) for n in range(-7, 
 )
 def test_nn_point_rule_matches_envelope(pts, x, margin, metric):
     trained = nn_learner(margin, k=3, metric=metric).train(Sample(tuple(pts)))
-    assert trained.eval_point(x, 0) == ref_nn_eval_point(pts, x, margin, metric)
+    assert trained.eval_point(x) == ref_nn_eval_point(pts, x, margin, metric)

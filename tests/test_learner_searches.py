@@ -65,10 +65,10 @@ def learners(draw):
     return nn_learner(margin, k=k, metric=metric), metric
 
 
-def replays_deviation(L, witness, fuel) -> bool:
+def replays_deviation(L, witness) -> bool:
     points = [p for p, _ in witness.sample]
     point, label = witness.sample[witness.index]
-    got = L.train(Sample(witness.sample)).eval_point(point, fuel)
+    got = L.train(Sample(witness.sample)).eval_point(point)
     return len(set(points)) == len(points) and got == KBot(witness.observed) != KBot(label)
 
 
@@ -82,7 +82,7 @@ def test_does_deviate_matches_ordered_search(spec, domain):
         # tuples come in the same order as combinations: the same witness.
         assert got == ref_does_deviate(L, domain, fuel)
         if got.verdict is Verdict.CONFIRMED:
-            assert replays_deviation(L, got.witnesses[0], fuel)
+            assert replays_deviation(L, got.witnesses[0])
 
 
 @settings(max_examples=100, deadline=None)
@@ -102,7 +102,7 @@ def test_sparse_or_dense_matches_ordered_search(spec, domain, sample, x, n, eps)
         want = ref_sparse_or_dense(L, n, eps, s, point, domain, fuel, metric)
         assert (got.verdict, got.color) == (want.verdict, want.color)
         if got.verdict is TwoBot.ONE:
-            assert L.train(s).eval_point(point, fuel) == KBot(got.color)
+            assert L.train(s).eval_point(point) == KBot(got.color)
         if got.verdict is TwoBot.ZERO:
             outcomes = set()
             for witness in got.witnesses:
@@ -110,7 +110,7 @@ def test_sparse_or_dense_matches_ordered_search(spec, domain, sample, x, n, eps)
                 for p, _ in witness.extension:
                     assert domain.overt.member(p) and dist_point(p, point, metric) > eps
                 retrained = L.train(s.extend(witness.extension))
-                assert retrained.eval_point(point, fuel) == KBot(witness.outcome)
+                assert retrained.eval_point(point) == KBot(witness.outcome)
                 outcomes.add(witness.outcome)
             assert len(outcomes) == 2
 
@@ -132,7 +132,7 @@ def test_robust_point_matches_its_own_race_sides(spec, domain, sample, x):
             (p, _), = witness.extension
             assert domain.overt.member(p)
             retrained = L.train(s.extend(witness.extension))
-            assert retrained.eval_point(point, fuel) == KBot(witness.outcome) != got.base
+            assert retrained.eval_point(point) == KBot(witness.outcome) != got.base
 
 
 # ---------------------------------------------------------- order-freeness
@@ -153,9 +153,9 @@ def test_learners_are_order_free(data, spec, pairs, x, corner):
     shuffled = data.draw(st.permutations(pairs))
     box = Box(tuple(Interval(min(a, b), max(a, b)) for a, b in zip(x, corner)))
     f, g = L.train(Sample(tuple(pairs))), L.train(Sample(tuple(shuffled)))
-    assert f.eval_point(x, 0) == g.eval_point(x, 0)
-    assert f.eval_box(box, 0) == g.eval_box(box, 0)
+    assert f.eval_point(x) == g.eval_point(x)
+    assert f.eval_box(box) == g.eval_box(box)
     additions = [(box, 0), (Box.around(corner), 1), (Box.around(x), 1)]
-    want = L.family_at(Sample(tuple(pairs)), additions, x, 0)
+    want = L.family_at(Sample(tuple(pairs)), additions, x)
     moved = data.draw(st.permutations(additions))
-    assert L.family_at(Sample(tuple(shuffled)), moved, x, 0) == want
+    assert L.family_at(Sample(tuple(shuffled)), moved, x) == want

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import random
 import re
 from fractions import Fraction as Q
@@ -45,7 +46,7 @@ def bot_learner(k=2):
     def train(sample):
         return constant_classifier(k, None, dims=None)
 
-    def family_at(sample, additions, point, fuel):
+    def family_at(sample, additions, point):
         return ColorEnvelope(frozenset(range(k)), True)
 
     return Learner(k=k, train=train, family_at=family_at)
@@ -101,8 +102,8 @@ class TestLabelRange:
         box = Box((Interval(Q(1, 4), Q(3, 4)),))
         call = {
             "train": lambda: L.train(bad),
-            "family-sample": lambda: L.family_at(bad, [], (Q(1, 2),), 0),
-            "family-additions": lambda: L.family_at(good, [(box, 0), (box, label)], (Q(1, 2),), 0),
+            "family-sample": lambda: L.family_at(bad, [], (Q(1, 2),)),
+            "family-additions": lambda: L.family_at(good, [(box, 0), (box, label)], (Q(1, 2),)),
         }[where]
         message = f"label {label!r} out of range for k=2"
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
@@ -149,22 +150,22 @@ class TestNNLearner:
     def test_nearest_neighbor_commits_with_margin(self):
         L = nn_learner(tie_margin=Q(1, 100))
         g = L.train(sample_1d((Q(1, 5), 0), (Q(4, 5), 1)))
-        assert g.eval_point((Q(21, 100),), 0) == KBot(0)
+        assert g.eval_point((Q(21, 100),)) == KBot(0)
 
     def test_equidistant_tie_is_bot(self):
         L = nn_learner(tie_margin=Q(1, 100))
         g = L.train(sample_1d((Q(1, 5), 0), (Q(4, 5), 1)))
-        assert g.eval_point((Q(1, 2),), 0) == KBot.bot()
+        assert g.eval_point((Q(1, 2),)) == KBot.bot()
 
     def test_empty_sample_trains_a_silent_classifier(self):
         L = nn_learner(tie_margin=Q(1, 100))
         g = L.train(Sample(()))
-        assert g.eval_point((Q(1, 2),), 0) == KBot.bot()
+        assert g.eval_point((Q(1, 2),)) == KBot.bot()
 
     def test_wrong_dimension_query_raises(self):
         g = nn_learner(tie_margin=Q(1, 100)).train(sample_1d((Q(1, 5), 0), (Q(4, 5), 1)))
         with pytest.raises(ValidationError, match="dimension mismatch: 2 vs 1"):
-            g.eval_point((Q(1, 2), Q(1, 2)), 0)
+            g.eval_point((Q(1, 2), Q(1, 2)))
 
     def test_margin_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -185,7 +186,7 @@ class TestNNLearner:
         pairs = [(x, labels[i]) for i, x in enumerate(xs)]
         L = nn_learner(tie_margin=Q(1, 64))
         g = L.train(sample_1d(*pairs))
-        got = g.eval_point((query,), 0)
+        got = g.eval_point((query,))
         want = nn_color([(Q(x),) for x, _ in pairs], [l for _, l in pairs], (query,), Q(1, 64))
         assert got.color == want
 
@@ -194,23 +195,23 @@ class TestMajorityLearner:
     def test_strict_majority(self):
         L = majority_learner(k=2)
         g = L.train(sample_1d((Q(0), 0), (Q(1, 4), 0), (Q(1, 2), 0), (Q(3, 4), 1)))
-        assert g.eval_point((Q(9, 10),), 0) == KBot(0)
+        assert g.eval_point((Q(9, 10),)) == KBot(0)
 
     def test_tie_is_bot(self):
         L = majority_learner(k=2)
         g = L.train(sample_1d((Q(0), 0), (Q(1), 1)))
-        assert g.eval_point((Q(1, 2),), 0) == KBot.bot()
+        assert g.eval_point((Q(1, 2),)) == KBot.bot()
 
     def test_empty_sample_is_bot(self):
         L = majority_learner(k=2)
-        assert L.train(Sample(())).eval_point((Q(1, 2),), 0) == KBot.bot()
+        assert L.train(Sample(())).eval_point((Q(1, 2),)) == KBot.bot()
 
     @given(labels=st.lists(st.integers(min_value=0, max_value=2), max_size=6))
     def test_agrees_with_the_counting_oracle(self, labels):
         L = majority_learner(k=3)
         pairs = [(Q(i, 7), lab) for i, lab in enumerate(labels)]
         g = L.train(sample_1d(*pairs))
-        assert g.eval_point((Q(1, 2),), 0).color == majority_color(labels)
+        assert g.eval_point((Q(1, 2),)).color == majority_color(labels)
 
 
 class TestDoesDeviate:
@@ -227,7 +228,7 @@ class TestDoesDeviate:
         assert len(set(points)) == len(points), "witness points must be distinct"
         trained = L.train(Sample(tuple(confirmed.witnesses[0].sample)))
         target_point, target_label = confirmed.witnesses[0].sample[confirmed.witnesses[0].index]
-        got = trained.eval_point(target_point, fuel)
+        got = trained.eval_point(target_point)
         assert got == KBot(confirmed.witnesses[0].observed)
         assert confirmed.witnesses[0].observed != target_label
 
@@ -271,7 +272,7 @@ class TestRobustPoint:
         def train(sample):
             return constant_classifier(2, 0, dims=None)
 
-        def family_at(sample, additions, point, fuel):
+        def family_at(sample, additions, point):
             return ColorEnvelope(frozenset({0}), False)
 
         L = Learner(k=2, train=train, family_at=family_at)
@@ -281,7 +282,7 @@ class TestRobustPoint:
     def test_bottom_base_is_bot_without_a_search(self):
         searched = []
 
-        def family_at(sample, additions, point, fuel):
+        def family_at(sample, additions, point):
             searched.append(additions)
             return ColorEnvelope(frozenset({0}), False)
 
@@ -303,7 +304,7 @@ class TestRobustPoint:
         assert committed is not None and committed.verdict is TwoBot.ZERO
         (added_point, added_label), = committed.witnesses[0].extension
         retrained = L.train(s.extend((((added_point[0],), added_label),)))
-        got = retrained.eval_point((Q(21, 100),), fuel)
+        got = retrained.eval_point((Q(21, 100),))
         assert got == KBot(committed.witnesses[0].outcome)
         assert committed.witnesses[0].outcome != committed.base.color
 
@@ -317,7 +318,7 @@ class TestRobustPoint:
             y = Q(rng.randint(0, 64), 64)
             label = rng.randint(0, 1)
             retrained = L.train(s.extend((((y,), label),)))
-            got = retrained.eval_point((Q(1, 2),), 4)
+            got = retrained.eval_point((Q(1, 2),))
             if got.committed:
                 assert got.color == out.base.color
 
@@ -338,7 +339,7 @@ class TestSparseOrDense:
             for (point, _label) in witness.extension:
                 assert abs(point[0] - Q(1, 2)) > Q(1, 5), "sparse witness must be strictly outside"
             retrained = L.train(s.extend(tuple(((p[0],), l) for p, l in witness.extension)))
-            got = retrained.eval_point((Q(1, 2),), fuel)
+            got = retrained.eval_point((Q(1, 2),))
             assert got == KBot(witness.outcome)
             outcomes.add(witness.outcome)
         assert len(outcomes) == 2
@@ -395,7 +396,7 @@ class TestEmptyAugmentation:
         def train(sample):
             return constant_classifier(2, 0, dims=None)
 
-        def family_at(sample, additions, point, fuel):
+        def family_at(sample, additions, point):
             asked.append(len(additions))
             if additions:
                 return ColorEnvelope(frozenset({0}), False)
@@ -415,6 +416,14 @@ class TestEmptyAugmentation:
 
 
 class TestFamilyEnvelopes:
+    @EVERY_LEARNER
+    def test_family_at_takes_no_fuel(self, make):
+        """A family envelope is a function of the sample, the additions and
+        the point alone."""
+        plain = (inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty)
+        params = inspect.signature(make().family_at).parameters.values()
+        assert [(p.kind, p.default) for p in params] == [plain] * 3
+
     @given(
         xs=st.lists(
             st.fractions(min_value=0, max_value=1, max_denominator=16),
@@ -436,10 +445,10 @@ class TestFamilyEnvelopes:
         s = sample_1d(*pairs)
         hi = min(Q(1), lo + width)
         box = Box((Interval(lo, hi),))
-        env = L.family_at(s, ((box, add_label),), (query,), 0)
+        env = L.family_at(s, ((box, add_label),), (query,))
         y = lo + t * (hi - lo)
         retrained = L.train(s.extend((((y,), add_label),)))
-        got = retrained.eval_point((query,), 0)
+        got = retrained.eval_point((query,))
         if got.committed:
             assert got.color in env.colors
         else:

@@ -50,7 +50,7 @@ def reference_upper(x, f, ceiling, metric):
     committed color than the center's."""
 
     def membership(r, fuel):
-        base = f.eval_point(x, fuel)
+        base = f.eval_point(x)
         if base.is_bot:
             return Verdict.UNKNOWN
         ball = closed_ball(x, r, metric)

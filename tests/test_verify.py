@@ -43,7 +43,7 @@ def box2(x_lo, x_hi, y_lo, y_hi):
 def literal_exists(n, overt, f, fuel):
     """Reference semantics: scan the enumerated points one by one."""
     for p in overt.points_at(fuel):
-        if f.eval_point(p, fuel) == KBot(n):
+        if f.eval_point(p) == KBot(n):
             return Verdict.CONFIRMED, p
     return Verdict.UNKNOWN, None
 
@@ -51,7 +51,7 @@ def literal_exists(n, overt, f, fuel):
 def literal_forall(n, compact, f, fuel):
     """Reference semantics: demand commitment on every cover box."""
     for box in compact.cover_at(fuel):
-        if f.eval_box(box, fuel).committed_color != n:
+        if f.eval_box(box).committed_color != n:
             return Verdict.UNKNOWN
     return Verdict.CONFIRMED
 
@@ -66,7 +66,7 @@ class TestExistsValue:
         assert out.verdict is Verdict.CONFIRMED
         assert out.witnesses[0] is not None
         assert out.witnesses[0].color == 1
-        assert SPLIT.eval_point(out.witnesses[0].point, 1) == KBot(1)
+        assert SPLIT.eval_point(out.witnesses[0].point) == KBot(1)
 
     def test_unknown_when_no_point_qualifies(self):
         region = domain_box(box2(Q(1, 2), Q(1), Q(0), Q(1)))
@@ -111,7 +111,7 @@ class TestFixedValue:
         assert committed.witnesses
         point, color = committed.witnesses[0].point, committed.witnesses[0].color
         assert color != 1
-        assert SPLIT.eval_point(point, fuel) == KBot(color)
+        assert SPLIT.eval_point(point) == KBot(color)
 
     def test_empty_region_is_vacuously_one(self):
         out = fixed_value(0, empty_region(2), SPLIT, 0)
@@ -205,7 +205,7 @@ class TestLocallyConstant:
         assert colors == {0, 1}
         for w in committed.witnesses:
             assert max(abs(w.point[0] - 1), abs(w.point[1])) < 2
-            assert SPLIT.eval_point(w.point, fuel) == KBot(w.color)
+            assert SPLIT.eval_point(w.point) == KBot(w.color)
 
     def test_tangent_ball_stays_undecided(self):
         for fuel in range(9):
@@ -250,7 +250,7 @@ def test_exists_matches_the_literal_enumeration(plane, region, n, fuel):
     want, _ = literal_exists(n, region.overt, f, fuel)
     assert got.verdict is want
     if got.verdict is Verdict.CONFIRMED:
-        assert f.eval_point(got.witnesses[0].point, fuel) == KBot(n)
+        assert f.eval_point(got.witnesses[0].point) == KBot(n)
         assert got.witnesses[0].point in region.overt.points_at(fuel)
 
 
