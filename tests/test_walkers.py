@@ -73,8 +73,9 @@ UNIT_SQUARE = domain_box([(0, 1), (0, 1)])
 
 
 @st.composite
-def nets(draw):
-    """A 2-D relu net with 2-3 hidden units and k = 2-3 colors."""
+def net_layers(draw):
+    """The layers and margin of a 2-D relu net with 2-3 hidden units and
+    k = 2-3 colors."""
     k = draw(st.integers(2, 3))
     width = draw(st.integers(2, 3))
     hidden = make_layer(
@@ -87,17 +88,35 @@ def nets(draw):
         [draw(WEIGHTS) for _ in range(k)],
         "none",
     )
-    return threshold_net_classifier([hidden, scores], draw(st.sampled_from([Q(1, 16), Q(1, 8)])))
+    return [hidden, scores], draw(st.sampled_from([Q(1, 16), Q(1, 8)]))
+
+
+def nets():
+    """A 2-D relu net with 2-3 hidden units and k = 2-3 colors."""
+    return net_layers().map(lambda spec: threshold_net_classifier(*spec))
 
 
 @st.composite
-def regions(draw):
-    """A box, or a closed ball under either metric."""
+def region_specs(draw):
+    """``("box", center, half-widths)`` or ``("ball", center, radius, metric)``."""
     center = (draw(COORDS), draw(COORDS))
     if draw(st.booleans()):
-        halves = (draw(RADII), draw(RADII))
+        return "box", center, (draw(RADII), draw(RADII))
+    return "ball", center, draw(RADII), draw(METRICS)
+
+
+def build_region(spec) -> VKSet:
+    """The box or closed ball a ``region_specs`` draw names."""
+    if spec[0] == "box":
+        _, center, halves = spec
         return domain_box([(c - h, c + h) for c, h in zip(center, halves)])
-    return closed_ball(center, draw(RADII), draw(METRICS))
+    _, center, radius, metric = spec
+    return closed_ball(center, radius, metric)
+
+
+def regions():
+    """A box, or a closed ball under either metric."""
+    return region_specs().map(build_region)
 
 
 @settings(max_examples=60, deadline=None)
