@@ -27,6 +27,14 @@ from the root.  The whole ``locally_constant`` fuel loop 0..12 is timed on
 ``bot``, a ball that meets color 2 and the band where the net abstains, so
 neither side ever commits: the shape of the sweep's slowest queries.
 ``Box.bisect`` is timed on the 1/256 box.
+
+The ``_leaf`` entries time ``Box.bisect``, ``dist_range`` and the net's
+``eval_box`` on a box as deep as the sweep's walkers reach: 10 bisections
+below the bounding box of ``bot``'s ``euclid-sq`` ball, whose center has
+denominator 192 on one axis, taking the half that holds the center each
+time.  ``CompactSet.cover_at`` is timed on ``zero``'s closed ball at fuel 6,
+and the radius streams' best-first walk ``_nearest_off_color`` (uncached)
+on the radius workload's relu net at fuel 5, over a ceiling-2 ball.
 """
 
 from __future__ import annotations
@@ -54,7 +62,7 @@ from boxcert import (
     sparse_or_dense,
     threshold_net_classifier,
 )
-from boxcert.verify import _certified_colors, _find_witnesses
+from boxcert.verify import _certified_colors, _find_witnesses, _nearest_off_color
 
 METRICS = [MetricKind.MAX, MetricKind.EUCLID_SQ]
 X = (Q(3, 7), Q(-5, 12))
@@ -75,6 +83,27 @@ BALLS = {
 }
 BOT_BALL = ((Q(175, 192), Q(721, 384)), Q(1, 1024))
 ROUNDS = 20
+RADIUS_NET = threshold_net_classifier(
+    [
+        make_layer([[1, 0], [0, 1], [1, -1]], [8, 8, Q(-41, 15)], "relu"),
+        make_layer([[1, 1, Q(1, 2)], [2, 3, Q(1, 2)]], [-16, Q(-133687, 3360)], "none"),
+    ],
+    Q(1, 32),
+)
+RADIUS_X = (Q(7, 3), Q(-2, 5))
+
+
+def leaf_below(box: Box, point, depth: int) -> Box:
+    """The box ``depth`` bisections below ``box`` that holds ``point``."""
+    for _ in range(depth):
+        lo, hi = box.bisect()
+        box = lo if lo.contains(point) else hi
+    return box
+
+
+LEAF = leaf_below(
+    closed_ball(BOT_BALL[0], BOT_BALL[1], MetricKind.EUCLID_SQ).compact.bounding, BOT_BALL[0], 10
+)
 
 
 def fresh_ball(name: str) -> VKSet:
@@ -133,6 +162,30 @@ def test_sparse_or_dense_nn(benchmark):
 
 def test_box_bisect(benchmark):
     benchmark(BOX.bisect)
+
+
+def test_box_bisect_leaf(benchmark):
+    benchmark(LEAF.bisect)
+
+
+@pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.value)
+def test_dist_range_leaf(benchmark, metric):
+    benchmark(dist_range, LEAF, BOT_BALL[0], metric)
+
+
+def test_net_eval_box_leaf(benchmark):
+    benchmark(NET3.eval_box, LEAF)
+
+
+def test_cover_at(benchmark):
+    center, radius = BALLS["zero"]
+    benchmark(closed_ball(center, radius, MetricKind.EUCLID_SQ).compact.cover_at, 6)
+
+
+def test_nearest_off_color(benchmark):
+    color = RADIUS_NET.eval_point(RADIUS_X).color
+    walk = _nearest_off_color.__wrapped__
+    benchmark(walk, RADIUS_X, color, RADIUS_NET, Q(2), MetricKind.MAX, 5)
 
 
 @pytest.mark.parametrize("ball", BALLS)

@@ -9,7 +9,9 @@ the point answer in the limit, which is what lets covers certify regions.
 
 Hyperplanes and nets compile to integer rows over one denominator per layer,
 and both evaluators run one integer affine loop on numerators: a positive
-common scale preserves every comparison and commutes with relu.
+common scale preserves every comparison and commutes with relu.  The box
+evaluator reads a box's integer corners and denominator as they are; the
+point evaluator puts the point over one common denominator per call.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ def _int_layer(layer: Layer) -> tuple:
 
 
 def _affine(
-    layers: Sequence[tuple], lo: list[int], hi: list[int], scale: int
+    layers: Sequence[tuple], lo: Sequence[int], hi: Sequence[int], scale: int
 ) -> tuple[list[int], list[int], int]:
     """Push the ranges [lo/scale, hi/scale] through the layers.
 
@@ -112,12 +114,6 @@ def _affine(
             out_hi.append(c)
         lo, hi, scale = out_lo, out_hi, scale * den
     return lo, hi, scale
-
-
-def _box_numerators(box: Box) -> tuple[list[int], list[int], int]:
-    n = box.dims
-    den, nums = common_denominator([s.lo for s in box.sides] + [s.hi for s in box.sides])
-    return nums[:n], nums[n:], den
 
 
 def hyperplane_classifier(weights: Sequence, bias) -> IntervalClassifier:
@@ -146,7 +142,7 @@ def hyperplane_classifier(weights: Sequence, bias) -> IntervalClassifier:
     def eval_box(box: Box) -> ColorEnvelope:
         if box.dims != dims:
             raise ValidationError(f"box has {box.dims} dimensions, expected {dims}")
-        (lo,), (hi,), _ = _affine(layers, *_box_numerators(box))
+        (lo,), (hi,), _ = _affine(layers, box.lo, box.hi, box.den)
         if lo > 0:
             return ColorEnvelope(frozenset((1,)), False)
         if hi < 0:
@@ -240,7 +236,7 @@ def threshold_net_classifier(layers: Sequence[Layer], margin) -> IntervalClassif
             raise ValidationError(f"box has {box.dims} dimensions, expected {dims}")
         if k == 1:
             return ColorEnvelope(frozenset((0,)), False)
-        lo, hi, scale = _affine(compiled, *_box_numerators(box))
+        lo, hi, scale = _affine(compiled, box.lo, box.hi, box.den)
         colors = set()
         certain = False
         for j in range(k):

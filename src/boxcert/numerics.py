@@ -1,8 +1,11 @@
 """Exact rational arithmetic: intervals, boxes, metrics, one-sided reals.
 
-Rationals are exact :class:`fractions.Fraction` values at the boundary;
-inside the evaluators they become integer numerators over one common
-denominator per call (:func:`common_denominator`).  Floats are refused at
+Rationals are exact :class:`fractions.Fraction` values at the boundary:
+parsed input, enumerated grid points and the :class:`Interval` that
+:func:`dist_range` returns.  A :class:`Box` holds integer corners over one
+denominator, so bisection, width tests, distance ranges and the grid
+inside a box read integers; a point becomes integer numerators over a
+common denominator (:func:`common_denominator`).  Floats are refused at
 the boundary because a float that survived one conversion silently poisons
 every exactness guarantee downstream.  The Euclidean metric is handled
 through squared distances so that all comparisons stay rational.
@@ -13,6 +16,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
@@ -115,14 +119,61 @@ class Interval:
         return Interval(self.lo, mid), Interval(mid, self.hi)
 
 
-@dataclass(frozen=True)
 class Box:
-    """Axis-aligned product of closed intervals."""
+    """Axis-aligned product of closed rational intervals.
 
-    sides: tuple[Interval, ...]
+    A box holds integer corner numerators over one denominator: axis i
+    spans ``lo[i] / den`` to ``hi[i] / den``.  ``Box(sides)`` takes the lcm
+    of the sides' denominators and ``bisect`` doubles it, so every box a
+    walker reaches from a bounding box is an integer lattice box at scale
+    ``den``, and splits, width tests, distance ranges and envelopes read
+    those integers without building a ``Fraction`` or an ``Interval``.
+    ``sides`` builds the interval form on demand.  Boxes are immutable,
+    and two boxes are equal, and hash equal, when they hold the same
+    points, whatever their denominators.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sides", tuple(self.sides))
+    __slots__ = ("lo", "hi", "den")
+    lo: tuple[int, ...]
+    hi: tuple[int, ...]
+    den: int
+
+    def __init__(self, sides: Sequence[Interval]) -> None:
+        sides = tuple(sides)
+        n = len(sides)
+        den, nums = common_denominator([s.lo for s in sides] + [s.hi for s in sides])
+        _set(self, "lo", tuple(nums[:n]))
+        _set(self, "hi", tuple(nums[n:]))
+        _set(self, "den", den)
+
+    @staticmethod
+    def _of(lo: tuple[int, ...], hi: tuple[int, ...], den: int) -> "Box":
+        box = object.__new__(Box)
+        _set(box, "lo", lo)
+        _set(box, "hi", hi)
+        _set(box, "den", den)
+        return box
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("boxes are immutable")
+
+    def __reduce__(self):
+        return Box._of, (self.lo, self.hi, self.den)
+
+    def _lowest_terms(self) -> tuple:
+        g = math.gcd(self.den, *self.lo, *self.hi)
+        return tuple(c // g for c in self.lo), tuple(c // g for c in self.hi), self.den // g
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Box):
+            return NotImplemented
+        return self._lowest_terms() == other._lowest_terms()
+
+    def __hash__(self) -> int:
+        return hash(self._lowest_terms())
+
+    def __repr__(self) -> str:
+        return f"Box(sides={self.sides!r})"
 
     @staticmethod
     def from_bounds(bounds: Sequence[tuple[int | str | Fraction, int | str | Fraction]]) -> "Box":
@@ -133,36 +184,60 @@ class Box:
         return Box(tuple(Interval.point(c) for c in point))
 
     @property
+    def sides(self) -> tuple[Interval, ...]:
+        d = self.den
+        return tuple(Interval(Fraction(a, d), Fraction(b, d)) for a, b in zip(self.lo, self.hi))
+
+    @property
     def dims(self) -> int:
-        return len(self.sides)
+        return len(self.lo)
 
     @property
     def width(self) -> Fraction:
         """Widest side; the box's resolution for subdivision purposes."""
-        if not self.sides:
-            return Fraction(0)
-        return max(side.width for side in self.sides)
+        return Fraction(max(map(operator.sub, self.hi, self.lo), default=0), self.den)
+
+    def within(self, width: Fraction) -> bool:
+        """Is every side at most ``width`` wide?  Compared in integers."""
+        widest = max(map(operator.sub, self.hi, self.lo), default=0)
+        return widest * width.denominator <= width.numerator * self.den
 
     @property
     def midpoint(self) -> Point:
-        return tuple(side.midpoint for side in self.sides)
+        d = 2 * self.den
+        return tuple(Fraction(a + b, d) for a, b in zip(self.lo, self.hi))
 
     def contains(self, point: Point) -> bool:
         if len(point) != self.dims:
             raise ValidationError(f"point has {len(point)} coordinates, box has {self.dims}")
-        return all(side.contains(c) for side, c in zip(self.sides, point))
+        d = self.den
+        return all(
+            a * c.denominator <= c.numerator * d <= b * c.denominator
+            for a, b, c in zip(self.lo, self.hi, point)
+        )
 
     def bisect(self) -> tuple["Box", "Box"]:
-        """Split along the widest side, lowest axis index on ties."""
-        widths = [side.width for side in self.sides]
+        """Split along the widest side, lowest axis index on ties.
+
+        The halves are at twice the denominator, so the midpoint is the
+        integer ``lo + hi`` of the split axis."""
+        lo, hi = self.lo, self.hi
+        widths = list(map(operator.sub, hi, lo))
         widest = max(widths, default=0)
         if widest == 0:
             raise ValidationError("cannot bisect a degenerate box")
         axis = widths.index(widest)
-        left, right = self.sides[axis].bisect()
-        lo_sides = self.sides[:axis] + (left,) + self.sides[axis + 1 :]
-        hi_sides = self.sides[:axis] + (right,) + self.sides[axis + 1 :]
-        return Box(lo_sides), Box(hi_sides)
+        mid = (lo[axis] + hi[axis],)
+        lo = tuple([2 * c for c in lo])
+        hi = tuple([2 * c for c in hi])
+        den = 2 * self.den
+        return (
+            Box._of(lo, hi[:axis] + mid + hi[axis + 1 :], den),
+            Box._of(lo[:axis] + mid + lo[axis + 1 :], hi, den),
+        )
+
+
+_set = object.__setattr__
 
 
 class MetricKind(enum.Enum):
@@ -198,15 +273,16 @@ def dist_range(box: Box, x: Point, metric: MetricKind) -> Interval:
     """Exact range of d(y, x) over y in the box.
 
     Coordinates are independent, so per-axis distance ranges combine by a
-    max (max metric) or a sum (squared Euclidean) without any slack.
+    max (max metric) or a sum (squared Euclidean) without any slack.  The
+    box's corners and x are compared as integers over one denominator.
     """
     _check_dims(box.dims, len(x))
-    n = len(x)
-    lows = [side.lo for side in box.sides]
-    den, nums = common_denominator(lows + [side.hi for side in box.sides] + list(x))
+    den = math.lcm(box.den, *[c.denominator for c in x])
+    up = den // box.den
     near, far = [], []
-    for lo, hi, c in zip(nums, nums[n:], nums[2 * n :]):
-        lo, hi = lo - c, hi - c
+    for lo, hi, c in zip(box.lo, box.hi, x):
+        c = c.numerator * (den // c.denominator)
+        lo, hi = lo * up - c, hi * up - c
         near.append(lo if lo > 0 else -hi if hi < 0 else 0)
         far.append(max(-lo, hi))
     if metric is MetricKind.MAX:
@@ -231,7 +307,11 @@ def dyadic_grid(lo: Fraction, hi: Fraction, fuel: Fuel) -> list[Fraction]:
 
 def grid_points(box: Box, fuel: Fuel) -> Iterator[Point]:
     """Points of the dyadic grid at 2**-fuel inside ``box``, lexicographic order."""
-    return itertools.product(*[dyadic_grid(side.lo, side.hi, fuel) for side in box.sides])
+    check_fuel(fuel)
+    n, d = 2**fuel, box.den
+    # Numerators k of k / n from ceil(lo * n / d) to floor(hi * n / d).
+    axes = [range(-(-lo * n // d), hi * n // d + 1) for lo, hi in zip(box.lo, box.hi)]
+    return itertools.product(*[[Fraction(k, n) for k in axis] for axis in axes])
 
 
 @dataclass(frozen=True)

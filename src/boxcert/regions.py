@@ -78,7 +78,7 @@ class CompactSet:
             box = stack.pop()
             if not self.keep(box):
                 continue
-            if box.width <= target:
+            if box.within(target):
                 out.append(box)
             else:
                 lo, hi = box.bisect()

@@ -139,7 +139,7 @@ def _certified_colors(
         still -= {f.eval_box(box).committed_color}
         if not still:
             continue
-        if box.width <= target:
+        if box.within(target):
             frontier.append((box, still))
             failed |= still
             if failed == open_colors:
@@ -184,7 +184,7 @@ def _find_witnesses(
         box = stack.pop()
         if A.box_disjoint(box) or wanted.isdisjoint(f.eval_box(box).colors):
             continue
-        if all(side.width <= step for side in box.sides):
+        if box.within(step):
             enumerated.append(box)
             for p in grid_points(box, fuel):
                 if not A.member(p):
@@ -353,7 +353,7 @@ def _nearest_off_color(
         want_differ = differ is None or near < differ
         if not want_differ and env.colors <= {c}:
             continue
-        if all(side.width <= step for side in box.sides):
+        if box.within(step):
             for p in grid_points(box, fuel):
                 d = dist_point(p, x, metric)
                 if d > ceiling or (other is not None and d >= other):

@@ -8,7 +8,9 @@ membership tests as given and only walk the radius grid; they are the
 one-membership-per-radius reference for the radius streams.  The interval
 references at the end are the package's former ``Fraction``/``Interval``
 evaluators, kept as the reference for the integer kernels that replaced
-them, together with the ``Interval`` arithmetic they run on.  The two
+them, together with the ``Interval`` arithmetic they run on and the
+``Box`` bisection, width and containment of a box held as ``Interval``
+sides.  The two
 learner searches at the very end enumerate ordered tuples of added points,
 as the package did before its searches moved to multisets, and the
 ``robust_point`` reference keeps the two race sides it had before it
@@ -282,6 +284,27 @@ def iv_abs(a: Interval) -> Interval:
 def iv_square(a: Interval) -> Interval:
     m = iv_abs(a)
     return Interval(m.lo * m.lo, m.hi * m.hi)
+
+
+def ref_box_width(sides) -> Fraction:
+    """Widest side of a box given as a tuple of ``Interval`` sides."""
+    return max((side.width for side in sides), default=Q(0))
+
+
+def ref_box_contains(sides, point) -> bool:
+    return all(side.lo <= c <= side.hi for side, c in zip(sides, point))
+
+
+def ref_box_bisect(sides):
+    """The two halves of a box of ``Interval`` sides, split along the
+    widest side, lowest axis index on ties."""
+    widths = [side.width for side in sides]
+    widest = max(widths, default=0)
+    if widest == 0:
+        raise ValueError("cannot bisect a degenerate box")
+    axis = widths.index(widest)
+    left, right = sides[axis].bisect()
+    return sides[:axis] + (left,) + sides[axis + 1 :], sides[:axis] + (right,) + sides[axis + 1 :]
 
 
 def ref_dist_point(x, y, metric: MetricKind) -> Fraction:

@@ -1,17 +1,20 @@
 """The integer kernels against the former Fraction/Interval evaluators.
 
 Nets, hyperplanes, distances and the trained nn point rule now compute on
-integer numerators over a common denominator.  The references in
-``oracles`` are the evaluators they replaced, so every result must be
-equal, not merely consistent: the same envelope, the same color, the same
-interval and the same rational.
+integer numerators over a common denominator, and a ``Box`` holds integer
+corners over one denominator that doubles at each bisection.  The
+references in ``oracles`` are the evaluators and the box operations they
+replaced, so every result must be equal, not merely consistent: the same
+envelope, the same color, the same interval, the same rational and the
+same halves.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
 
-from hypothesis import example, given, settings, strategies as st
+import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from boxcert import (
     Box,
@@ -25,9 +28,13 @@ from boxcert import (
     nn_learner,
     threshold_net_classifier,
 )
+from boxcert.errors import ValidationError
 from boxcert.numerics import common_denominator
 
 from oracles import (
+    ref_box_bisect,
+    ref_box_contains,
+    ref_box_width,
     ref_dist_point,
     ref_dist_range,
     ref_hyperplane_eval_box,
@@ -151,3 +158,84 @@ QUERY_GRID = st.one_of(SAMPLE_GRID, st.sampled_from([Q(n, 7) for n in range(-7, 
 def test_nn_point_rule_matches_envelope(pts, x, margin, metric):
     trained = nn_learner(margin, k=3, metric=metric).train(Sample(tuple(pts)))
     assert trained.eval_point(x) == ref_nn_eval_point(pts, x, margin, metric)
+
+
+# ------------------------------------------------------------ integer boxes
+
+# Denominators a walker meets at depth 0: the sweep's off-dyadic centers
+# (192), and two that share no factor of 2 with it or with each other.
+@st.composite
+def rooted_boxes(draw, dims):
+    """Bounds on one of the denominators 192, 7 and 12, negative
+    coordinates included, with a side sometimes degenerate."""
+    den = draw(st.sampled_from([192, 7, 12]))
+    bounds = []
+    for _ in range(dims):
+        a = draw(st.integers(-3 * den, 3 * den))
+        b = draw(st.one_of(st.just(a), st.integers(-3 * den, 3 * den)))
+        bounds.append((Q(min(a, b), den), Q(max(a, b), den)))
+    return Box.from_bounds(bounds)
+
+
+@st.composite
+def walked_boxes(draw, dims):
+    """A rooted box and the box 0-14 bisections below it, each step
+    taking the low or the high half, with the ``Interval`` sides that the
+    reference bisection reaches along the same path."""
+    box = draw(rooted_boxes(dims))
+    sides = box.sides
+    for high in draw(st.lists(st.booleans(), max_size=14)):
+        if box.width == 0:
+            break
+        box, sides = box.bisect()[high], ref_box_bisect(sides)[high]
+    return box, sides
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), dims=st.integers(1, 3))
+def test_box_matches_fraction_box(data, dims):
+    box, sides = data.draw(walked_boxes(dims))
+    assert box.sides == sides
+    assert box.width == ref_box_width(sides)
+    assert box.dims == dims
+    probes = sample_corners(box) + [data.draw(points(dims)) for _ in range(3)]
+    probes += [tuple(s.lo - Q(1, 7) for s in sides), tuple(s.hi + Q(1, 192) for s in sides)]
+    for p in probes:
+        assert box.contains(p) is ref_box_contains(sides, p)
+    assume(box.width > 0)
+    lo, hi = box.bisect()
+    ref_lo, ref_hi = ref_box_bisect(sides)
+    # Equal halves as point sets pin the split axis, lowest index on ties.
+    assert (lo.sides, hi.sides) == (ref_lo, ref_hi)
+    assert (lo, hi) == (Box(ref_lo), Box(ref_hi))
+    assert (lo.den, hi.den) == (2 * box.den, 2 * box.den)
+
+
+def test_degenerate_box_does_not_bisect():
+    with pytest.raises(ValidationError):
+        Box.from_bounds([(Q(1, 7), Q(1, 7)), (-1, -1)]).bisect()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), dims=st.integers(1, 3))
+def test_bisected_box_equals_and_hashes_as_its_bounds(data, dims):
+    box, sides = data.draw(walked_boxes(dims))
+    same = Box.from_bounds([(s.lo, s.hi) for s in sides])
+    assert same == box and hash(same) == hash(box)
+    assert same.den <= box.den
+    assert Box(sides) == box and {box: 1}[same] == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), spec=nets(), metric=METRICS)
+def test_walked_boxes_match_interval_evaluators(data, spec, metric):
+    layers, margin = spec
+    dims = layers[0].in_dim
+    box, _ = data.draw(walked_boxes(dims))
+    x = data.draw(st.tuples(*[st.fractions(-3, 3, max_denominator=192)] * dims))
+    assert dist_range(box, x, metric) == ref_dist_range(box, x, metric)
+    f = threshold_net_classifier(layers, margin)
+    assert f.eval_box(box) == ref_net_eval_box(layers, margin, box)
+    w = data.draw(st.lists(RATIONALS, min_size=dims, max_size=dims).filter(any))
+    b = data.draw(RATIONALS)
+    assert hyperplane_classifier(w, b).eval_box(box) == ref_hyperplane_eval_box(w, b, box)

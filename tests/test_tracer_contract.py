@@ -48,4 +48,9 @@ def test_tracer_installs_and_counts_golden_queries(capsys):
     assert counts["learners.sparse_or_dense.calls"] > 0
     assert counts["learners.train.calls"] > 0
     assert counts["learners.family_at.calls"] > 0
+    # The walkers split, measure and evaluate boxes through the names the
+    # tracer rebinds.
+    assert counts["numerics.Box.bisect.calls"] > 0
+    assert counts["numerics.dist_range.calls"] > 0
+    assert counts["classifiers.eval_box.calls"] > 0
     assert not hasattr(cli.main, "__wrapped__")
