@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 
-import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from boxcert import (
@@ -28,7 +27,6 @@ from boxcert import (
     nn_learner,
     threshold_net_classifier,
 )
-from boxcert.errors import ValidationError
 from boxcert.numerics import common_denominator
 
 from oracles import (
@@ -162,8 +160,8 @@ def test_nn_point_rule_matches_envelope(pts, x, margin, metric):
 
 # ------------------------------------------------------------ integer boxes
 
-# Denominators a walker meets at depth 0: the sweep's off-dyadic centers
-# (192), and two that share no factor of 2 with it or with each other.
+# Root denominators: 192, as at the sweep's off-dyadic centers; 7, which
+# has no factor 2; and 12, a factor 4 times a factor 3.
 @st.composite
 def rooted_boxes(draw, dims):
     """Bounds on one of the denominators 192, 7 and 12, negative
@@ -209,11 +207,6 @@ def test_box_matches_fraction_box(data, dims):
     assert (lo.sides, hi.sides) == (ref_lo, ref_hi)
     assert (lo, hi) == (Box(ref_lo), Box(ref_hi))
     assert (lo.den, hi.den) == (2 * box.den, 2 * box.den)
-
-
-def test_degenerate_box_does_not_bisect():
-    with pytest.raises(ValidationError):
-        Box.from_bounds([(Q(1, 7), Q(1, 7)), (-1, -1)]).bisect()
 
 
 @settings(max_examples=200, deadline=None)

@@ -208,7 +208,10 @@ def test_learner_ops_commute_with_integer_translation(learner, region, sample, x
     s = Sample(tuple(sample))
     s_moved = Sample(tuple((shift(p, t), c) for p, c in sample))
     y = shift(x, t)
-    g = lambda p: shift(p, t)  # noqa: E731
+
+    def g(p):
+        return shift(p, t)
+
     for fuel in FUELS:
         assert does_deviate(L, B, fuel) == moved(does_deviate(L, A, fuel), g)
         assert robust_point(y, s_moved, L, B, fuel) == moved(robust_point(x, s, L, A, fuel), g)
