@@ -20,19 +20,21 @@ The region layer is timed at fuel 6 on two of the sweep's
 ``euclid-sq`` balls.  On ``zero`` the open ball holds colors 0 and 1, and
 the no side finds both early; on ``one`` color 2 certifies, so both sides
 walk their whole trees.  Each race side walker is timed on its own, for
-all three colors, and so is the whole ``constant_value`` race.  The
-walkers resume their last walk when asked the same of the same region
-again, so every round of these gets a freshly built ball and times a walk
-from the root.  The whole ``locally_constant`` fuel loop 0..12 is timed on
-``bot``, a ball that meets color 2 and the band where the net abstains, so
-neither side ever commits: the shape of the sweep's slowest queries.
-``Box.bisect`` is timed on the 1/256 box.
+all three colors, and so is the whole ``constant_value`` race.  Outside a
+query context each of these calls walks from the root, with envelopes
+evaluated afresh; every round also gets a freshly built ball.  The whole
+``locally_constant`` fuel loop 0..12 is timed on ``bot``, a ball that
+meets color 2 and the band where the net abstains, so neither side ever
+commits: the shape of the sweep's slowest queries.  It runs in one query
+context, as ``boxcert verify`` runs it, so each fuel resumes the walks of
+the last and each box's envelope is evaluated once.  ``Box.bisect`` is
+timed on the 1/256 box.
 
-The ``_leaf`` entries time ``Box.bisect``, ``dist_range`` and the net's
-``eval_box`` on a box as deep as the sweep's walkers reach: 10 bisections
-below the bounding box of ``bot``'s ``euclid-sq`` ball, whose center has
-denominator 192 on one axis, taking the half that holds the center each
-time.  ``CompactSet.cover_at`` is timed on ``zero``'s closed ball at fuel 6,
+The ``_leaf`` entries time ``Box.bisect``, ``dist_range``, the closed
+ball's keep test and the net's ``eval_box`` on a box as deep as the
+sweep's walkers reach: 10 bisections below the bounding box of ``bot``'s
+``euclid-sq`` ball, whose center has denominator 192 on one axis, taking
+the half that holds the center each time.  ``CompactSet.cover_at`` is timed on ``zero``'s closed ball at fuel 6,
 and the radius streams' best-first walk ``_nearest_off_color`` (uncached)
 on the radius workload's relu net at fuel 5, over a ceiling-2 ball.
 """
@@ -62,7 +64,7 @@ from boxcert import (
     sparse_or_dense,
     threshold_net_classifier,
 )
-from boxcert.verify import _certified_colors, _find_witnesses, _nearest_off_color
+from boxcert.verify import _certified_colors, _find_witnesses, _nearest_off_color, _query_scope
 
 METRICS = [MetricKind.MAX, MetricKind.EUCLID_SQ]
 X = (Q(3, 7), Q(-5, 12))
@@ -173,6 +175,11 @@ def test_dist_range_leaf(benchmark, metric):
     benchmark(dist_range, LEAF, BOT_BALL[0], metric)
 
 
+@pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.value)
+def test_ball_keep_leaf(benchmark, metric):
+    benchmark(closed_ball(BOT_BALL[0], BOT_BALL[1], metric).compact.keep, LEAF)
+
+
 def test_net_eval_box_leaf(benchmark):
     benchmark(NET3.eval_box, LEAF)
 
@@ -214,11 +221,13 @@ def test_constant_value(benchmark, ball):
 
 
 def locally_constant_loop(center, radius):
-    """Every fuel 0..12 in turn, as ``boxcert verify`` runs a query that stays bot."""
-    return [
-        locally_constant(center, radius, NET3, fuel, MetricKind.EUCLID_SQ).verdict
-        for fuel in range(13)
-    ]
+    """Every fuel 0..12 in turn in one query context, as ``boxcert verify``
+    runs a query that stays bot."""
+    with _query_scope():
+        return [
+            locally_constant(center, radius, NET3, fuel, MetricKind.EUCLID_SQ).verdict
+            for fuel in range(13)
+        ]
 
 
 def test_locally_constant_fuel_loop(benchmark):

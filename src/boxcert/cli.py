@@ -1,15 +1,16 @@
 """Command line front end.
 
 The library operations give results that are pure functions of a single
-fuel value; the fuel loop lives here.  Each region walker resumes its last
-walk when the loop asks about the same region at the next fuel, so the
-loop walks each subdivision tree once.  For the region and learner ops
-``verify`` iterates fuel from zero to the budget and stops at the first
-committed answer; ``radiusLower`` and ``radiusUpper`` evaluate their
-stream once at the budget, and ``optimalRadius`` runs the loop of
-``optimal_radius``.  Every report is deterministic: same input files and
-flags give byte-identical output.  Exit codes: 0 for a committed answer,
-2 for unknown or bottom at budget, 1 for a hard error.
+fuel value; the fuel loop lives here.  Each query runs in one query
+context, where each region walker resumes its last walk when the loop asks
+about the same region at the next fuel, so the loop walks each subdivision
+tree once.  For the region and learner ops ``verify`` iterates fuel from
+zero to the budget and stops at the first committed answer;
+``radiusLower`` and ``radiusUpper`` evaluate their stream once at the
+budget, and ``optimalRadius`` runs the loop of ``optimal_radius``.  Every
+report is deterministic: same input files and flags give byte-identical
+output.  Exit codes: 0 for a committed answer, 2 for unknown or bottom at
+budget, 1 for a hard error.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .learners import (
 from .numerics import MetricKind, format_rational
 from .verify import (
     ColorWitness,
+    _query_scope,
     constant_value,
     exists_value,
     fixed_value,
@@ -264,7 +266,8 @@ def _iterate(spec: QuerySpec, step: Callable[[QuerySpec, int], Outcome]) -> Repo
 
 def run_query(spec: QuerySpec) -> Report:
     started = time.monotonic()
-    report = _dispatch(spec)
+    with _query_scope():
+        report = _dispatch(spec)
     return replace(report, wall_time=time.monotonic() - started)
 
 

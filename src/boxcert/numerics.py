@@ -5,7 +5,10 @@ parsed input, enumerated grid points and the :class:`Interval` that
 :func:`dist_range` returns.  A :class:`Box` holds integer corners over one
 denominator, so bisection, width tests, distance ranges and the grid
 inside a box read integers; a point becomes integer numerators over a
-common denominator (:func:`common_denominator`).  Floats are refused at
+common denominator (:func:`common_denominator`).  The ball tests take a
+box's distance range from :func:`distance_kernel` as integers over one
+scale and compare it with the radius in integers, not through
+``dist_range``'s ``Interval``.  Floats are refused at
 the boundary because a float that survived one conversion silently poisons
 every exactness guarantee downstream.  The Euclidean metric is handled
 through squared distances so that all comparisons stay rational.
@@ -269,27 +272,41 @@ def dist_point(x: Point, y: Point, metric: MetricKind) -> Fraction:
     return Fraction(sum(g * g for g in gaps), den * den)
 
 
-def dist_range(box: Box, x: Point, metric: MetricKind) -> Interval:
-    """Exact range of d(y, x) over y in the box.
+def distance_kernel(x: Point, metric: MetricKind) -> Callable[[Box], tuple[int, int, int]]:
+    """For a box, ``(near, far, scale)``: the range of d(y, x) over y in
+    the box is ``[near / scale, far / scale]``.
 
     Coordinates are independent, so per-axis distance ranges combine by a
     max (max metric) or a sum (squared Euclidean) without any slack.  The
     box's corners and x are compared as integers over one denominator.
     """
-    _check_dims(box.dims, len(x))
-    den = math.lcm(box.den, *[c.denominator for c in x])
-    up = den // box.den
-    near, far = [], []
-    for lo, hi, c in zip(box.lo, box.hi, x):
-        c = c.numerator * (den // c.denominator)
-        lo, hi = lo * up - c, hi * up - c
-        near.append(lo if lo > 0 else -hi if hi < 0 else 0)
-        far.append(max(-lo, hi))
-    if metric is MetricKind.MAX:
-        return Interval(Fraction(max(near, default=0), den), Fraction(max(far, default=0), den))
-    return Interval(
-        Fraction(sum(a * a for a in near), den * den), Fraction(sum(b * b for b in far), den * den)
-    )
+    x_den, x_nums = common_denominator(x)
+    euclid = metric is MetricKind.EUCLID_SQ
+
+    def kernel(box: Box) -> tuple[int, int, int]:
+        _check_dims(box.dims, len(x))
+        den = math.lcm(box.den, x_den)
+        up, x_up = den // box.den, den // x_den
+        near = far = 0
+        for lo, hi, c in zip(box.lo, box.hi, x_nums):
+            c *= x_up
+            lo, hi = lo * up - c, hi * up - c
+            a = lo if lo > 0 else -hi if hi < 0 else 0
+            b = max(-lo, hi)
+            if euclid:
+                near += a * a
+                far += b * b
+            else:
+                near, far = max(near, a), max(far, b)
+        return near, far, den * den if euclid else den
+
+    return kernel
+
+
+def dist_range(box: Box, x: Point, metric: MetricKind) -> Interval:
+    """Exact range of d(y, x) over y in the box (see :func:`distance_kernel`)."""
+    near, far, scale = distance_kernel(x, metric)(box)
+    return Interval(Fraction(near, scale), Fraction(far, scale))
 
 
 def dyadic_step(fuel: Fuel) -> Fraction:

@@ -29,6 +29,7 @@ from .numerics import (
     as_rational,
     dist_point,
     dist_range,
+    distance_kernel,
     dyadic_step,
     grid_points,
 )
@@ -146,6 +147,17 @@ def _ball_bounding(center: Point, radius: Fraction, metric: MetricKind) -> Box:
     return Box(tuple(Interval(c - half, c + half) for c in center))
 
 
+def _excess(x: Point, r: Fraction, metric: MetricKind) -> Callable[[Box], int]:
+    """A box's least distance from x minus r, times ``q * scale`` > 0."""
+    kernel, p, q = distance_kernel(x, metric), r.numerator, r.denominator
+
+    def excess(box: Box) -> int:
+        near, _, scale = kernel(box)
+        return near * q - p * scale
+
+    return excess
+
+
 def closed_ball(center: Sequence, radius, metric: MetricKind) -> VKSet:
     """The closed ball around a rational center; empty when radius < 0."""
     x: Point = tuple(as_rational(c) for c in center)
@@ -155,11 +167,12 @@ def closed_ball(center: Sequence, radius, metric: MetricKind) -> VKSet:
     if r < 0:
         return empty_region(len(x))
     bounding = _ball_bounding(x, r, metric)
-    compact = CompactSet(bounding, lambda box: dist_range(box, x, metric).lo <= r)
+    excess = _excess(x, r, metric)
+    compact = CompactSet(bounding, lambda box: excess(box) <= 0)
     overt = OvertSet(
         bounding,
         lambda p: dist_point(p, x, metric) <= r,
-        lambda box: dist_range(box, x, metric).lo > r,
+        lambda box: excess(box) > 0,
     )
     return VKSet(compact, overt)
 
@@ -173,10 +186,11 @@ def open_ball_overt(center: Sequence, radius, metric: MetricKind) -> OvertSet:
     if r <= 0:
         return empty_region(len(x)).overt
     bounding = _ball_bounding(x, r, metric)
+    excess = _excess(x, r, metric)
     return OvertSet(
         bounding,
         lambda p: dist_point(p, x, metric) < r,
-        lambda box: dist_range(box, x, metric).lo >= r,
+        lambda box: excess(box) >= 0,
     )
 
 

@@ -18,29 +18,33 @@ walk carries the colors still open in each subtree, the existential walk
 the colors still wanted, and a two-sided question reports the lowest
 colors that certify or have a hit.
 
-Results stay pure functions of the arguments, but each walker keeps its
-last walk in one module slot: asked the same again about the same region
-and classifier objects at the same fuel or more, it walks on from where
-the last walk stopped instead of from the bounding box, since fuel d + 1
-only refines the subdivision of fuel d.  A fuel loop over one query
-therefore walks each tree once.  The slots keep the last query's region,
-classifier and frontier alive until the next walk.
+Results stay pure functions of the arguments.  Inside one query context,
+which ``boxcert verify`` opens per query and ``optimal_radius`` for its
+fuel loop, each walker saves the frontier it left under its arguments:
+asked the same again at the same fuel or more, it walks on from there
+instead of from the bounding box, since fuel d + 1 only refines the
+subdivision of fuel d, and it evaluates each box's envelope once.  A fuel
+loop over one query therefore walks each tree once.  A call outside a
+context walks afresh, and nothing outlives the query.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .classifiers import IntervalClassifier
+from .classifiers import ColorEnvelope, IntervalClassifier
 from .errors import ValidationError
 from .kernel import Fuel, KBot, Outcome, Verdict, any_of, check_fuel, race
 from .numerics import (
+    Box,
     LowerReal,
     MetricKind,
     Point,
@@ -87,16 +91,62 @@ def _check_region_dims(region_dims: int, f: IntervalClassifier) -> None:
         raise ValidationError(f"region has {region_dims} dimensions, classifier expects {f.dims}")
 
 
-# The last walk of each walker: (region, classifier, key, fuel, frontier).
-_last_cover: tuple = (None, None, None, 0, None)
-_last_grid: tuple = (None, None, None, 0, None)
+@dataclass
+class _Query:
+    """What one query's walks share until it ends: each walk's frontier
+    and each ``_per_query`` result, keyed by arguments, and box envelopes."""
+
+    frontiers: dict = field(default_factory=dict)
+    results: dict = field(default_factory=dict)
+    envelopes: dict = field(default_factory=dict)
+
+    def resume(self, key, fuel: Fuel, root):
+        """The frontier the walk ``key`` left at no more fuel, else ``root``."""
+        at, frontier = self.frontiers.get(key, (fuel, root))
+        return frontier if at <= fuel else root
+
+    def envelope(self, f: IntervalClassifier) -> Callable[[Box], ColorEnvelope]:
+        """``f.eval_box`` once per box, keyed on its raw integers with no
+        ``gcd``: walks that bisect one bounding box alike reach equal keys."""
+        memo = self.envelopes.setdefault(f, {})
+
+        def envelope(box: Box) -> ColorEnvelope:
+            key = box.lo, box.hi, box.den
+            return memo.get(key) or memo.setdefault(key, f.eval_box(box))
+
+        return envelope
 
 
-def _resume(last: tuple, A, f: IntervalClassifier, key, fuel: Fuel, root):
-    """The frontier ``last`` left if it walked ``key`` on A and f at no
-    more fuel, else ``root``, where a fresh walk starts."""
-    region, g, k, at, frontier = last
-    return frontier if region is A and g is f and k == key and at <= fuel else root
+_QUERY = contextvars.ContextVar("boxcert_query", default=None)
+
+
+def _query() -> _Query:
+    """The current query context; outside one, a fresh throwaway one."""
+    return _QUERY.get() or _Query()
+
+
+@contextlib.contextmanager
+def _query_scope() -> Iterator[None]:
+    """Keep the current query context, else open a fresh one for the block."""
+    token = None if _QUERY.get() else _QUERY.set(_Query())
+    try:
+        yield
+    finally:
+        if token is not None:
+            _QUERY.reset(token)
+
+
+def _per_query(fn):
+    """``fn``, computed once per arguments in the current query context."""
+
+    @functools.wraps(fn)
+    def cached(*args):
+        results = _query().results
+        if (fn, args) not in results:
+            results[fn, args] = fn(*args)
+        return results[fn, args]
+
+    return cached
 
 
 def _certified_colors(
@@ -120,10 +170,11 @@ def _certified_colors(
     frontier with the colors that failed.  This is sound because neither
     ``keep`` nor ``f.eval_box`` takes a fuel.
     """
-    global _last_cover
+    query = _query()
+    envelope = query.envelope(f)
     wanted = frozenset(colors)
-    root = (wanted, ((A.bounding, wanted),))
-    open_colors, entries = _resume(_last_cover, A, f, wanted, fuel, root)
+    key = ("cover", A, f, wanted)
+    open_colors, entries = query.resume(key, fuel, (wanted, ((A.bounding, wanted),)))
     target = cover_width_target(A.bounding, fuel)
     failed: frozenset[int] = frozenset()
     frontier = []
@@ -136,7 +187,7 @@ def _certified_colors(
             still -= passed
         if not still or not A.keep(box):
             continue
-        still -= {f.eval_box(box).committed_color}
+        still -= {envelope(box).committed_color}
         if not still:
             continue
         if box.within(target):
@@ -149,7 +200,7 @@ def _certified_colors(
         stack.append((hi, still))
         stack.append((lo, still))
     frontier.extend(reversed(stack))
-    _last_cover = (A, f, wanted, fuel, (failed, frontier))
+    query.frontiers[key] = (fuel, (failed, frontier))
     return wanted - failed
 
 
@@ -172,9 +223,10 @@ def _find_witnesses(
     behind the stop, is dropped again.  This is sound because none of
     ``member``, ``box_disjoint`` or the evaluators of f takes a fuel.
     """
-    global _last_grid
-    key = (frozenset(colors), need)
-    leaves = _resume(_last_grid, A, f, key, fuel, (A.bounding,))
+    query = _query()
+    envelope = query.envelope(f)
+    key = ("grid", A, f, frozenset(colors), need)
+    leaves = query.resume(key, fuel, (A.bounding,))
     hits: dict[int, Point] = {}
     wanted = set(colors)
     step = dyadic_step(fuel)
@@ -182,7 +234,7 @@ def _find_witnesses(
     stack = list(reversed(leaves))
     while stack and wanted:
         box = stack.pop()
-        if A.box_disjoint(box) or wanted.isdisjoint(f.eval_box(box).colors):
+        if A.box_disjoint(box) or wanted.isdisjoint(envelope(box).colors):
             continue
         if box.within(step):
             enumerated.append(box)
@@ -202,7 +254,7 @@ def _find_witnesses(
         lo, hi = box.bisect()
         stack.append(hi)
         stack.append(lo)
-    _last_grid = (A, f, key, fuel, enumerated)
+    query.frontiers[key] = (fuel, enumerated)
     return [ColorWitness(hits[c], c) for c in sorted(hits)[:need]]
 
 
@@ -257,7 +309,8 @@ def _race_colors(
         found.extend(hits)
         return Verdict.CONFIRMED
 
-    value = race(yes_side, no_side, fuel)
+    with _query_scope():
+        value = race(yes_side, no_side, fuel)
     return Outcome(value, color=certified[0] if certified else None, witnesses=tuple(found))
 
 
@@ -310,7 +363,7 @@ def locally_constant(
     return constant_value(_ball(point, radius, metric), f, fuel)
 
 
-@functools.lru_cache(maxsize=1)
+@_per_query
 def _ball(point: Point, radius: Fraction, metric: MetricKind) -> VKSet:
     """The closed ball's cover with the open ball's enumeration, built once
     per center, radius and metric, so that consecutive fuels resume the
@@ -320,7 +373,7 @@ def _ball(point: Point, radius: Fraction, metric: MetricKind) -> VKSet:
     )
 
 
-@functools.lru_cache(maxsize=1)
+@_per_query
 def _nearest_off_color(
     x: Point, c: int, f: IntervalClassifier, ceiling: Fraction, metric: MetricKind, fuel: Fuel
 ) -> tuple[Fraction | None, Fraction | None]:
@@ -505,18 +558,19 @@ def optimal_radius(
     upper = top
     converged = False
     fuel_used = 0
-    for fuel in range(max_fuel + 1):
-        fuel_used = fuel
-        lower = lower_stream.approx(fuel)
-        upper = upper_stream.approx(fuel)
-        trace.append((fuel, lower, upper))
-        # A bracket only counts once both sides are real commitments: the
-        # lower stream above its sub-zero sentinel, the upper stream below
-        # the ceiling it idles at.  A constant classifier drives both sides
-        # to the ceiling with gap zero, which is saturation, not an answer.
-        if lower >= 0 and upper < top and upper - lower <= tolerance:
-            converged = True
-            break
+    with _query_scope():
+        for fuel in range(max_fuel + 1):
+            fuel_used = fuel
+            lower = lower_stream.approx(fuel)
+            upper = upper_stream.approx(fuel)
+            trace.append((fuel, lower, upper))
+            # A bracket only counts once both sides are real commitments:
+            # the lower stream above its sub-zero sentinel, the upper below
+            # the ceiling it idles at.  A constant classifier drives both to
+            # the ceiling with gap zero: saturation, not an answer.
+            if lower >= 0 and upper < top and upper - lower <= tolerance:
+                converged = True
+                break
     return RadiusReport(
         lower=lower,
         upper=upper,

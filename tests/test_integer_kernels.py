@@ -2,17 +2,19 @@
 
 Nets, hyperplanes, distances and the trained nn point rule now compute on
 integer numerators over a common denominator, and a ``Box`` holds integer
-corners over one denominator that doubles at each bisection.  The
+corners over one denominator that doubles at each bisection.  The ball
+tests compare a box's least distance with the radius in integers.  The
 references in ``oracles`` are the evaluators and the box operations they
 replaced, so every result must be equal, not merely consistent: the same
-envelope, the same color, the same interval, the same rational and the
-same halves.
+envelope, the same color, the same interval, the same rational, the same
+halves and the same keep and ``box_disjoint`` answers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
 
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from boxcert import (
@@ -20,11 +22,13 @@ from boxcert import (
     Interval,
     MetricKind,
     Sample,
+    closed_ball,
     dist_point,
     dist_range,
     hyperplane_classifier,
     make_layer,
     nn_learner,
+    open_ball_overt,
     threshold_net_classifier,
 )
 from boxcert.numerics import common_denominator
@@ -232,3 +236,51 @@ def test_walked_boxes_match_interval_evaluators(data, spec, metric):
     w = data.draw(st.lists(RATIONALS, min_size=dims, max_size=dims).filter(any))
     b = data.draw(RATIONALS)
     assert hyperplane_classifier(w, b).eval_box(box) == ref_hyperplane_eval_box(w, b, box)
+
+
+# ------------------------------------------------------------ ball tests
+
+
+def check_ball_tests(x, r, metric, box):
+    """The integer ball tests at radius r give the answers of the former
+    tests, which compare ``ref_dist_range(...).lo`` with r."""
+    near = ref_dist_range(box, x, metric).lo
+    ball = closed_ball(x, r, metric)
+    assert ball.compact.keep(box) is (near <= r)
+    assert ball.overt.box_disjoint(box) is (near > r)
+    assert open_ball_overt(x, r, metric).box_disjoint(box) is (near >= r)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), dims=st.integers(1, 3), metric=METRICS)
+def test_ball_tests_match_interval_tests(data, dims, metric):
+    """On boxes 0-14 bisections below a ball's bounding box, at the ball's
+    radius and at radii equal to the box's least and greatest distance."""
+    den = data.draw(st.sampled_from([192, 7, 12]))
+    x = tuple(Q(data.draw(st.integers(-3 * den, 3 * den)), den) for _ in range(dims))
+    r = data.draw(st.fractions(min_value=Q(1, 192), max_value=2, max_denominator=192))
+    box = closed_ball(x, r, metric).compact.bounding
+    for high in data.draw(st.lists(st.booleans(), max_size=14)):
+        box = box.bisect()[high]
+    dist = ref_dist_range(box, x, metric)
+    for radius in (r, dist.lo, dist.hi):
+        check_ball_tests(x, radius, metric, box)
+
+
+# Boxes whose least distance from the center is exactly the radius.
+EXACT = [
+    (MetricKind.MAX, (Q(-1, 7), Q(5, 12)), Q(1, 4), [(Q(3, 28), 1), (0, 1)]),
+    (MetricKind.EUCLID_SQ, (Q(-1, 7), Q(5, 12)), Q(5, 72), [(Q(3, 28), 1), (Q(1, 2), 1)]),
+    (MetricKind.MAX, (Q(-37, 192),), Q(5, 192), [(Q(-1, 6), 0)]),
+    (MetricKind.EUCLID_SQ, (Q(-37, 192),), Q(25, 192**2), [(Q(-1, 6), 0)]),
+]
+
+
+@pytest.mark.parametrize("metric, x, r, bounds", EXACT)
+def test_ball_tests_at_the_radius(metric, x, r, bounds):
+    box = Box.from_bounds(bounds)
+    assert ref_dist_range(box, x, metric).lo == r
+    check_ball_tests(x, r, metric, box)
+    ball = closed_ball(x, r, metric)
+    assert ball.compact.keep(box) and not ball.overt.box_disjoint(box)
+    assert open_ball_overt(x, r, metric).box_disjoint(box)

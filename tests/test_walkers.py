@@ -7,17 +7,24 @@ color and loop over the colors, lowest first, as the ops did before.  So
 every op must return an equal ``Outcome`` at every fuel, witnesses
 included: the same verdict, the same color and the same first points.
 
-Each walker also resumes its last walk when asked the same again at the
-same fuel or more.  Driven through rising, repeated, falling and
-interleaved fuels, it must return what a fresh walk from the root returns
-at every call.
+Inside one query context, each walker also resumes its last walk when
+asked the same again at the same fuel or more.  Driven through rising,
+repeated, falling and interleaved fuels, it must return what a fresh walk
+from the root returns at every call.  A context ends with its query and
+leaves nothing behind, and inside one each box's envelope is evaluated
+once.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import gc
 import sys
 import threading
+import weakref
+from collections import Counter
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -41,7 +48,8 @@ from boxcert import (
     open_ball_overt,
     threshold_net_classifier,
 )
-from boxcert.verify import _certified_colors, _find_witnesses
+from boxcert import cli
+from boxcert.verify import _certified_colors, _find_witnesses, _query_scope
 
 from oracles import (
     ref_certified_colors,
@@ -188,26 +196,28 @@ def walk_both(region, f, colors, need, fuel):
 def test_resumed_walks_match_fresh_walks(f, region, other, colors, need):
     colors = {c for c in colors if c < f.k}
     for fuels in FUEL_SEQUENCES:
-        for fuel in fuels:
-            walk_both(region, f, colors, need, fuel)
-    # A second region takes both slots; the first then starts over at the
-    # root and resumes from there.
-    for fuel, walked in [(0, region), (2, region), (2, other), (3, region), (5, region),
-                         (5, other), (6, other), (7, region)]:
-        walk_both(walked, f, colors, need, fuel)
+        with _query_scope():
+            for fuel in fuels:
+                walk_both(region, f, colors, need, fuel)
+    # Two regions walked in turn in one context, each resuming its own walk.
+    with _query_scope():
+        for fuel, walked in [(0, region), (2, region), (2, other), (3, region), (5, region),
+                             (5, other), (6, other), (7, region)]:
+            walk_both(walked, f, colors, need, fuel)
 
 
 @pytest.mark.parametrize("bias", [Q(-9, 16), Q(-3, 8)], ids=["passed-over", "stack-left"])
 def test_resume_walks_what_the_last_walk_left(bias):
     plane = hyperplane_classifier([1], bias)
-    for fuel in (3, 4):
-        assert ref_certified_colors(HALF, plane, {0, 1}, fuel) == frozenset()
-        assert _certified_colors(HALF, plane, {0, 1}, fuel) == frozenset()
+    with _query_scope():
+        for fuel in (3, 4):
+            assert ref_certified_colors(HALF, plane, {0, 1}, fuel) == frozenset()
+            assert _certified_colors(HALF, plane, {0, 1}, fuel) == frozenset()
 
 
 def test_walks_in_threads_match_fresh_walks():
-    """Threads that take each other's slots only lose a resumption: every
-    walk still starts from a frontier its own region left, or the root."""
+    """Each thread resumes its walks in its own query context, and no
+    thread sees another's frontiers or envelopes."""
     balls = [closed_ball((Q(i, 8), Q(1, 3)), Q(1, 4), MetricKind.MAX) for i in range(4)]
     colors = range(LATE_ZERO.k)
     expected = {
@@ -221,13 +231,14 @@ def test_walks_in_threads_match_fresh_walks():
     errors = []
 
     def loop(i):
-        for fuel in range(6):
-            got = (
-                _certified_colors(balls[i].compact, LATE_ZERO, colors, fuel),
-                _find_witnesses(balls[i].overt, LATE_ZERO, colors, 2, fuel),
-            )
-            if got != expected[i, fuel]:
-                errors.append((i, fuel, got))
+        with _query_scope():
+            for fuel in range(6):
+                got = (
+                    _certified_colors(balls[i].compact, LATE_ZERO, colors, fuel),
+                    _find_witnesses(balls[i].overt, LATE_ZERO, colors, 2, fuel),
+                )
+                if got != expected[i, fuel]:
+                    errors.append((i, fuel, got))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -241,3 +252,50 @@ def test_walks_in_threads_match_fresh_walks():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
+
+
+GOLDEN = Path(cli.__file__).resolve().parent / "golden" / "cases"
+
+
+@pytest.mark.parametrize("case", ["constant-bot", "locally-constant-bot", "fixed-zero"])
+def test_query_context_leaves_no_state_behind(case):
+    """After a CLI query nothing, in ``verify`` or elsewhere, still refers
+    to its region or classifier."""
+    spec = cli.parse_query(GOLDEN / f"{case}.json")
+    parts = [spec.classifier]
+    if spec.region is not None:
+        parts += [spec.region, spec.region.compact, spec.region.overt]
+    held = [weakref.ref(part) for part in parts]
+    del parts
+    assert cli.run_query(spec).verdict
+    del spec
+    gc.collect()
+    assert [ref() for ref in held] == [None] * len(held)
+
+
+def counting(f):
+    """f with an ``eval_box`` that tallies each box it is asked about."""
+    boxes = Counter()
+
+    def eval_box(box):
+        boxes[box.lo, box.hi, box.den] += 1
+        return f.eval_box(box)
+
+    return dataclasses.replace(f, eval_box=eval_box), boxes
+
+
+@pytest.mark.parametrize("metric", [MetricKind.MAX, MetricKind.EUCLID_SQ], ids=lambda m: m.value)
+def test_query_evaluates_each_box_once(metric):
+    """A fuel loop in one context evaluates each distinct box once, across
+    fuels and across both race sides, and answers as the fresh ops do."""
+    f, boxes = counting(LATE_ZERO)
+    center, radius = (Q(3, 8), Q(5, 8)), Q(1, 4)
+    ball = VKSet(closed_ball(center, radius, metric).compact,
+                 open_ball_overt(center, radius, metric))
+    with _query_scope():
+        for fuel in range(7):
+            assert locally_constant(center, radius, f, fuel, metric) == ref_constant_value(
+                ball, LATE_ZERO, fuel)
+            assert constant_value(UNIT_SQUARE, f, fuel) == ref_constant_value(
+                UNIT_SQUARE, LATE_ZERO, fuel)
+    assert boxes and max(boxes.values()) == 1
