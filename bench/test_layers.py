@@ -35,8 +35,12 @@ ball's keep test and the net's ``eval_box`` on a box as deep as the
 sweep's walkers reach: 10 bisections below the bounding box of ``bot``'s
 ``euclid-sq`` ball, whose center has denominator 192 on one axis, taking
 the half that holds the center each time.  ``CompactSet.cover_at`` is timed on ``zero``'s closed ball at fuel 6,
-and the radius streams' best-first walk ``_nearest_off_color`` (uncached)
-on the radius workload's relu net at fuel 5, over a ceiling-2 ball.
+and the radius streams' best-first walk ``_nearest_off_color`` on the
+radius workload's relu net at fuel 5, over a ceiling-2 ball; it runs
+outside a query context, so each call walks with a fresh envelope memo.
+The whole ``optimal_radius`` call on that net, fuels 0..8 with ceiling 2
+and tolerance 1/64, opens its own query context, so its radius walks
+share one envelope memo across fuels.
 """
 
 from __future__ import annotations
@@ -61,6 +65,7 @@ from boxcert import (
     make_layer,
     nn_learner,
     open_ball_overt,
+    optimal_radius,
     sparse_or_dense,
     threshold_net_classifier,
 )
@@ -193,6 +198,10 @@ def test_nearest_off_color(benchmark):
     color = RADIUS_NET.eval_point(RADIUS_X).color
     walk = _nearest_off_color.__wrapped__
     benchmark(walk, RADIUS_X, color, RADIUS_NET, Q(2), MetricKind.MAX, 5)
+
+
+def test_optimal_radius(benchmark):
+    benchmark(optimal_radius, RADIUS_X, RADIUS_NET, 2, Q(1, 64), MetricKind.MAX, max_fuel=8)
 
 
 @pytest.mark.parametrize("ball", BALLS)

@@ -21,7 +21,7 @@ from .classifiers import (
 )
 from .errors import ParseError, ValidationError
 from .learners import Learner, Sample, majority_learner, nn_learner
-from .numerics import Box, MetricKind, Point, format_rational, parse_rational
+from .numerics import Box, MetricKind, Point, as_rational, format_rational
 from .regions import VKSet, closed_ball, domain_box, outside_ball
 
 __all__ = [
@@ -51,13 +51,10 @@ def load_json(path: Path) -> Any:
 
 
 def rational_from_json(value: Any) -> Fraction:
-    if isinstance(value, bool) or isinstance(value, float):
-        raise ParseError(f"rationals must be 'p/q' strings or integers, got {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return parse_rational(value)
-    raise ParseError(f"rationals must be 'p/q' strings or integers, got {value!r}")
+    try:
+        return as_rational(value)
+    except TypeError:
+        raise ParseError(f"rationals must be 'p/q' strings or integers, got {value!r}") from None
 
 
 def point_from_json(value: Any) -> Point:

@@ -5,10 +5,12 @@ parsed input, enumerated grid points and the :class:`Interval` that
 :func:`dist_range` returns.  A :class:`Box` holds integer corners over one
 denominator, so bisection, width tests, distance ranges and the grid
 inside a box read integers; a point becomes integer numerators over a
-common denominator (:func:`common_denominator`).  The ball tests take a
-box's distance range from :func:`distance_kernel` as integers over one
-scale and compare it with the radius in integers, not through
-``dist_range``'s ``Interval``.  Floats are refused at
+common denominator (:func:`common_denominator`).  The ball tests and the
+radius streams' nearest-point walk take a box's distance range from
+:func:`distance_kernel` as integers over one scale, not through
+``dist_range``'s ``Interval``: the ball tests compare it with the radius
+in integers, and the walk keys its heap on the least distance as one
+``Fraction``.  Floats are refused at
 the boundary because a float that survived one conversion silently poisons
 every exactness guarantee downstream.  The Euclidean metric is handled
 through squared distances so that all comparisons stay rational.

@@ -20,12 +20,16 @@ colors that certify or have a hit.
 
 Results stay pure functions of the arguments.  Inside one query context,
 which ``boxcert verify`` opens per query and ``optimal_radius`` for its
-fuel loop, each walker saves the frontier it left under its arguments:
-asked the same again at the same fuel or more, it walks on from there
-instead of from the bounding box, since fuel d + 1 only refines the
-subdivision of fuel d, and it evaluates each box's envelope once.  A fuel
-loop over one query therefore walks each tree once.  A call outside a
-context walks afresh, and nothing outlives the query.
+fuel loop, all three walks (cover, witness and radius) read each box's
+envelope from one memo, so each box is evaluated once per query.  The
+cover and witness walks also save the frontier they left under their
+arguments: asked the same again at the same fuel or more, they walk on
+from there instead of from the bounding box, since fuel d + 1 only
+refines the subdivision of fuel d.  A fuel loop over one region query
+therefore walks each tree once.  The radius walk still restarts from its
+ball's bounding box at each fuel, but finds the envelopes of the boxes it
+saw at earlier fuels in the memo.  A call outside a context walks afresh,
+and nothing outlives the query.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from .numerics import (
     UpperReal,
     as_rational,
     dist_point,
-    dist_range,
+    distance_kernel,
     dyadic_step,
     grid_points,
 )
@@ -387,20 +391,24 @@ def _nearest_off_color(
     points found are the nearest; a box is dropped when the ball misses
     it, when its envelope commits to c, or when it can no longer beat the
     distances found.  Leaves enumerate grid points as ``_find_witnesses``
-    does.  The last result is kept, so the lower and upper streams that
-    ``optimal_radius`` runs at one fuel share a single walk.
+    does.  Results are kept per query, so the lower and upper streams that
+    ``optimal_radius`` runs at one fuel share a single walk; envelopes come
+    from the query's memo, so a box met again at a later fuel is not
+    evaluated again.
     """
     step = dyadic_step(fuel)
     center = KBot(c)
     differ: Fraction | None = None
     other: Fraction | None = None
+    envelope = _query().envelope(f)
+    distance = distance_kernel(x, metric)
     order = itertools.count()
     heap = [(Fraction(0), next(order), closed_ball(x, ceiling, metric).compact.bounding)]
     while heap:
         near, _, box = heapq.heappop(heap)
         if other is not None and near >= other:
             break
-        env = f.eval_box(box)
+        env = envelope(box)
         if env.committed_color == c:
             continue
         want_differ = differ is None or near < differ
@@ -420,10 +428,21 @@ def _nearest_off_color(
                     other = d
             continue
         for half in box.bisect():
-            lo = dist_range(half, x, metric).lo
+            least, _, scale = distance(half)
+            lo = Fraction(least, scale)
             if lo <= ceiling:
                 heapq.heappush(heap, (lo, next(order), half))
     return differ, other
+
+
+def _radius_setup(x: Sequence, f: IntervalClassifier, ceiling) -> tuple[Point, Fraction, KBot]:
+    """A radius stream's center, its search ceiling and the center's value."""
+    point = tuple(as_rational(c) for c in x)
+    top = as_rational(ceiling)
+    if top <= 0:
+        raise ValidationError("search ceiling must be positive")
+    _check_region_dims(len(point), f)
+    return point, top, f.eval_point(point)
 
 
 def radius_lower(
@@ -440,11 +459,7 @@ def radius_lower(
     inside it.  A center the classifier is silent on certifies no ball at
     all, so its stream crawls up to zero from below.
     """
-    point = tuple(as_rational(c) for c in x)
-    top = as_rational(ceiling)
-    if top <= 0:
-        raise ValidationError("search ceiling must be positive")
-    _check_region_dims(len(point), f)
+    point, top, base = _radius_setup(x, f, ceiling)
 
     def membership(r: Fraction, fuel: Fuel) -> Verdict:
         ball = closed_ball(point, r, metric)
@@ -452,8 +467,6 @@ def radius_lower(
             (lambda d, n=n: forall_value(n, ball.compact, f, d)) for n in range(f.k)
         ]
         return any_of(deciders, fuel)
-
-    base = f.eval_point(point)
 
     def approx(fuel: Fuel) -> Fraction:
         step = dyadic_step(fuel)
@@ -485,13 +498,7 @@ def radius_upper(
     first; while it does not, or no such point lies within the ceiling,
     the stream sits at the ceiling.
     """
-    point = tuple(as_rational(c) for c in x)
-    top = as_rational(ceiling)
-    if top <= 0:
-        raise ValidationError("search ceiling must be positive")
-    _check_region_dims(len(point), f)
-
-    base = f.eval_point(point)
+    point, top, base = _radius_setup(x, f, ceiling)
 
     def approx(fuel: Fuel) -> Fraction:
         if base.is_bot:

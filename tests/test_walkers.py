@@ -46,6 +46,7 @@ from boxcert import (
     locally_constant,
     make_layer,
     open_ball_overt,
+    optimal_radius,
     threshold_net_classifier,
 )
 from boxcert import cli
@@ -287,15 +288,19 @@ def counting(f):
 @pytest.mark.parametrize("metric", [MetricKind.MAX, MetricKind.EUCLID_SQ], ids=lambda m: m.value)
 def test_query_evaluates_each_box_once(metric):
     """A fuel loop in one context evaluates each distinct box once, across
-    fuels and across both race sides, and answers as the fresh ops do."""
+    fuels, across both race sides and in the radius walk, and answers as
+    the fresh ops do."""
     f, boxes = counting(LATE_ZERO)
     center, radius = (Q(3, 8), Q(5, 8)), Q(1, 4)
     ball = VKSet(closed_ball(center, radius, metric).compact,
                  open_ball_overt(center, radius, metric))
+    radius_args = (Q(1, 2), Q(1, 64), metric)
+    expected_radius = optimal_radius(center, LATE_ZERO, *radius_args, max_fuel=8)
     with _query_scope():
         for fuel in range(7):
             assert locally_constant(center, radius, f, fuel, metric) == ref_constant_value(
                 ball, LATE_ZERO, fuel)
             assert constant_value(UNIT_SQUARE, f, fuel) == ref_constant_value(
                 UNIT_SQUARE, LATE_ZERO, fuel)
+        assert optimal_radius(center, f, *radius_args, max_fuel=8) == expected_radius
     assert boxes and max(boxes.values()) == 1
