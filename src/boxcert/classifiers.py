@@ -173,6 +173,8 @@ class Layer:
         widths = {len(row) for row in self.weights}
         if len(widths) != 1:
             raise ValidationError("weight rows must share one input width")
+        if widths == {0}:
+            raise ValidationError("weight rows must not be empty")
 
     @property
     def out_dim(self) -> int:

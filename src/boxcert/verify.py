@@ -46,6 +46,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .classifiers import ColorEnvelope, IntervalClassifier
 from .errors import ValidationError
+# any_of stays bound for perfbench/tracer.py, which spans verify.any_of by name.
 from .kernel import Fuel, KBot, Outcome, Verdict, any_of, check_fuel, race
 from .numerics import (
     Box,
@@ -452,21 +453,15 @@ def radius_lower(
 
     At fuel d the approximation is the largest multiple r of 2**-d in
     [0, ceiling] such that some color certifies on the whole closed ball
-    of radius r, and -2**-d while no such radius exists.  The downward
-    scan starts just below the nearest grid point whose value differs from
-    the center's: a ball holding both that point and the center cannot
-    certify any single color, since a committed envelope fixes every point
-    inside it.  A center the classifier is silent on certifies no ball at
-    all, so its stream crawls up to zero from below.
+    of radius r, and -2**-d while no such radius exists.  Each scanned
+    radius asks only the center's color: the ball holds the center, and a
+    committed envelope fixes every point inside it, so no other color can
+    certify there.  For the same reason the downward scan starts just
+    below the nearest grid point whose value differs from the center's.
+    A center the classifier is silent on certifies no ball at all, so its
+    stream crawls up to zero from below.
     """
     point, top, base = _radius_setup(x, f, ceiling)
-
-    def membership(r: Fraction, fuel: Fuel) -> Verdict:
-        ball = closed_ball(point, r, metric)
-        deciders = [
-            (lambda d, n=n: forall_value(n, ball.compact, f, d)) for n in range(f.k)
-        ]
-        return any_of(deciders, fuel)
 
     def approx(fuel: Fuel) -> Fraction:
         step = dyadic_step(fuel)
@@ -478,7 +473,8 @@ def radius_lower(
         else:
             r = (math.ceil(differ / step) - 1) * step
         while r >= 0:
-            if membership(r, fuel) is Verdict.CONFIRMED:
+            ball = closed_ball(point, r, metric).compact
+            if forall_value(base.color, ball, f, fuel) is Verdict.CONFIRMED:
                 return r
             r -= step
         return -step

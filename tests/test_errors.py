@@ -58,6 +58,10 @@ CASES = {
         lambda: ColorEnvelope(frozenset(), False),
         "an envelope must allow at least one outcome",
     ),
+    "empty-rows": (
+        lambda: make_layer([[], []], [0, 0], "none"),
+        "weight rows must not be empty",
+    ),
     "net-margin": (
         lambda: threshold_net_classifier((ONE_LAYER,), Q(0)),
         "margin must be positive",

@@ -126,6 +126,8 @@ NET_QUERY = {"op": "constantValue", "maxFuel": 1, "region": UNIT}
     VALID["classifier"][1], ("layers", 0, "weights"), [1, 2])}, fuel=0)
 @example(body={**NET_QUERY, "classifier": replaced(
     VALID["classifier"][1], ("layers", 0, "bias"), 5)}, fuel=0)
+@example(body={**NET_QUERY, "classifier": replaced(
+    VALID["classifier"][1], ("layers", 0, "weights"), [[], []])}, fuel=0)
 @example(body={**NET_QUERY, "classifier": {**VALID["classifier"][1], "k": "2"}}, fuel=0)
 @example(body={"op": "forallValue", "maxFuel": 1, "n": 1, "classifier": VALID["classifier"][0],
                "region": {"type": "ball", "center": [1], "radius": "-1"}}, fuel=1)

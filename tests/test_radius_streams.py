@@ -107,12 +107,13 @@ def planes(draw):
 
 @st.composite
 def relu_nets(draw):
-    def layer(activation):
-        rows = draw(st.tuples(st.tuples(dyadic, dyadic), st.tuples(dyadic, dyadic)))
-        return make_layer(rows, draw(st.tuples(dyadic, dyadic)), activation)
+    def layer(outputs, activation):
+        rows = draw(st.tuples(*[st.tuples(dyadic, dyadic)] * outputs))
+        return make_layer(rows, draw(st.tuples(*[dyadic] * outputs)), activation)
 
+    k = draw(st.sampled_from([2, 3]))
     return threshold_net_classifier(
-        [layer("relu"), layer("none")], draw(st.sampled_from([Q(1, 8), Q(1, 16)]))
+        [layer(2, "relu"), layer(k, "none")], draw(st.sampled_from([Q(1, 8), Q(1, 16)]))
     )
 
 
