@@ -22,8 +22,9 @@ the no side finds both early; on ``one`` color 2 certifies, so both sides
 walk their whole trees.  Each race side walker is timed on its own, for
 all three colors, and so is the whole ``constant_value`` race.  Outside a
 query context each of these calls walks from the root, with envelopes
-evaluated afresh; every round also gets a freshly built ball.  The whole
-``locally_constant`` fuel loop 0..12 is timed on ``bot``, a ball that
+evaluated afresh; every round also gets a freshly built ball, the closed
+ball's cover with the open ball's enumeration from ``regions.ball``.  The
+whole ``locally_constant`` fuel loop 0..12 is timed on ``bot``, a ball that
 meets color 2 and the band where the net abstains, so neither side ever
 commits: the shape of the sweep's slowest queries.  It runs in one query
 context, as ``boxcert verify`` runs it, so each fuel resumes the walks of
@@ -54,6 +55,7 @@ from boxcert import (
     MetricKind,
     Sample,
     VKSet,
+    ball,
     closed_ball,
     constant_value,
     dist_point,
@@ -64,7 +66,6 @@ from boxcert import (
     locally_constant,
     make_layer,
     nn_learner,
-    open_ball_overt,
     optimal_radius,
     sparse_or_dense,
     threshold_net_classifier,
@@ -114,11 +115,9 @@ LEAF = leaf_below(
 
 
 def fresh_ball(name: str) -> VKSet:
+    """A new ``regions.ball`` for this round, as ``locally_constant`` races it."""
     center, radius = BALLS[name]
-    return VKSet(
-        closed_ball(center, radius, MetricKind.EUCLID_SQ).compact,
-        open_ball_overt(center, radius, MetricKind.EUCLID_SQ),
-    )
+    return ball(center, radius, MetricKind.EUCLID_SQ)
 
 
 def test_net_eval_box(benchmark):
@@ -204,28 +203,28 @@ def test_optimal_radius(benchmark):
     benchmark(optimal_radius, RADIUS_X, RADIUS_NET, 2, Q(1, 64), MetricKind.MAX, max_fuel=8)
 
 
-@pytest.mark.parametrize("ball", BALLS)
-def test_certified_colors(benchmark, ball):
+@pytest.mark.parametrize("name", BALLS)
+def test_certified_colors(benchmark, name):
     benchmark.pedantic(
         _certified_colors,
-        setup=lambda: ((fresh_ball(ball).compact, NET3, range(3), 6), {}),
+        setup=lambda: ((fresh_ball(name).compact, NET3, range(3), 6), {}),
         rounds=ROUNDS,
     )
 
 
-@pytest.mark.parametrize("ball", BALLS)
-def test_find_witnesses(benchmark, ball):
+@pytest.mark.parametrize("name", BALLS)
+def test_find_witnesses(benchmark, name):
     benchmark.pedantic(
         _find_witnesses,
-        setup=lambda: ((fresh_ball(ball).overt, NET3, range(3), 2, 6), {}),
+        setup=lambda: ((fresh_ball(name).overt, NET3, range(3), 2, 6), {}),
         rounds=ROUNDS,
     )
 
 
-@pytest.mark.parametrize("ball", BALLS)
-def test_constant_value(benchmark, ball):
+@pytest.mark.parametrize("name", BALLS)
+def test_constant_value(benchmark, name):
     benchmark.pedantic(
-        constant_value, setup=lambda: ((fresh_ball(ball), NET3, 6), {}), rounds=ROUNDS
+        constant_value, setup=lambda: ((fresh_ball(name), NET3, 6), {}), rounds=ROUNDS
     )
 
 

@@ -15,6 +15,7 @@ existential commitment stable.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -38,6 +39,7 @@ __all__ = [
     "CompactSet",
     "OvertSet",
     "VKSet",
+    "ball",
     "closed_ball",
     "open_ball_overt",
     "domain_box",
@@ -158,8 +160,9 @@ def _excess(x: Point, r: Fraction, metric: MetricKind) -> Callable[[Box], int]:
     return excess
 
 
-def closed_ball(center: Sequence, radius, metric: MetricKind) -> VKSet:
-    """The closed ball around a rational center; empty when radius < 0."""
+def _ball(center: Sequence, radius, metric: MetricKind, strict: bool) -> VKSet:
+    """A ball from one coercion, one bounding box and one excess kernel: the
+    closed ball's cover, with the open ball's enumeration if ``strict``."""
     x: Point = tuple(as_rational(c) for c in center)
     r = as_rational(radius)
     if not x:
@@ -169,29 +172,31 @@ def closed_ball(center: Sequence, radius, metric: MetricKind) -> VKSet:
     bounding = _ball_bounding(x, r, metric)
     excess = _excess(x, r, metric)
     compact = CompactSet(bounding, lambda box: excess(box) <= 0)
+    if strict and r == 0:
+        return VKSet(compact, empty_region(len(x)).overt)
+    inside = operator.lt if strict else operator.le
     overt = OvertSet(
         bounding,
-        lambda p: dist_point(p, x, metric) <= r,
-        lambda box: excess(box) > 0,
+        lambda p: inside(dist_point(p, x, metric), r),
+        lambda box: not inside(excess(box), 0),
     )
     return VKSet(compact, overt)
 
 
+def closed_ball(center: Sequence, radius, metric: MetricKind) -> VKSet:
+    """The closed ball around a rational center; empty when radius < 0."""
+    return _ball(center, radius, metric, strict=False)
+
+
+def ball(center: Sequence, radius, metric: MetricKind) -> VKSet:
+    """The closed ball's cover with the open ball's enumeration, the region
+    ``locally_constant`` races; the enumeration is empty when radius <= 0."""
+    return _ball(center, radius, metric, strict=True)
+
+
 def open_ball_overt(center: Sequence, radius, metric: MetricKind) -> OvertSet:
     """Enumeration of the open ball: strict inequality on every member."""
-    x: Point = tuple(as_rational(c) for c in center)
-    r = as_rational(radius)
-    if not x:
-        raise ValidationError("a ball needs at least one dimension")
-    if r <= 0:
-        return empty_region(len(x)).overt
-    bounding = _ball_bounding(x, r, metric)
-    excess = _excess(x, r, metric)
-    return OvertSet(
-        bounding,
-        lambda p: dist_point(p, x, metric) < r,
-        lambda box: excess(box) >= 0,
-    )
+    return ball(center, radius, metric).overt
 
 
 def domain_box(bounds: Sequence) -> VKSet:

@@ -60,10 +60,12 @@ from .numerics import (
     dyadic_step,
     grid_points,
 )
+# open_ball_overt stays bound for perfbench/tracer.py, which spans it by name.
 from .regions import (
     CompactSet,
     OvertSet,
     VKSet,
+    ball,
     closed_ball,
     cover_width_target,
     open_ball_overt,
@@ -165,11 +167,11 @@ def _certified_colors(
     everywhere.  Equivalent to scanning the flat cover once per color,
     because the keep test and the envelope are antitone under inclusion.
 
-    The walk leaves a frontier in depth-first order: its open leaves, the
-    entries it passed over only because their colors had already failed,
-    and the stack left by the early stop, each with its open colors.  A
-    failure can vanish at the next fuel, because ``keep`` may
-    over-approximate and envelopes tighten on sub-boxes.
+    The walk leaves a frontier in depth-first order: its open leaves and
+    the entries it passed over only because their colors had already
+    failed, each with its open colors.  A failure can vanish at the next
+    fuel, because ``keep`` may over-approximate and envelopes tighten on
+    sub-boxes.
     A color that certifies never fails again, and at more fuel the cover
     only refines the open leaves, so the next fuel walks on from that
     frontier with the colors that failed.  This is sound because neither
@@ -179,7 +181,7 @@ def _certified_colors(
     envelope = query.envelope(f)
     wanted = frozenset(colors)
     key = ("cover", A, f, wanted)
-    open_colors, entries = query.resume(key, fuel, (wanted, ((A.bounding, wanted),)))
+    entries = query.resume(key, fuel, ((A.bounding, wanted),))
     target = cover_width_target(A.bounding, fuel)
     failed: frozenset[int] = frozenset()
     frontier = []
@@ -198,14 +200,11 @@ def _certified_colors(
         if box.within(target):
             frontier.append((box, still))
             failed |= still
-            if failed == open_colors:
-                break
             continue
         lo, hi = box.bisect()
         stack.append((hi, still))
         stack.append((lo, still))
-    frontier.extend(reversed(stack))
-    query.frontiers[key] = (fuel, (failed, frontier))
+    query.frontiers[key] = (fuel, frontier)
     return wanted - failed
 
 
@@ -368,14 +367,8 @@ def locally_constant(
     return constant_value(_ball(point, radius, metric), f, fuel)
 
 
-@_per_query
-def _ball(point: Point, radius: Fraction, metric: MetricKind) -> VKSet:
-    """The closed ball's cover with the open ball's enumeration, built once
-    per center, radius and metric, so that consecutive fuels resume the
-    walks over one region."""
-    return VKSet(
-        closed_ball(point, radius, metric).compact, open_ball_overt(point, radius, metric)
-    )
+# One region per center, radius and metric, so consecutive fuels resume its walks.
+_ball = _per_query(ball)
 
 
 @_per_query
@@ -473,8 +466,8 @@ def radius_lower(
         else:
             r = (math.ceil(differ / step) - 1) * step
         while r >= 0:
-            ball = closed_ball(point, r, metric).compact
-            if forall_value(base.color, ball, f, fuel) is Verdict.CONFIRMED:
+            cover = closed_ball(point, r, metric).compact
+            if forall_value(base.color, cover, f, fuel) is Verdict.CONFIRMED:
                 return r
             r -= step
         return -step
@@ -549,13 +542,12 @@ def optimal_radius(
     when the budget runs out.
     """
     check_fuel(max_fuel)
-    point = tuple(as_rational(c) for c in x)
-    top = as_rational(ceiling)
     tolerance = as_rational(tol)
     if tolerance <= 0:
         raise ValidationError("tolerance must be positive")
-    lower_stream = radius_lower(point, f, top, metric)
-    upper_stream = radius_upper(point, f, top, metric)
+    lower_stream = radius_lower(x, f, ceiling, metric)
+    upper_stream = radius_upper(x, f, ceiling, metric)
+    top = lower_stream.ceiling
     trace: list[tuple[Fuel, Fraction, Fraction]] = []
     lower = Fraction(-1)
     upper = top

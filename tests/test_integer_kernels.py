@@ -22,6 +22,7 @@ from boxcert import (
     Interval,
     MetricKind,
     Sample,
+    ball,
     closed_ball,
     dist_point,
     dist_range,
@@ -245,9 +246,10 @@ def check_ball_tests(x, r, metric, box):
     """The integer ball tests at radius r give the answers of the former
     tests, which compare ``ref_dist_range(...).lo`` with r."""
     near = ref_dist_range(box, x, metric).lo
-    ball = closed_ball(x, r, metric)
-    assert ball.compact.keep(box) is (near <= r)
-    assert ball.overt.box_disjoint(box) is (near > r)
+    closed = closed_ball(x, r, metric)
+    assert closed.compact.keep(box) is (near <= r)
+    assert closed.overt.box_disjoint(box) is (near > r)
+    assert ball(x, r, metric).compact.keep(box) is (near <= r)
     assert open_ball_overt(x, r, metric).box_disjoint(box) is (near >= r)
 
 
@@ -281,6 +283,6 @@ def test_ball_tests_at_the_radius(metric, x, r, bounds):
     box = Box.from_bounds(bounds)
     assert ref_dist_range(box, x, metric).lo == r
     check_ball_tests(x, r, metric, box)
-    ball = closed_ball(x, r, metric)
-    assert ball.compact.keep(box) and not ball.overt.box_disjoint(box)
+    closed = closed_ball(x, r, metric)
+    assert closed.compact.keep(box) and not closed.overt.box_disjoint(box)
     assert open_ball_overt(x, r, metric).box_disjoint(box)

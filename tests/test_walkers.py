@@ -36,6 +36,7 @@ from boxcert import (
     MetricKind,
     TwoBot,
     VKSet,
+    ball,
     closed_ball,
     constant_value,
     domain_box,
@@ -45,7 +46,6 @@ from boxcert import (
     hyperplane_classifier,
     locally_constant,
     make_layer,
-    open_ball_overt,
     optimal_radius,
     threshold_net_classifier,
 )
@@ -145,11 +145,10 @@ def test_region_ops_match_per_color_walks(f, region):
 @given(f=nets(), center=st.tuples(COORDS, COORDS), radius=RADII, metric=METRICS)
 @example(f=LATE_ZERO, center=(Q(1, 2), Q(1, 2)), radius=Q(3, 4), metric=MetricKind.MAX)
 def test_locally_constant_matches_per_color_walks(f, center, radius, metric):
-    compact = closed_ball(center, radius, metric).compact
-    ball = VKSet(compact, open_ball_overt(center, radius, metric))
+    region = ball(center, radius, metric)
     for fuel in FUELS:
         got = locally_constant(center, radius, f, fuel, metric)
-        assert got == ref_constant_value(ball, f, fuel)
+        assert got == ref_constant_value(region, f, fuel)
 
 
 def test_no_side_reports_the_lowest_colors_not_the_first_found():
@@ -170,10 +169,10 @@ FUEL_SEQUENCES = [list(range(9)), [0, 3, 4, 8], [2, 2, 5, 1, 6]]
 # already failed, and color 0 fails on [1/2, 5/8].  At fuel 4 the keep test
 # drops both halves of [1/4, 3/8], and color 1 fails only on [3/8, 7/16],
 # inside the box fuel 3 passed over.
-# With the plane x = 3/8 instead, both colors fail on [1/4, 3/8] at fuel 3
-# and the walk stops there, leaving [3/8, 1/2] and [1/2, 1] on its stack.
+# With the plane x = 3/8 instead, both colors fail on [1/4, 3/8] at fuel 3,
+# and the walk parks [3/8, 1/2] and [1/2, 1], still on its stack, untouched.
 # At fuel 4 both halves of [1/4, 3/8] are dropped, and both colors fail
-# only on [3/8, 7/16], inside the stack fuel 3 left.
+# only on [3/8, 7/16], inside the boxes fuel 3 parked.
 HALF = CompactSet(Box.from_bounds([(0, 1)]), lambda b: b.sides[0].hi >= Q(1, 2) - b.width)
 
 
@@ -223,10 +222,10 @@ def test_walks_in_threads_match_fresh_walks():
     colors = range(LATE_ZERO.k)
     expected = {
         (i, fuel): (
-            ref_certified_colors(ball.compact, LATE_ZERO, colors, fuel),
-            ref_find_witnesses(ball.overt, LATE_ZERO, colors, 2, fuel),
+            ref_certified_colors(region.compact, LATE_ZERO, colors, fuel),
+            ref_find_witnesses(region.overt, LATE_ZERO, colors, 2, fuel),
         )
-        for i, ball in enumerate(balls)
+        for i, region in enumerate(balls)
         for fuel in range(6)
     }
     errors = []
@@ -292,14 +291,13 @@ def test_query_evaluates_each_box_once(metric):
     the fresh ops do."""
     f, boxes = counting(LATE_ZERO)
     center, radius = (Q(3, 8), Q(5, 8)), Q(1, 4)
-    ball = VKSet(closed_ball(center, radius, metric).compact,
-                 open_ball_overt(center, radius, metric))
+    region = ball(center, radius, metric)
     radius_args = (Q(1, 2), Q(1, 64), metric)
     expected_radius = optimal_radius(center, LATE_ZERO, *radius_args, max_fuel=8)
     with _query_scope():
         for fuel in range(7):
             assert locally_constant(center, radius, f, fuel, metric) == ref_constant_value(
-                ball, LATE_ZERO, fuel)
+                region, LATE_ZERO, fuel)
             assert constant_value(UNIT_SQUARE, f, fuel) == ref_constant_value(
                 UNIT_SQUARE, LATE_ZERO, fuel)
         assert optimal_radius(center, f, *radius_args, max_fuel=8) == expected_radius
