@@ -29,11 +29,9 @@ from typing import Callable, Iterator, Sequence
 from .errors import ParseError, ValidationError
 from .kernel import Fuel, check_fuel
 
-Q = Fraction
 Point = tuple[Fraction, ...]
 
 __all__ = [
-    "Q",
     "Point",
     "as_rational",
     "parse_rational",
@@ -44,7 +42,6 @@ __all__ = [
     "dist_point",
     "dist_range",
     "dyadic_step",
-    "dyadic_grid",
     "LowerReal",
     "UpperReal",
 ]
@@ -107,21 +104,6 @@ class Interval:
     def point(q: int | str | Fraction) -> "Interval":
         v = as_rational(q)
         return Interval(v, v)
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-    def contains(self, q: Fraction) -> bool:
-        return self.lo <= q <= self.hi
-
-    def bisect(self) -> tuple["Interval", "Interval"]:
-        mid = self.midpoint
-        return Interval(self.lo, mid), Interval(mid, self.hi)
 
 
 class Box:
@@ -207,11 +189,6 @@ class Box:
         widest = max(map(operator.sub, self.hi, self.lo), default=0)
         return widest * width.denominator <= width.numerator * self.den
 
-    @property
-    def midpoint(self) -> Point:
-        d = 2 * self.den
-        return tuple(Fraction(a + b, d) for a, b in zip(self.lo, self.hi))
-
     def contains(self, point: Point) -> bool:
         if len(point) != self.dims:
             raise ValidationError(f"point has {len(point)} coordinates, box has {self.dims}")
@@ -224,7 +201,7 @@ class Box:
     def bisect(self) -> tuple["Box", "Box"]:
         """Split along the widest side, lowest axis index on ties.
 
-        The halves are at twice the denominator, so the midpoint is the
+        The halves are at twice the denominator, so the split point is the
         integer ``lo + hi`` of the split axis."""
         lo, hi = self.lo, self.hi
         widths = list(map(operator.sub, hi, lo))
@@ -314,14 +291,6 @@ def dist_range(box: Box, x: Point, metric: MetricKind) -> Interval:
 def dyadic_step(fuel: Fuel) -> Fraction:
     check_fuel(fuel)
     return Fraction(1, 2**fuel)
-
-
-def dyadic_grid(lo: Fraction, hi: Fraction, fuel: Fuel) -> list[Fraction]:
-    """Multiples of 2**-fuel inside [lo, hi], ascending."""
-    step = dyadic_step(fuel)
-    first = math.ceil(lo / step)
-    last = math.floor(hi / step)
-    return [k * step for k in range(first, last + 1)]
 
 
 def grid_points(box: Box, fuel: Fuel) -> Iterator[Point]:

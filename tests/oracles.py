@@ -43,11 +43,9 @@ from boxcert import (
     TwoBot,
     Verdict,
     cover_width_target,
-    dyadic_grid,
     dyadic_step,
     race,
 )
-from boxcert.learners import _ceil_div, _nn_envelope
 from boxcert.regions import outside_ball
 
 Q = Fraction
@@ -288,7 +286,7 @@ def iv_square(a: Interval) -> Interval:
 
 def ref_box_width(sides) -> Fraction:
     """Widest side of a box given as a tuple of ``Interval`` sides."""
-    return max((side.width for side in sides), default=Q(0))
+    return max((side.hi - side.lo for side in sides), default=Q(0))
 
 
 def ref_box_contains(sides, point) -> bool:
@@ -298,12 +296,14 @@ def ref_box_contains(sides, point) -> bool:
 def ref_box_bisect(sides):
     """The two halves of a box of ``Interval`` sides, split along the
     widest side, lowest axis index on ties."""
-    widths = [side.width for side in sides]
+    widths = [side.hi - side.lo for side in sides]
     widest = max(widths, default=0)
     if widest == 0:
         raise ValueError("cannot bisect a degenerate box")
     axis = widths.index(widest)
-    left, right = sides[axis].bisect()
+    side = sides[axis]
+    mid = (side.lo + side.hi) / 2
+    left, right = Interval(side.lo, mid), Interval(mid, side.hi)
     return sides[:axis] + (left,) + sides[axis + 1 :], sides[:axis] + (right,) + sides[axis + 1 :]
 
 
@@ -389,11 +389,10 @@ def ref_net_eval_box(layers, margin, box) -> ColorEnvelope:
 
 
 def ref_nn_eval_point(sample_points, x, margin, metric: MetricKind) -> KBot:
-    """The trained nn point rule: the winner analysis over point intervals."""
-    dists = [
-        (Interval.point(ref_dist_point(x, p, metric)), label) for p, label in sample_points
-    ]
-    color = _nn_envelope(dists, margin).committed_color
+    """The trained nn point rule, by :func:`nn_color`'s direct scan."""
+    points = [p for p, _ in sample_points]
+    labels = [label for _, label in sample_points]
+    color = nn_color(points, labels, x, margin, metric.value)
     return KBot(color) if color is not None else KBot.bot()
 
 
@@ -409,7 +408,7 @@ def ref_does_deviate(L, domain, fuel) -> Outcome:
                 window = min(
                     len(pts),
                     2 ** (stage - t - depth) + 1,
-                    2 ** _ceil_div(stage - t, t) + 1,
+                    2 ** -(-(stage - t) // t) + 1,
                 )
                 if window < t:
                     continue
@@ -528,8 +527,8 @@ def ref_find_witness(A, f, n, fuel):
             continue
         if n not in f.eval_box(box).colors:
             continue
-        if all(side.width <= step for side in box.sides):
-            axes = [dyadic_grid(side.lo, side.hi, fuel) for side in box.sides]
+        if all(side.hi - side.lo <= step for side in box.sides):
+            axes = [dyadics_between(side.lo, side.hi, step) for side in box.sides]
             for p in product(*axes):
                 if A.member(p) and f.eval_point(p) == KBot(n):
                     return p
@@ -578,8 +577,8 @@ def ref_find_witnesses(A, f, colors, need, fuel) -> list:
         box = stack.pop()
         if A.box_disjoint(box) or wanted.isdisjoint(f.eval_box(box).colors):
             continue
-        if all(side.width <= step for side in box.sides):
-            axes = [dyadic_grid(side.lo, side.hi, fuel) for side in box.sides]
+        if all(side.hi - side.lo <= step for side in box.sides):
+            axes = [dyadics_between(side.lo, side.hi, step) for side in box.sides]
             for p in product(*axes):
                 if not A.member(p):
                     continue

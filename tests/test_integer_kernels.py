@@ -5,9 +5,10 @@ integer numerators over a common denominator, and a ``Box`` holds integer
 corners over one denominator that doubles at each bisection.  The ball
 tests compare a box's least distance with the radius in integers.  The
 references in ``oracles`` are the evaluators and the box operations they
-replaced, so every result must be equal, not merely consistent: the same
-envelope, the same color, the same interval, the same rational, the same
-halves and the same keep and ``box_disjoint`` answers.
+replaced, and for the nn point rule the direct scan ``nn_color``, so every
+result must be equal, not merely consistent: the same envelope, the same
+color, the same interval, the same rational, the same halves and the same
+keep and ``box_disjoint`` answers.
 """
 
 from __future__ import annotations
@@ -86,7 +87,9 @@ def nets(draw):
 
 def sample_corners(box: Box):
     """The low corner, the high corner and the midpoint of a box."""
-    return [tuple(s.lo for s in box.sides), tuple(s.hi for s in box.sides), box.midpoint]
+    sides = box.sides
+    lo, hi = tuple(s.lo for s in sides), tuple(s.hi for s in sides)
+    return [lo, hi, tuple((a + b) / 2 for a, b in zip(lo, hi))]
 
 
 def test_common_denominator():

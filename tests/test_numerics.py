@@ -14,7 +14,6 @@ from boxcert import (
     as_rational,
     dist_point,
     dist_range,
-    dyadic_grid,
     dyadic_step,
     format_rational,
     parse_rational,
@@ -123,11 +122,6 @@ class TestInterval:
         assert iv_abs(Interval(Q(-2), Q(-1))) == a
         assert iv_square(Interval(Q(-2), Q(1))) == Interval(Q(0), Q(4))
 
-    def test_bisect_splits_at_midpoint(self):
-        lo, hi = Interval(Q(0), Q(1)).bisect()
-        assert lo == Interval(Q(0), Q(1, 2))
-        assert hi == Interval(Q(1, 2), Q(1))
-
 
 class TestBox:
     def test_bisect_widest_side_lowest_index_ties(self):
@@ -180,12 +174,11 @@ class TestDyadicGrid:
         assert dyadic_step(3) == Q(1, 8)
 
     def test_grid_members_are_multiples(self):
-        pts = dyadic_grid(Q(0), Q(1), 2)
-        assert pts == [Q(0), Q(1, 4), Q(1, 2), Q(3, 4), Q(1)]
+        pts = list(grid_points(Box.from_bounds([(0, 1)]), 2))
+        assert pts == [(Q(0),), (Q(1, 4),), (Q(1, 2),), (Q(3, 4),), (Q(1),)]
 
     def test_grid_clips_to_range(self):
-        pts = dyadic_grid(Q(1, 3), Q(2, 3), 1)
-        assert pts == [Q(1, 2)]
+        assert list(grid_points(Box.from_bounds([(Q(1, 3), Q(2, 3))]), 1)) == [(Q(1, 2),)]
 
     def test_grid_points_are_lexicographic(self):
         box = Box.from_bounds([(Q(0), Q(1)), (Q(1, 3), Q(1))])
@@ -194,14 +187,23 @@ class TestDyadicGrid:
         ]
 
     @given(
-        lo=rationals,
-        width=st.fractions(min_value=0, max_value=4, max_denominator=32),
-        fuel=st.integers(min_value=0, max_value=6),
+        lo=st.tuples(rationals, rationals),
+        width=st.tuples(*[st.fractions(min_value=0, max_value=4, max_denominator=32)] * 2),
+        path=st.lists(st.booleans(), max_size=6),
+        fuel=st.integers(min_value=0, max_value=5),
     )
-    def test_grids_nest_across_fuel(self, lo, width, fuel):
-        coarse = set(dyadic_grid(lo, lo + width, fuel))
-        fine = set(dyadic_grid(lo, lo + width, fuel + 1))
-        assert coarse <= fine
+    def test_grids_nest_across_fuel(self, lo, width, path, fuel):
+        """The grid in a box reached by bisection nests across fuel, and
+        is the bounding box's grid cut down to that box."""
+        root = Box.from_bounds([(a, a + w) for a, w in zip(lo, width)])
+        leaf = root
+        for high in path:
+            if leaf.width == 0:
+                break
+            leaf = leaf.bisect()[high]
+        coarse = list(grid_points(leaf, fuel))
+        assert set(coarse) <= set(grid_points(leaf, fuel + 1))
+        assert coarse == [p for p in grid_points(root, fuel) if leaf.contains(p)]
 
 
 def interval_membership(cut: Q):
