@@ -38,7 +38,7 @@ from .io import (
     region_from_json,
     sample_from_json,
 )
-from .kernel import Outcome
+from .kernel import Outcome, _query_scope
 from .learners import (
     DeviationWitness,
     ExtensionWitness,
@@ -49,7 +49,6 @@ from .learners import (
 from .numerics import MetricKind, format_rational
 from .verify import (
     ColorWitness,
-    _query_scope,
     constant_value,
     exists_value,
     fixed_value,

@@ -4,15 +4,27 @@ A semi-decider is a pure function of one natural number, the fuel.  More
 fuel may turn ``UNKNOWN`` into a commitment; a committed answer must never
 change again.  That monotonicity is the one invariant everything else in
 this package leans on, so the combinators here stay deliberately tiny.
+
+The query context lives here too, so that ``verify`` and ``learners``
+share it: ``boxcert verify`` opens one per query, and the searches save
+under their arguments what a call at more fuel can walk on from.  Results
+stay pure functions of the arguments, and nothing outlives the query.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import enum
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+import functools
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from .errors import IncoherentRace, ValidationError
+
+if TYPE_CHECKING:
+    from .classifiers import ColorEnvelope, IntervalClassifier
+    from .numerics import Box
 
 Fuel = int
 
@@ -128,3 +140,62 @@ def race(yes_side: SemiDecider, no_side: SemiDecider, fuel: Fuel) -> TwoBot:
     if no:
         return TwoBot.ZERO
     return TwoBot.BOT
+
+
+@dataclass
+class _Query:
+    """What one query's searches share until it ends: each walk's frontier,
+    ``does_deviate``'s finished stage and tried candidates, and each
+    ``_per_query`` result, keyed by arguments, and box envelopes."""
+
+    frontiers: dict = field(default_factory=dict)
+    results: dict = field(default_factory=dict)
+    envelopes: dict = field(default_factory=dict)
+
+    def resume(self, key, fuel: Fuel, root):
+        """The frontier the walk ``key`` left at no more fuel, else ``root``."""
+        at, frontier = self.frontiers.get(key, (fuel, root))
+        return frontier if at <= fuel else root
+
+    def envelope(self, f: IntervalClassifier) -> Callable[[Box], ColorEnvelope]:
+        """``f.eval_box`` once per box, keyed on its raw integers with no
+        ``gcd``: walks that bisect one bounding box alike reach equal keys."""
+        memo = self.envelopes.setdefault(f, {})
+
+        def envelope(box: Box) -> ColorEnvelope:
+            key = box.lo, box.hi, box.den
+            return memo.get(key) or memo.setdefault(key, f.eval_box(box))
+
+        return envelope
+
+
+_QUERY = contextvars.ContextVar("boxcert_query", default=None)
+
+
+def _query() -> _Query:
+    """The current query context; outside one, a fresh throwaway one."""
+    return _QUERY.get() or _Query()
+
+
+@contextlib.contextmanager
+def _query_scope() -> Iterator[None]:
+    """Keep the current query context, else open a fresh one for the block."""
+    token = None if _QUERY.get() else _QUERY.set(_Query())
+    try:
+        yield
+    finally:
+        if token is not None:
+            _QUERY.reset(token)
+
+
+def _per_query(fn):
+    """``fn``, computed once per arguments in the current query context."""
+
+    @functools.wraps(fn)
+    def cached(*args):
+        results = _query().results
+        if (fn, args) not in results:
+            results[fn, args] = fn(*args)
+        return results[fn, args]
+
+    return cached

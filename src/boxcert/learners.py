@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .classifiers import ColorEnvelope, IntervalClassifier, constant_classifier
 from .errors import ValidationError
-from .kernel import Fuel, KBot, Outcome, TwoBot, Verdict, check_fuel, race
+from .kernel import Fuel, KBot, Outcome, TwoBot, Verdict, _query, check_fuel, race
 from .numerics import (
     Box,
     Interval,
@@ -102,7 +102,10 @@ class Learner:
     ``family_at`` only with at least one addition: the trained classifier
     itself judges the empty augmentation.  Like the evaluators,
     ``family_at`` takes no fuel, so every search stage is a fixed function
-    of its candidates.
+    of its candidates.  The searches also rely on ``train`` and the
+    trained ``eval_point`` being fixed functions: the same sample trains
+    to the same answers every time, which lets ``does_deviate`` try each
+    candidate once per query.
     """
 
     k: int
@@ -267,10 +270,25 @@ def does_deviate(L: Learner, domain: VKSet, fuel: Fuel) -> Outcome:
     window size grow together under the one fuel dial, so any fixed
     candidate is reached at some finite fuel and the schedule stays
     affordable at every fuel.
+
+    Inside a query context the search resumes.  It saves the last stage
+    it finished and every ``(tuple, labels)`` candidate found not to
+    deviate, as the label assignments tried on each tuple.  A call at more
+    fuel runs only the new stages, and every call skips the candidates
+    already tried, which nesting depth grids and windows that grow from
+    stage to stage bring back.  Both are exact.  No stage depends on fuel,
+    since each reads a prefix of a depth's grid that is the same at every
+    fuel, so a call at no more fuel than the saved stage answers UNKNOWN.
+    ``train`` and ``eval_point`` are fixed functions, so a candidate that
+    did not deviate never does.  Every verdict and first witness is the
+    one a fresh search gives.  A call outside a context searches afresh.
     """
     check_fuel(fuel)
+    query = _query()
+    key = ("deviate", L, domain)
+    done, tried = query.frontiers.get(key, (-1, {}))
     grids: dict[int, list[Point]] = {}
-    for stage in range(fuel + 1):
+    for stage in range(done + 1, fuel + 1):
         for t in range(1, stage + 1):
             for depth in range(stage - t + 1):
                 window = min(2 ** (stage - t - depth), 2 ** _ceil_div(stage - t, t)) + 1
@@ -280,13 +298,19 @@ def does_deviate(L: Learner, domain: VKSet, fuel: Fuel) -> Outcome:
                     # No stage up to this fuel reads further into the grid.
                     grids[depth] = domain.overt.points_at(depth, 2 ** (fuel - 1 - depth) + 1)
                 for tup in itertools.combinations(grids[depth][:window], t):
+                    seen = tried.setdefault(tup, set())
                     for labels in itertools.product(range(L.k), repeat=t):
+                        if labels in seen:
+                            continue
                         trained = L.train(Sample._exact(tuple(zip(tup, labels))))
                         for m in range(t):
                             got = trained.eval_point(tup[m])
                             if got.committed and got.color != labels[m]:
+                                query.frontiers[key] = (stage - 1, tried)
                                 witness = DeviationWitness(tuple(zip(tup, labels)), m, got.color)
                                 return Outcome(Verdict.CONFIRMED, witnesses=(witness,))
+                        seen.add(labels)
+    query.frontiers[key] = (max(done, fuel), tried)
     return Outcome(Verdict.UNKNOWN)
 
 

@@ -18,9 +18,9 @@ walk carries the colors still open in each subtree, the existential walk
 the colors still wanted, and a two-sided question reports the lowest
 colors that certify or have a hit.
 
-Results stay pure functions of the arguments.  Inside one query context,
-which ``boxcert verify`` opens per query and ``optimal_radius`` for its
-fuel loop, all three walks (cover, witness and radius) read each box's
+Results stay pure functions of the arguments.  Inside one query context
+(``kernel._Query``), which ``boxcert verify`` opens per query and
+``optimal_radius`` for its fuel loop, all three walks (cover, witness and radius) read each box's
 envelope from one memo, so each box is evaluated once per query.  The
 cover and witness walks also save the frontier they left under their
 arguments: asked the same again at the same fuel or more, they walk on
@@ -28,26 +28,36 @@ from there instead of from the bounding box, since fuel d + 1 only
 refines the subdivision of fuel d.  A fuel loop over one region query
 therefore walks each tree once.  The radius walk still restarts from its
 ball's bounding box at each fuel, but finds the envelopes of the boxes it
-saw at earlier fuels in the memo.  A call outside a context walks afresh,
-and nothing outlives the query.
+saw at earlier fuels in the memo.  The same context also holds
+``learners.does_deviate``'s last finished stage and the candidates it has
+tried, so its fuel loop runs each stage and retrains each candidate once.
+A call outside a context walks afresh, and nothing outlives the query.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
-import functools
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
-from .classifiers import ColorEnvelope, IntervalClassifier
+from .classifiers import IntervalClassifier
 from .errors import ValidationError
 # any_of stays bound for perfbench/tracer.py, which spans verify.any_of by name.
-from .kernel import Fuel, KBot, Outcome, Verdict, any_of, check_fuel, race
+from .kernel import (
+    Fuel,
+    KBot,
+    Outcome,
+    Verdict,
+    _per_query,
+    _query,
+    _query_scope,
+    any_of,
+    check_fuel,
+    race,
+)
 from .numerics import (
     Box,
     LowerReal,
@@ -96,64 +106,6 @@ class ColorWitness:
 def _check_region_dims(region_dims: int, f: IntervalClassifier) -> None:
     if f.dims is not None and region_dims != f.dims:
         raise ValidationError(f"region has {region_dims} dimensions, classifier expects {f.dims}")
-
-
-@dataclass
-class _Query:
-    """What one query's walks share until it ends: each walk's frontier
-    and each ``_per_query`` result, keyed by arguments, and box envelopes."""
-
-    frontiers: dict = field(default_factory=dict)
-    results: dict = field(default_factory=dict)
-    envelopes: dict = field(default_factory=dict)
-
-    def resume(self, key, fuel: Fuel, root):
-        """The frontier the walk ``key`` left at no more fuel, else ``root``."""
-        at, frontier = self.frontiers.get(key, (fuel, root))
-        return frontier if at <= fuel else root
-
-    def envelope(self, f: IntervalClassifier) -> Callable[[Box], ColorEnvelope]:
-        """``f.eval_box`` once per box, keyed on its raw integers with no
-        ``gcd``: walks that bisect one bounding box alike reach equal keys."""
-        memo = self.envelopes.setdefault(f, {})
-
-        def envelope(box: Box) -> ColorEnvelope:
-            key = box.lo, box.hi, box.den
-            return memo.get(key) or memo.setdefault(key, f.eval_box(box))
-
-        return envelope
-
-
-_QUERY = contextvars.ContextVar("boxcert_query", default=None)
-
-
-def _query() -> _Query:
-    """The current query context; outside one, a fresh throwaway one."""
-    return _QUERY.get() or _Query()
-
-
-@contextlib.contextmanager
-def _query_scope() -> Iterator[None]:
-    """Keep the current query context, else open a fresh one for the block."""
-    token = None if _QUERY.get() else _QUERY.set(_Query())
-    try:
-        yield
-    finally:
-        if token is not None:
-            _QUERY.reset(token)
-
-
-def _per_query(fn):
-    """``fn``, computed once per arguments in the current query context."""
-
-    @functools.wraps(fn)
-    def cached(*args):
-        results = _query().results
-        if (fn, args) not in results:
-            results[fn, args] = fn(*args)
-        return results[fn, args]
-
-    return cached
 
 
 def _certified_colors(
