@@ -271,17 +271,19 @@ def does_deviate(L: Learner, domain: VKSet, fuel: Fuel) -> Outcome:
     candidate is reached at some finite fuel and the schedule stays
     affordable at every fuel.
 
-    Inside a query context the search resumes.  It saves the last stage
-    it finished and every ``(tuple, labels)`` candidate found not to
-    deviate, as the label assignments tried on each tuple.  A call at more
-    fuel runs only the new stages, and every call skips the candidates
-    already tried, which nesting depth grids and windows that grow from
-    stage to stage bring back.  Both are exact.  No stage depends on fuel,
-    since each reads a prefix of a depth's grid that is the same at every
-    fuel, so a call at no more fuel than the saved stage answers UNKNOWN.
-    ``train`` and ``eval_point`` are fixed functions, so a candidate that
-    did not deviate never does.  Every verdict and first witness is the
-    one a fresh search gives.  A call outside a context searches afresh.
+    Inside a query context the search resumes.  It saves the last stage it
+    finished and every ``(tuple, labels)`` candidate found not to deviate:
+    labelings go in one fixed order, so those tried on a tuple are a prefix
+    of it, kept as their count, and the saved state grows with the tuples
+    reached, not with their ``k**t`` labelings.  A call at more fuel runs
+    only the new stages, and every call skips the candidates already tried,
+    which nesting depth grids and windows that grow from stage to stage
+    bring back.  Both are exact.  No stage depends on fuel, since each reads
+    a prefix of a depth's grid that is the same at every fuel, so a call at
+    no more fuel than the saved stage answers UNKNOWN.  ``train`` and
+    ``eval_point`` are fixed functions, so a candidate that did not deviate
+    never does.  Every verdict and first witness is the one a fresh search
+    gives.  A call outside a context searches afresh.
     """
     check_fuel(fuel)
     query = _query()
@@ -298,18 +300,18 @@ def does_deviate(L: Learner, domain: VKSet, fuel: Fuel) -> Outcome:
                     # No stage up to this fuel reads further into the grid.
                     grids[depth] = domain.overt.points_at(depth, 2 ** (fuel - 1 - depth) + 1)
                 for tup in itertools.combinations(grids[depth][:window], t):
-                    seen = tried.setdefault(tup, set())
-                    for labels in itertools.product(range(L.k), repeat=t):
-                        if labels in seen:
-                            continue
+                    start = tried.get(tup, 0)
+                    labelings = itertools.product(range(L.k), repeat=t)
+                    for n, labels in enumerate(itertools.islice(labelings, start, None), start):
                         trained = L.train(Sample._exact(tuple(zip(tup, labels))))
                         for m in range(t):
                             got = trained.eval_point(tup[m])
                             if got.committed and got.color != labels[m]:
+                                tried[tup] = n
                                 query.frontiers[key] = (stage - 1, tried)
                                 witness = DeviationWitness(tuple(zip(tup, labels)), m, got.color)
                                 return Outcome(Verdict.CONFIRMED, witnesses=(witness,))
-                        seen.add(labels)
+                    tried[tup] = L.k**t
     query.frontiers[key] = (max(done, fuel), tried)
     return Outcome(Verdict.UNKNOWN)
 

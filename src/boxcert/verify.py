@@ -20,18 +20,19 @@ colors that certify or have a hit.
 
 Results stay pure functions of the arguments.  Inside one query context
 (``kernel._Query``), which ``boxcert verify`` opens per query and
-``optimal_radius`` for its fuel loop, all three walks (cover, witness and radius) read each box's
-envelope from one memo, so each box is evaluated once per query.  The
-cover and witness walks also save the frontier they left under their
-arguments: asked the same again at the same fuel or more, they walk on
-from there instead of from the bounding box, since fuel d + 1 only
-refines the subdivision of fuel d.  A fuel loop over one region query
-therefore walks each tree once.  The radius walk still restarts from its
-ball's bounding box at each fuel, but finds the envelopes of the boxes it
-saw at earlier fuels in the memo.  The same context also holds
-``learners.does_deviate``'s last finished stage and the candidates it has
-tried, so its fuel loop runs each stage and retrains each candidate once.
-A call outside a context walks afresh, and nothing outlives the query.
+``optimal_radius`` for its fuel loop, all three walks (cover, witness
+and radius) read each box's envelope from one memo, so each box is
+evaluated once per query.  The cover and witness walks also save the
+frontier they left under their arguments: asked the same again at the
+same fuel or more, they walk on from there instead of from the bounding
+box, since fuel d + 1 only refines the subdivision of fuel d.  A fuel
+loop over one region query therefore walks each tree once.  The radius
+walk still restarts from its ball's bounding box at each fuel, but finds
+the envelopes of the boxes it saw at earlier fuels in the memo.  The
+same context also holds ``learners.does_deviate``'s last finished stage
+and the candidates it has tried, so its fuel loop runs each stage and
+retrains each candidate once.  A call outside a context walks afresh,
+and nothing outlives the query.
 """
 
 from __future__ import annotations
@@ -46,18 +47,8 @@ from typing import Iterable, Sequence
 from .classifiers import IntervalClassifier
 from .errors import ValidationError
 # any_of stays bound for perfbench/tracer.py, which spans verify.any_of by name.
-from .kernel import (
-    Fuel,
-    KBot,
-    Outcome,
-    Verdict,
-    _per_query,
-    _query,
-    _query_scope,
-    any_of,
-    check_fuel,
-    race,
-)
+from .kernel import Fuel, KBot, Outcome, Verdict, any_of, check_fuel, race
+from .kernel import _per_query, _query, _query_scope
 from .numerics import (
     Box,
     LowerReal,
