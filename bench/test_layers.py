@@ -13,7 +13,10 @@ are timed as whole calls: ``does_deviate`` on the unit interval at fuel 6
 and on the 4-D unit box at fuel 5, where the search reads a few points of
 grids up to 17**4 points large, and ``sparse_or_dense`` with two added
 points at fuel 4, on a sample that the dense side certifies only after
-trying every augmentation.
+trying every augmentation.  The ``does_deviate`` fuel loop 0..9 on the
+unit interval runs in one query context, the shape of the learner
+workload's ``deviate-nn-unit-fuel9``: each fuel runs only its new stage
+and retrains only candidates that no earlier stage tried.
 
 The region layer is timed at fuel 6 on two of the sweep's
 ``locallyConstant`` queries: a 2-D relu net with k = 3 on small
@@ -159,6 +162,18 @@ def test_does_deviate_nn(benchmark):
 
 def test_does_deviate_nn_4d(benchmark):
     benchmark(does_deviate, nn_learner(Q(1, 16)), domain_box([(0, 1)] * 4), 5)
+
+
+def deviate_loop(L, domain, max_fuel):
+    """Every fuel 0..max_fuel in turn in one query context, as ``boxcert
+    verify`` runs a ``doesDeviate`` query that stays unknown."""
+    with _query_scope():
+        return [does_deviate(L, domain, fuel).verdict for fuel in range(max_fuel + 1)]
+
+
+def test_does_deviate_nn_fuel_loop(benchmark):
+    verdicts = benchmark(deviate_loop, nn_learner(Q(1, 16)), UNIT, 9)
+    assert not any(v.committed for v in verdicts)
 
 
 def test_sparse_or_dense_nn(benchmark):

@@ -7,12 +7,20 @@ two must reach the same verdict and color at every fuel, and every
 committed witness must replay through a real retrain.  ``robust_point``
 runs ``sparse_or_dense``'s race body; its reference keeps the two
 single-point race sides it had before, and the outcomes must be equal.
+
+Inside one query context ``does_deviate`` resumes from its last finished
+stage and skips the candidates it has tried.  Fuel loops and re-asks in
+one context must give the reference's outcome at every fuel, and a loop
+must retrain each distinct candidate exactly once.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction as Q
+from itertools import combinations, product
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from boxcert import (
@@ -30,6 +38,7 @@ from boxcert import (
     robust_point,
     sparse_or_dense,
 )
+from boxcert.kernel import _query_scope
 from boxcert.numerics import dist_point
 
 from oracles import ref_does_deviate, ref_robust_point, ref_sparse_or_dense
@@ -83,6 +92,96 @@ def test_does_deviate_matches_ordered_search(spec, domain):
         assert got == ref_does_deviate(L, domain, fuel)
         if got.verdict is Verdict.CONFIRMED:
             assert replays_deviation(L, got.witnesses[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=learners(), domain=DEVIATE_DOMAINS)
+def test_resumed_fuel_loop_matches_ordered_search(spec, domain):
+    """Every fuel of a loop in one context, past the first commitment too."""
+    L, _ = spec
+    with _query_scope():
+        for fuel in DEVIATE_FUELS:
+            assert does_deviate(L, domain, fuel) == ref_does_deviate(L, domain, fuel)
+
+
+# Majority first deviates at fuel 4 on [-1, 1] and at fuel 5 on [0, 1].
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("domain", [INTERVALS[3], INTERVALS[0]], ids=["[-1,1]", "[0,1]"])
+def test_reasks_after_a_confirmation_match_ordered_search(k, domain):
+    L = majority_learner(k)
+    first = next(f for f in DEVIATE_FUELS if ref_does_deviate(L, domain, f).verdict.committed)
+    with _query_scope():
+        for fuel in range(first + 1):
+            got = does_deviate(L, domain, fuel)
+        assert got.verdict is Verdict.CONFIRMED
+        for fuel in (first, first - 1, first + 1):
+            assert does_deviate(L, domain, fuel) == ref_does_deviate(L, domain, fuel)
+
+
+def counting(L):
+    """L with a ``train`` that tallies its calls in the returned list."""
+    calls = []
+
+    def train(sample):
+        calls.append(sample)
+        return L.train(sample)
+
+    return dataclasses.replace(L, train=train), calls
+
+
+def test_unknown_at_fuel_9_answers_unknown_at_fuel_3_without_searching():
+    """Stages 0..9 found nothing, so fuel 3 reads no grid and retrains nothing."""
+    L, calls = counting(nn_learner(Q(1, 16)))
+    unit, reads = INTERVALS[0], []
+
+    def member(p):
+        reads.append(p)
+        return unit.overt.member(p)
+
+    domain = dataclasses.replace(unit, overt=dataclasses.replace(unit.overt, member=member))
+    with _query_scope():
+        assert does_deviate(L, domain, 9).verdict is Verdict.UNKNOWN
+        searched = len(calls), len(reads)
+        assert does_deviate(L, domain, 3).verdict is Verdict.UNKNOWN
+    assert (len(calls), len(reads)) == searched
+
+
+def candidates(L, domain, fuel):
+    """Every ``(tuple, labels)`` of stages 0..fuel in search order, repeats kept."""
+    for stage in range(fuel + 1):
+        for t in range(1, stage + 1):
+            for depth in range(stage - t + 1):
+                window = min(2 ** (stage - t - depth), 2 ** -(-(stage - t) // t)) + 1
+                if window < t:
+                    continue
+                for tup in combinations(domain.overt.points_at(depth, window), t):
+                    yield from ((tup, labels) for labels in product(range(L.k), repeat=t))
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=learners(), domain=DEVIATE_DOMAINS)
+def test_fuel_loop_retrains_each_candidate_once(spec, domain):
+    """A CLI-shaped loop, stopping at its first commitment, retrains each
+    distinct candidate it reaches once, and no more than a fresh call at
+    its last fuel does.  Asked again at that fuel, it retrains only the
+    witness, which it never marks as tried."""
+    L, calls = counting(spec[0])
+    with _query_scope():
+        for fuel in DEVIATE_FUELS:
+            got = does_deviate(L, domain, fuel)
+            if got.verdict is Verdict.CONFIRMED:
+                break
+        looped = len(calls)
+        assert does_deviate(L, domain, fuel) == got
+        assert len(calls) - looped == len(got.witnesses)
+    reached = list(candidates(L, domain, fuel))
+    if got.verdict is Verdict.CONFIRMED:
+        points, labels = zip(*got.witnesses[0].sample)
+        reached = reached[: reached.index((points, labels)) + 1]
+    assert looped == len(set(reached))
+    before = len(calls)
+    assert does_deviate(L, domain, fuel) == got
+    assert looped <= len(calls) - before
 
 
 @settings(max_examples=100, deadline=None)
