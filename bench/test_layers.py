@@ -42,9 +42,16 @@ the half that holds the center each time.  ``CompactSet.cover_at`` is timed on `
 and the radius streams' best-first walk ``_nearest_off_color`` on the
 radius workload's relu net at fuel 5, over a ceiling-2 ball; it runs
 outside a query context, so each call walks with a fresh envelope memo.
-The whole ``optimal_radius`` call on that net, fuels 0..8 with ceiling 2
-and tolerance 1/64, opens its own query context, so its radius walks
-share one envelope memo across fuels.
+The same walk's fuel loop 0..8 runs in one query context, so each fuel
+walks on from the leaves the last one enumerated.  The whole
+``optimal_radius`` call on that net, fuels 0..8 with ceiling 2 and
+tolerance 1/64, opens its own query context, so its radius walks resume
+across fuels and share one envelope memo.
+
+To compare two commits, run this file from the root of each checkout in
+turn.  ``pyproject.toml`` sets ``pythonpath = ["src"]``, which puts the
+checkout's own ``src/`` ahead of ``PYTHONPATH``, so pointing
+``PYTHONPATH`` at another checkout's ``src/`` still times this one.
 """
 
 from __future__ import annotations
@@ -212,6 +219,21 @@ def test_nearest_off_color(benchmark):
     color = RADIUS_NET.eval_point(RADIUS_X).color
     walk = _nearest_off_color.__wrapped__
     benchmark(walk, RADIUS_X, color, RADIUS_NET, Q(2), MetricKind.MAX, 5)
+
+
+def nearest_off_color_loop(color):
+    """Every fuel 0..8 in turn in one query context, as ``optimal_radius``
+    runs the walk."""
+    with _query_scope():
+        return [
+            _nearest_off_color(RADIUS_X, color, RADIUS_NET, Q(2), MetricKind.MAX, fuel)
+            for fuel in range(9)
+        ]
+
+
+def test_nearest_off_color_fuel_loop(benchmark):
+    distances = benchmark(nearest_off_color_loop, RADIUS_NET.eval_point(RADIUS_X).color)
+    assert all(other is not None for _, other in distances)
 
 
 def test_optimal_radius(benchmark):

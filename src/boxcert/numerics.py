@@ -9,8 +9,8 @@ common denominator (:func:`common_denominator`).  The ball tests and the
 radius streams' nearest-point walk take a box's distance range from
 :func:`distance_kernel` as integers over one scale, not through
 ``dist_range``'s ``Interval``: the ball tests compare it with the radius
-in integers, and the walk keys its heap on the least distance as one
-``Fraction``.  Floats are refused at
+in integers, and the walk keys its heap on the least distance rescaled to
+one integer scale per walk.  Floats are refused at
 the boundary because a float that survived one conversion silently poisons
 every exactness guarantee downstream.  The Euclidean metric is handled
 through squared distances so that all comparisons stay rational.

@@ -25,11 +25,10 @@ and radius) read each box's envelope from one memo, so each box is
 evaluated once per query.  The cover and witness walks also save the
 frontier they left under their arguments: asked the same again at the
 same fuel or more, they walk on from there instead of from the bounding
-box, since fuel d + 1 only refines the subdivision of fuel d.  A fuel
-loop over one region query therefore walks each tree once.  The radius
-walk still restarts from its ball's bounding box at each fuel, but finds
-the envelopes of the boxes it saw at earlier fuels in the memo.  The
-same context also holds ``learners.does_deviate``'s last finished stage
+box, since fuel d + 1 only refines the subdivision of fuel d.  The
+radius walk saves the leaves it enumerated and the distances it found,
+and walks on from them at more fuel.  A fuel loop over one region query,
+or one radius bracket, therefore walks each tree once.  The same context also holds ``learners.does_deviate``'s last finished stage
 and the candidates it has tried, so its fuel loop runs each stage and
 retrains each candidate once.  A call outside a context walks afresh,
 and nothing outlives the query.
@@ -42,7 +41,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .classifiers import IntervalClassifier
 from .errors import ValidationError
@@ -56,6 +55,7 @@ from .numerics import (
     Point,
     UpperReal,
     as_rational,
+    common_denominator,
     dist_point,
     distance_kernel,
     dyadic_step,
@@ -314,6 +314,34 @@ def locally_constant(
 _ball = _per_query(ball)
 
 
+def _radius_keys(
+    x: Point, root: Box, metric: MetricKind, fuel: Fuel
+) -> tuple[int, Callable[[Box], int]]:
+    """The one scale ``S`` of a radius walk from ``root`` at this fuel, and
+    a box's least distance from x times ``S``, its heap key.
+
+    The walk stops splitting a box once it is within the step, so axis i
+    splits at most k_i times: the least k with
+    ``(hi_i - lo_i) * 2**fuel <= den * 2**k``.  Every box the walk reaches
+    has a denominator dividing ``root.den << sum(k_i)``, and its distances
+    from x a scale dividing ``S``, so each key is exact.  At more fuel,
+    ``S`` only gains factors of 2.
+    """
+    splits = sum(
+        max(-(-((hi - lo) << fuel) // root.den) - 1, 0).bit_length()
+        for lo, hi in zip(root.lo, root.hi)
+    )
+    scale = math.lcm(root.den << splits, common_denominator(x)[0])
+    S = scale * scale if metric is MetricKind.EUCLID_SQ else scale
+    distance = distance_kernel(x, metric)
+
+    def key(box: Box) -> int:
+        near, _, scale = distance(box)
+        return near * (S // scale)
+
+    return S, key
+
+
 @_per_query
 def _nearest_off_color(
     x: Point, c: int, f: IntervalClassifier, ceiling: Fraction, metric: MetricKind, fuel: Fuel
@@ -328,30 +356,50 @@ def _nearest_off_color(
     points found are the nearest; a box is dropped when the ball misses
     it, when its envelope commits to c, or when it can no longer beat the
     distances found.  Leaves enumerate grid points as ``_find_witnesses``
-    does.  Results are kept per query, so the lower and upper streams that
-    ``optimal_radius`` runs at one fuel share a single walk; envelopes come
-    from the query's memo, so a box met again at a later fuel is not
-    evaluated again.
+    does.  The heap keys are integers over one scale (``_radius_keys``).
+    Results are kept per query, so the lower and upper streams that
+    ``optimal_radius`` runs at one fuel share a single walk.
+
+    The walk saves the leaves it enumerated, with their keys, its scale
+    and both distances found, and a call at more fuel walks on from them.
+    This is exact because grids nest: every grid point at fuel d is one at
+    fuel d + 1, so both distances only shrink as fuel grows, and each box
+    the walk dropped stays useless at every later fuel.  It committed to
+    c, lay beyond the ceiling, could not beat the distances found, or was
+    left in the heap behind them.  The saved keys are rescaled to the new
+    ``S``, and the saved distances seed the walk.  A call at less fuel
+    walks afresh from the ball's bounding box.
     """
     step = dyadic_step(fuel)
     center = KBot(c)
-    differ: Fraction | None = None
-    other: Fraction | None = None
-    envelope = _query().envelope(f)
-    distance = distance_kernel(x, metric)
-    order = itertools.count()
-    heap = [(Fraction(0), next(order), closed_ball(x, ceiling, metric).compact.bounding)]
+    query = _query()
+    envelope = query.envelope(f)
+    root = closed_ball(x, ceiling, metric).compact.bounding
+    S, heap_key = _radius_keys(x, root, metric, fuel)
+    state = ("radius", x, c, f, ceiling, metric)
+    leaves, saved, differ, other = query.resume(state, fuel, ([(0, root)], S, None, None))
+    up = S // saved
+    heap = [(near * up, n, box) for n, (near, box) in enumerate(leaves)]
+    heapq.heapify(heap)
+    order = itertools.count(len(heap))
+    # Keys are integers, so key <= ceiling * S iff key <= limit, and
+    # key < d * S iff key < bound(d), the least key at distance d or more.
+    limit = ceiling.numerator * S // ceiling.denominator
+
+    def bound(d: Fraction | None) -> int:
+        return limit + 1 if d is None else -(-d.numerator * S // d.denominator)
+
+    beat_differ, beat_other = bound(differ), bound(other)
+    enumerated = []
     while heap:
         near, _, box = heapq.heappop(heap)
-        if other is not None and near >= other:
+        if near >= beat_other:
             break
         env = envelope(box)
-        if env.committed_color == c:
-            continue
-        want_differ = differ is None or near < differ
-        if not want_differ and env.colors <= {c}:
+        if env.committed_color == c or near >= beat_differ and env.colors <= {c}:
             continue
         if box.within(step):
+            enumerated.append((near, box))
             for p in grid_points(box, fuel):
                 d = dist_point(p, x, metric)
                 if d > ceiling or (other is not None and d >= other):
@@ -360,15 +408,15 @@ def _nearest_off_color(
                 if value == center:
                     continue
                 if differ is None or d < differ:
-                    differ = d
+                    differ, beat_differ = d, bound(d)
                 if value.committed and (other is None or d < other):
-                    other = d
+                    other, beat_other = d, bound(d)
             continue
         for half in box.bisect():
-            least, _, scale = distance(half)
-            lo = Fraction(least, scale)
-            if lo <= ceiling:
-                heapq.heappush(heap, (lo, next(order), half))
+            least = heap_key(half)
+            if least <= limit:
+                heapq.heappush(heap, (least, next(order), half))
+    query.frontiers[state] = (fuel, (enumerated, S, differ, other))
     return differ, other
 
 

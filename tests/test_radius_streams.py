@@ -4,21 +4,30 @@
 grid points off the center's color.  The references below ask the
 original membership question at every grid radius, through the scans in
 ``oracles``.  Both must give the same value at every fuel tested.
+
+The search itself, ``_nearest_off_color``, keys its heap on integers over
+one scale per walk, and resumes across fuels inside a query context.  Its
+keys must order boxes exactly as their ``Fraction`` distances do, and a
+resumed walk must return what a fresh walk returns, over any order of
+fuels, without bisecting a box twice in a rising fuel loop.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from boxcert import (
+    Box,
     MetricKind,
     Verdict,
     any_of,
     closed_ball,
     constant_classifier,
+    dyadic_step,
     exists_value,
     forall_value,
     hyperplane_classifier,
@@ -27,6 +36,9 @@ from boxcert import (
     radius_upper,
     threshold_net_classifier,
 )
+from boxcert.kernel import _query
+from boxcert.numerics import distance_kernel
+from boxcert.verify import _nearest_off_color, _query_scope, _radius_keys
 
 from oracles import inf_of_confirmed_set, sup_of_confirmed_set
 from test_acceptance import _c3_instances
@@ -126,3 +138,107 @@ def relu_nets(draw):
 @settings(deadline=None, max_examples=40)
 def test_random_planes_and_nets_match_the_reference(f, x, ceiling, metric):
     assert_streams_match(x, f, ceiling, metric, range(5))
+
+
+odd_coords = st.builds(Q, st.integers(-9, 9), st.sampled_from([1, 3, 5, 7, 9, 15]))
+CEILINGS = st.sampled_from([Q(1, 3), Q(1, 2), Q(5, 7), Q(1), Q(3, 2), Q(2)])
+
+
+@given(
+    x=st.lists(odd_coords, min_size=1, max_size=3).map(tuple),
+    ceiling=CEILINGS,
+    metric=st.sampled_from(METRICS),
+    fuel=st.integers(0, 8),
+    path=st.lists(st.booleans(), max_size=40),
+)
+@example(x=(Q(1, 3),), ceiling=Q(1), metric=MetricKind.EUCLID_SQ, fuel=5, path=[])
+@settings(deadline=None, max_examples=100)
+def test_heap_keys_order_walk_boxes_as_their_distances(x, ceiling, metric, fuel, path):
+    """Down a random path from the ball's bounding box to a leaf the walk
+    can reach, every box and its sibling get the key ``S * near / scale``;
+    so the keys order them as their ``Fraction`` distances do, and ``S``
+    is a multiple of the scale of the deepest box."""
+    root = closed_ball(x, ceiling, metric).compact.bounding
+    S, key = _radius_keys(x, root, metric, fuel)
+    distance = distance_kernel(x, metric)
+    boxes, box, turns = [root], root, iter(path)
+    while not box.within(dyadic_step(fuel)):
+        halves = box.bisect()
+        boxes += halves
+        box = halves[next(turns, False)]
+    near, _, scale = distance(box)
+    assert S % scale == 0
+    keys = [key(b) for b in boxes]
+    exact = [Q(*distance(b)[::2]) for b in boxes]
+    assert [Q(k, S) for k in keys] == exact
+    for a in range(len(boxes)):
+        for b in range(len(boxes)):
+            assert (keys[a] < keys[b]) == (exact[a] < exact[b])
+
+
+def radius_walk(f, x, ceiling, metric):
+    """The raw walk for color c at a fuel; outside a query context it
+    walks afresh, inside one it reads and writes the saved state."""
+    walk = _nearest_off_color.__wrapped__
+    return lambda c, fuel: walk(x, c, f, ceiling, metric, fuel)
+
+
+@given(
+    f=st.one_of(planes(), relu_nets()),
+    x=centers,
+    ceiling=st.sampled_from([Q(1, 2), Q(1), Q(3, 2)]),
+    metric=st.sampled_from(METRICS),
+    calls=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 6)), min_size=2, max_size=8),
+)
+@settings(deadline=None, max_examples=40)
+def test_resumed_radius_walks_match_fresh_walks(f, x, ceiling, metric, calls):
+    """Walks for one or two colors, at fuels in any order, in one context."""
+    walk = radius_walk(f, x, ceiling, metric)
+    calls = [(c % f.k, fuel) for c, fuel in calls]
+    # Fresh values first, outside any context: inside one, the fresh walk
+    # would write the state that the resumed walk then reads.
+    fresh = {call: walk(*call) for call in set(calls)}
+    with _query_scope():
+        for call in calls:
+            assert walk(*call) == fresh[call], f"color {call[0]} at fuel {call[1]}"
+
+
+RADIUS_NET = threshold_net_classifier(
+    [
+        make_layer([[1, 0], [0, 1], [1, -1]], [8, 8, Q(-41, 15)], "relu"),
+        make_layer([[1, 1, Q(1, 2)], [2, 3, Q(1, 2)]], [-16, Q(-133687, 3360)], "none"),
+    ],
+    Q(1, 32),
+)
+WALKED = [
+    (RADIUS_NET, (Q(7, 3), Q(-2, 5)), Q(2)),
+    (hyperplane_classifier((Q(3, 4), Q(-1, 2)), Q(1, 5)), (Q(1, 3), Q(1, 7)), Q(3, 2)),
+]
+
+
+@pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.value)
+@pytest.mark.parametrize("f, x, ceiling", WALKED, ids=["net", "plane"])
+def test_rising_fuel_loop_bisects_each_box_once(monkeypatch, f, x, ceiling, metric):
+    """Each fuel walks on from the leaves of the last, not from the root,
+    and saves only leaves it enumerated: within the step and not
+    committing to the center's color."""
+    split = Counter()
+    bisect = Box.bisect
+
+    def counted(box):
+        split[box.lo, box.hi, box.den] += 1
+        return bisect(box)
+
+    monkeypatch.setattr(Box, "bisect", counted)
+    c = f.eval_point(x).color
+    walk = radius_walk(f, x, ceiling, metric)
+    with _query_scope():
+        query = _query()
+        for fuel in range(9):
+            walk(c, fuel)
+            at, (leaves, _, _, _) = query.frontiers["radius", x, c, f, ceiling, metric]
+            assert at == fuel
+            for _, box in leaves:
+                assert box.within(dyadic_step(fuel))
+                assert f.eval_box(box).committed_color != c
+    assert split and max(split.values()) == 1
