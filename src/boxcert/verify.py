@@ -28,9 +28,10 @@ same fuel or more, they walk on from there instead of from the bounding
 box, since fuel d + 1 only refines the subdivision of fuel d.  The
 radius walk saves the leaves it enumerated and the distances it found,
 and walks on from them at more fuel.  A fuel loop over one region query,
-or one radius bracket, therefore walks each tree once.  The same context also holds ``learners.does_deviate``'s last finished stage
-and the candidates it has tried, so its fuel loop runs each stage and
-retrains each candidate once.  A call outside a context walks afresh,
+or one radius bracket, therefore walks each tree once.  The same context
+also holds ``learners.does_deviate``'s last finished stage and the
+candidates it has tried, so its fuel loop runs each stage and retrains
+each candidate once.  A call outside a context walks afresh,
 and nothing outlives the query.
 """
 
