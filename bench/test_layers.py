@@ -8,7 +8,10 @@ Run from the root of a checkout:
 Each benchmark times one call on fixed inputs the size the walkers see:
 boxes 1/256 wide (about fuel 8) at non-dyadic offsets, a net shaped like
 the ones in the benchmark's robustness sweep (2 inputs, 3 relu units,
-3 scores) and a 9-point nearest-neighbor sample.  The two learner searches
+3 scores) and a 9-point nearest-neighbor sample.  The net's ``eval_box``
+is timed twice: with linear scores, whose margins it bounds as margin
+rows, and with a relu on the scores, whose margins it bounds through the
+score ends.  The two learner searches
 are timed as whole calls: ``does_deviate`` on the unit interval at fuel 6
 and on the 4-D unit box at fuel 5, where the search reads a few points of
 grids up to 17**4 points large, and ``sparse_or_dense`` with two added
@@ -130,16 +133,24 @@ def fresh_ball(name: str) -> VKSet:
     return ball(center, radius, MetricKind.EUCLID_SQ)
 
 
-def test_net_eval_box(benchmark):
-    net = threshold_net_classifier(
+def eval_box_net(output: str):
+    """The sweep-shaped net, with or without a relu on its scores."""
+    return threshold_net_classifier(
         [
             make_layer([[1, 0], [0, 1], [1, 1]], [8, 8, Q(-19, 8)], "relu"),
             make_layer([[1, 0, Q(1, 2)], [0, 1, Q(-1, 3)], [Q(1, 4), Q(1, 4), 1]],
-                       [Q(-8), Q(-8), Q(-3, 16)], "none"),
+                       [Q(-8), Q(-8), Q(-3, 16)], output),
         ],
         Q(1, 8),
     )
-    benchmark(net.eval_box, BOX)
+
+
+def test_net_eval_box(benchmark):
+    benchmark(eval_box_net("none").eval_box, BOX)
+
+
+def test_net_eval_box_relu_output(benchmark):
+    benchmark(eval_box_net("relu").eval_box, BOX)
 
 
 def test_hyperplane_eval_box(benchmark):

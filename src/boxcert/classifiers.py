@@ -11,7 +11,11 @@ Hyperplanes and nets compile to integer rows over one denominator per layer,
 and both evaluators run one integer affine loop on numerators: a positive
 common scale preserves every comparison and commutes with relu.  The box
 evaluator reads a box's integer corners and denominator as they are; the
-point evaluator puts the point over one common denominator per call.
+point evaluator puts the point over one common denominator per call.  A
+net's box evaluator bounds each score difference, not each score: when the
+output layer has no relu, the differences compile to margin rows over the
+last hidden layer, so a hidden term shared by two scores cancels in their
+margin instead of counting twice.
 """
 
 from __future__ import annotations
@@ -197,11 +201,15 @@ def threshold_net_classifier(layers: Sequence[Layer], margin) -> IntervalClassif
     """A small feedforward net that commits only on clear margins.
 
     The color is the output whose score beats every other score by more
-    than the margin; anything tighter is bottom.  Box evaluation runs the
-    same layers on intervals; the envelope admits color j only when its
-    interval margin against the best certain rival could exceed the
-    threshold, and clears the bottom flag only when some color certainly
-    exceeds it everywhere in the box.
+    than the margin; anything tighter is bottom.  Box evaluation bounds
+    each margin s_j - s_i over the box and admits color j when every one of
+    its margins could exceed the threshold; it clears the bottom flag only
+    when, for some j, every margin of j certainly exceeds it.  Without a
+    relu on the output layer each margin is one affine row,
+    (w_j - w_i, b_j - b_i), over the last hidden interval, so a hidden term
+    shared by two scores cancels in their margin.  Under an output relu,
+    relu(a) - relu(b) is not relu(a - b), and the margin ends are the
+    score ends hi_j - lo_i and lo_j - hi_i.
     """
     if not layers:
         raise ValidationError("a network needs at least one layer")
@@ -217,10 +225,18 @@ def threshold_net_classifier(layers: Sequence[Layer], margin) -> IntervalClassif
     k = layers[-1].out_dim
     compiled = [_int_layer(layer) for layer in layers]
     p, q = tau.numerator, tau.denominator
+    # The k - 1 margins of color j are entries j*(k-1) .. (j+1)*(k-1) - 1.
+    pairs = [(j, i) for j in range(k) for i in range(k) if i != j]
+    rows, bias, den, out_relu = compiled[-1]
+    box_layers = compiled
+    if not out_relu:
+        margin_rows = tuple(tuple(a - b for a, b in zip(rows[j], rows[i])) for j, i in pairs)
+        margin_bias = tuple(bias[j] - bias[i] for j, i in pairs)
+        box_layers = compiled[:-1] + [(margin_rows, margin_bias, den, False)]
 
-    def beats(high: int, rival: int, scale: int) -> bool:
-        """(high - rival) / scale > tau, in integers."""
-        return q * (high - rival) > p * scale
+    def beats(m: int, scale: int) -> bool:
+        """m / scale > tau, in integers."""
+        return q * m > p * scale
 
     def eval_point(point: Point) -> KBot:
         _check_point_dims(point, dims)
@@ -229,7 +245,7 @@ def threshold_net_classifier(layers: Sequence[Layer], margin) -> IntervalClassif
         den, x = common_denominator(point)
         s, _, scale = _affine(compiled, x, x, den)
         for j in range(k):
-            if beats(s[j], max(s[i] for i in range(k) if i != j), scale):
+            if beats(s[j] - max(s[i] for i in range(k) if i != j), scale):
                 return KBot(j)
         return KBot.bot()
 
@@ -238,13 +254,17 @@ def threshold_net_classifier(layers: Sequence[Layer], margin) -> IntervalClassif
             raise ValidationError(f"box has {box.dims} dimensions, expected {dims}")
         if k == 1:
             return ColorEnvelope(frozenset((0,)), False)
-        lo, hi, scale = _affine(compiled, box.lo, box.hi, box.den)
+        lo, hi, scale = _affine(box_layers, box.lo, box.hi, box.den)
+        if out_relu:
+            lo, hi = [lo[j] - hi[i] for j, i in pairs], [hi[j] - lo[i] for j, i in pairs]
         colors = set()
         certain = False
         for j in range(k):
-            if beats(hi[j], max(lo[i] for i in range(k) if i != j), scale):
+            # Every margin of j beats tau exactly when its least one does.
+            mine = slice(j * (k - 1), (j + 1) * (k - 1))
+            if beats(min(hi[mine]), scale):
                 colors.add(j)
-            if beats(lo[j], max(hi[i] for i in range(k) if i != j), scale):
+            if beats(min(lo[mine]), scale):
                 certain = True
         return ColorEnvelope(frozenset(colors), not certain)
 

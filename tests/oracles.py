@@ -10,7 +10,9 @@ references at the end are the package's former ``Fraction``/``Interval``
 evaluators, kept as the reference for the integer kernels that replaced
 them, together with the ``Interval`` arithmetic they run on and the
 ``Box`` bisection, width and containment of a box held as ``Interval``
-sides.  The two
+sides.  The net has two: the per-score envelope that bounds each output
+score on its own, and the margin-row envelope of the integer kernel that
+bounds each score difference as one row.  The two
 learner searches at the very end enumerate ordered tuples of added points,
 as the package did before its searches moved to multisets, and the
 ``robust_point`` reference keeps the two race sides it had before it
@@ -371,7 +373,7 @@ def ref_net_eval_point(layers, margin, point) -> KBot:
 
 
 def ref_net_eval_box(layers, margin, box) -> ColorEnvelope:
-    """Margin envelope over the interval scores."""
+    """Margin envelope over the interval scores, each bounded on its own."""
     k = layers[-1].out_dim
     s = ref_net_score_ranges(layers, box)
     if k == 1:
@@ -384,6 +386,38 @@ def ref_net_eval_box(layers, margin, box) -> ColorEnvelope:
         if s[j].hi - rival_lo > margin:
             colors.add(j)
         if s[j].lo - rival_hi > margin:
+            certain = True
+    return ColorEnvelope(frozenset(colors), not certain)
+
+
+def ref_net_margin_eval_box(layers, margin, box) -> ColorEnvelope:
+    """Margin envelope over interval margin rows.
+
+    Without an output relu, each margin s_j - s_i is one interval row,
+    (w_j - w_i, b_j - b_i), over the last hidden ranges; color j is
+    admitted when every row of j could exceed the margin, and the box is
+    certain when, for some j, every row of j does.  Under an output relu
+    the margins are bounded through the scores, as in
+    :func:`ref_net_eval_box`.
+    """
+    *hidden, out = layers
+    k = out.out_dim
+    if k == 1 or out.activation == "relu":
+        return ref_net_eval_box(layers, margin, box)
+    h = ref_net_score_ranges(hidden, box)
+    colors = set()
+    certain = False
+    for j in range(k):
+        rows = []
+        for i in range(k):
+            if i != j:
+                acc = Interval.point(out.bias[j] - out.bias[i])
+                for wj, wi, v in zip(out.weights[j], out.weights[i], h):
+                    acc = iv_add(acc, iv_scale(v, wj - wi))
+                rows.append(acc)
+        if all(r.hi > margin for r in rows):
+            colors.add(j)
+        if all(r.lo > margin for r in rows):
             certain = True
     return ColorEnvelope(frozenset(colors), not certain)
 

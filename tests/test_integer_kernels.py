@@ -8,7 +8,10 @@ references in ``oracles`` are the evaluators and the box operations they
 replaced, and for the nn point rule the direct scan ``nn_color``, so every
 result must be equal, not merely consistent: the same envelope, the same
 color, the same interval, the same rational, the same halves and the same
-keep and ``box_disjoint`` answers.
+keep and ``box_disjoint`` answers.  The net's box evaluator bounds each
+score difference as one margin row, so its reference is
+``ref_net_margin_eval_box``; the per-score ``ref_net_eval_box`` it
+replaced must contain it, and equals it under an output relu.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from boxcert import (
     Box,
+    ColorEnvelope,
     Interval,
     MetricKind,
     Sample,
@@ -45,6 +49,7 @@ from oracles import (
     ref_hyperplane_eval_point,
     ref_net_eval_box,
     ref_net_eval_point,
+    ref_net_margin_eval_box,
     ref_nn_eval_point,
 )
 
@@ -73,16 +78,39 @@ def points(dims):
 
 
 @st.composite
-def nets(draw):
-    """Layers for a 1-3 layer net with k = 1-3 outputs."""
+def nets(draw, output=None):
+    """Layers for a 1-3 layer net with k = 1-3 outputs; ``output`` fixes
+    the last layer's activation."""
     widths = [draw(st.integers(1, 3)) for _ in range(draw(st.integers(1, 3)) + 1)]
     layers = []
     for n_in, n_out in zip(widths, widths[1:]):
         weights = [[draw(RATIONALS) for _ in range(n_in)] for _ in range(n_out)]
         bias = [draw(RATIONALS) for _ in range(n_out)]
         layers.append(make_layer(weights, bias, draw(st.sampled_from(["relu", "none"]))))
+    if output is not None:
+        last = layers[-1]
+        layers[-1] = make_layer(last.weights, last.bias, output)
     margin = draw(st.fractions(min_value=Q(1, 12), max_value=2, max_denominator=12))
     return layers, margin
+
+
+@st.composite
+def net_cases(draw):
+    """A net, a box of its input width and a point."""
+    layers, margin = draw(nets())
+    dims = layers[0].in_dim
+    return layers, margin, draw(boxes(dims)), draw(points(dims))
+
+
+# One relu unit h = relu(x) feeds both scores, s0 = h + 1 and s1 = h.  The
+# margin row s0 - s1 is 1 everywhere, so on x in [-1, 1] the box commits to
+# color 0 at margin 1/2; the per-score ends 1 - 1 and 2 - 0 leave it
+# uncommitted.  At margin 1 the row sits exactly on the margin, so every
+# point is bottom, while the per-score ends still admit color 0.
+SHARED_UNIT = [
+    make_layer([[1]], [0], "relu"),
+    make_layer([[1], [1]], [1, 0], "none"),
+]
 
 
 def sample_corners(box: Box):
@@ -98,13 +126,14 @@ def test_common_denominator():
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), spec=nets())
-def test_net_matches_interval_evaluator(data, spec):
-    layers, margin = spec
+@given(case=net_cases())
+@example(case=(SHARED_UNIT, Q(1, 2), Box.from_bounds([(-1, 1)]), (Q(1, 3),)))
+@example(case=(SHARED_UNIT, Q(1), Box.from_bounds([(-1, 1)]), (Q(1, 3),)))
+def test_net_matches_interval_evaluator(case):
+    layers, margin, box, point = case
     f = threshold_net_classifier(layers, margin)
-    box = data.draw(boxes(layers[0].in_dim))
-    assert f.eval_box(box) == ref_net_eval_box(layers, margin, box)
-    for p in sample_corners(box) + [data.draw(points(layers[0].in_dim))]:
+    assert f.eval_box(box) == ref_net_margin_eval_box(layers, margin, box)
+    for p in sample_corners(box) + [point]:
         assert f.eval_point(p) == ref_net_eval_point(layers, margin, p)
 
 
@@ -227,19 +256,87 @@ def test_bisected_box_equals_and_hashes_as_its_bounds(data, dims):
     assert Box(sides) == box and {box: 1}[same] == 1
 
 
-@settings(max_examples=200, deadline=None)
-@given(data=st.data(), spec=nets(), metric=METRICS)
-def test_walked_boxes_match_interval_evaluators(data, spec, metric):
-    layers, margin = spec
+@st.composite
+def walked_cases(draw):
+    """A net, a walked box of its input width, a distance center and a
+    hyperplane over the same width."""
+    layers, margin = draw(nets())
     dims = layers[0].in_dim
-    box, _ = data.draw(walked_boxes(dims))
-    x = data.draw(st.tuples(*[st.fractions(-3, 3, max_denominator=192)] * dims))
+    box, _ = draw(walked_boxes(dims))
+    x = draw(st.tuples(*[st.fractions(-3, 3, max_denominator=192)] * dims))
+    w = draw(st.lists(RATIONALS, min_size=dims, max_size=dims).filter(any))
+    return layers, margin, box, x, w, draw(RATIONALS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=walked_cases(), metric=METRICS)
+@example(
+    case=(SHARED_UNIT, Q(1, 2), Box.from_bounds([(-1, 1)]).bisect()[1], (Q(1, 7),), [Q(1)], Q(0)),
+    metric=MetricKind.MAX,
+)
+def test_walked_boxes_match_interval_evaluators(case, metric):
+    layers, margin, box, x, w, b = case
     assert dist_range(box, x, metric) == ref_dist_range(box, x, metric)
     f = threshold_net_classifier(layers, margin)
-    assert f.eval_box(box) == ref_net_eval_box(layers, margin, box)
-    w = data.draw(st.lists(RATIONALS, min_size=dims, max_size=dims).filter(any))
-    b = data.draw(RATIONALS)
+    assert f.eval_box(box) == ref_net_margin_eval_box(layers, margin, box)
     assert hyperplane_classifier(w, b).eval_box(box) == ref_hyperplane_eval_box(w, b, box)
+
+
+# ------------------------------------------------------------ margin rows
+
+
+def inside(inner, outer) -> bool:
+    """``inner`` allows no color that ``outer`` rules out, and commits
+    wherever ``outer`` does."""
+    return inner.colors <= outer.colors and (outer.maybe_bot or not inner.maybe_bot)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=net_cases())
+@example(case=(SHARED_UNIT, Q(1, 2), Box.from_bounds([(-1, 1)]), (Q(0),)))
+def test_margin_envelope_lies_inside_per_score_envelope(case):
+    layers, margin, box, _ = case
+    assert inside(
+        threshold_net_classifier(layers, margin).eval_box(box),
+        ref_net_eval_box(layers, margin, box),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), spec=nets())
+def test_sub_box_envelope_lies_inside_parent(data, spec):
+    """Along a path of up to 6 bisections from a rooted box."""
+    layers, margin = spec
+    f = threshold_net_classifier(layers, margin)
+    box = data.draw(rooted_boxes(layers[0].in_dim))
+    for high in data.draw(st.lists(st.booleans(), max_size=6)):
+        if box.width == 0:
+            break
+        child = box.bisect()[high]
+        assert inside(f.eval_box(child), f.eval_box(box))
+        box = child
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=net_cases())
+def test_degenerate_box_envelope_is_the_point_answer(case):
+    layers, margin, _, point = case
+    f = threshold_net_classifier(layers, margin)
+    answer = ref_net_eval_point(layers, margin, point)
+    envelope = f.eval_box(Box.from_bounds([(c, c) for c in point]))
+    if answer.is_bot:
+        assert envelope == ColorEnvelope(frozenset(), True)
+    else:
+        assert envelope == ColorEnvelope(frozenset((answer.color,)), False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), spec=nets(output="relu"))
+def test_relu_output_envelope_equals_per_score_envelope(data, spec):
+    layers, margin = spec
+    box = data.draw(boxes(layers[0].in_dim))
+    f = threshold_net_classifier(layers, margin)
+    assert f.eval_box(box) == ref_net_eval_box(layers, margin, box)
 
 
 # ------------------------------------------------------------ ball tests
