@@ -46,7 +46,9 @@ and the radius streams' best-first walk ``_nearest_off_color`` on the
 radius workload's relu net at fuel 5, over a ceiling-2 ball; it runs
 outside a query context, so each call walks with a fresh envelope memo.
 The same walk's fuel loop 0..8 runs in one query context, so each fuel
-walks on from the leaves the last one enumerated.  The whole
+walks on from the leaves the last one enumerated, and so does the lower
+radius stream's: each radius it scans is the query's one ball for it,
+so a radius scanned again at more fuel resumes its cover walk.  The whole
 ``optimal_radius`` call on that net, fuels 0..8 with ceiling 2 and
 tolerance 1/64, opens its own query context, so its radius walks resume
 across fuels and share one envelope memo.
@@ -80,6 +82,7 @@ from boxcert import (
     make_layer,
     nn_learner,
     optimal_radius,
+    radius_lower,
     sparse_or_dense,
     threshold_net_classifier,
 )
@@ -245,6 +248,19 @@ def nearest_off_color_loop(color):
 def test_nearest_off_color_fuel_loop(benchmark):
     distances = benchmark(nearest_off_color_loop, RADIUS_NET.eval_point(RADIUS_X).color)
     assert all(other is not None for _, other in distances)
+
+
+def radius_lower_loop():
+    """Every fuel 0..8 in turn in one query context, as ``boxcert verify``
+    runs a ``radiusLower`` query."""
+    stream = radius_lower(RADIUS_X, RADIUS_NET, Q(2), MetricKind.MAX)
+    with _query_scope():
+        return [stream.approx(fuel) for fuel in range(9)]
+
+
+def test_radius_lower_fuel_loop(benchmark):
+    radii = benchmark(radius_lower_loop)
+    assert all(r >= 0 for r in radii)
 
 
 def test_optimal_radius(benchmark):

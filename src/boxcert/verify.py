@@ -22,17 +22,18 @@ Results stay pure functions of the arguments.  Inside one query context
 (``kernel._Query``), which ``boxcert verify`` opens per query and
 ``optimal_radius`` for its fuel loop, all three walks (cover, witness
 and radius) read each box's envelope from one memo, so each box is
-evaluated once per query.  The cover and witness walks also save the
-frontier they left under their arguments: asked the same again at the
-same fuel or more, they walk on from there instead of from the bounding
-box, since fuel d + 1 only refines the subdivision of fuel d.  The
-radius walk saves the leaves it enumerated and the distances it found,
-and walks on from them at more fuel.  A fuel loop over one region query,
-or one radius bracket, therefore walks each tree once.  The same context
-also holds ``learners.does_deviate``'s last finished stage and the
-candidates it has tried, so its fuel loop runs each stage and retrains
-each candidate once.  A call outside a context walks afresh,
-and nothing outlives the query.
+evaluated once per query.  Every ball they walk, whether the
+``locally_constant`` region, a radius the lower stream scans or the
+radius walk's root, is the query's one ``_ball`` for its center, radius
+and metric.  Each walk saves what it left under its arguments: the cover
+and witness walks their frontier, the radius walk its enumerated leaves
+and the distances it found.  Asked the same at the same fuel or more, a
+walk goes on from there, since fuel d + 1 only refines the subdivision
+of fuel d.  A fuel loop over one region query, or one radius bracket,
+therefore walks each tree once.  The context also holds
+``learners.does_deviate``'s last finished stage and tried candidates, so
+its fuel loop runs each stage and retrains each candidate once.  A call
+outside a context walks afresh, and nothing outlives the query.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from typing import Callable, Iterable, Sequence
 
 from .classifiers import IntervalClassifier
 from .errors import ValidationError
-# any_of stays bound for perfbench/tracer.py, which spans verify.any_of by name.
+# perfbench/tracer.py spans any_of, closed_ball and open_ball_overt here by name; keep them bound.
 from .kernel import Fuel, KBot, Outcome, Verdict, any_of, check_fuel, race
 from .kernel import _per_query, _query, _query_scope
 from .numerics import (
@@ -62,7 +63,6 @@ from .numerics import (
     dyadic_step,
     grid_points,
 )
-# open_ball_overt stays bound for perfbench/tracer.py, which spans it by name.
 from .regions import (
     CompactSet,
     OvertSet,
@@ -375,7 +375,7 @@ def _nearest_off_color(
     center = KBot(c)
     query = _query()
     envelope = query.envelope(f)
-    root = closed_ball(x, ceiling, metric).compact.bounding
+    root = _ball(x, ceiling, metric).compact.bounding
     S, heap_key = _radius_keys(x, root, metric, fuel)
     state = ("radius", x, c, f, ceiling, metric)
     leaves, saved, differ, other = query.resume(state, fuel, ([(0, root)], S, None, None))
@@ -443,8 +443,10 @@ def radius_lower(
     committed envelope fixes every point inside it, so no other color can
     certify there.  For the same reason the downward scan starts just
     below the nearest grid point whose value differs from the center's.
-    A center the classifier is silent on certifies no ball at all, so its
-    stream crawls up to zero from below.
+    Each radius is scanned on the query's one ``_ball`` for it, the cover
+    ``locally_constant`` races, so a radius scanned again at more fuel
+    resumes its cover walk.  A center the classifier is silent on
+    certifies no ball at all, so its stream crawls up to zero from below.
     """
     point, top, base = _radius_setup(x, f, ceiling)
 
@@ -458,7 +460,7 @@ def radius_lower(
         else:
             r = (math.ceil(differ / step) - 1) * step
         while r >= 0:
-            cover = closed_ball(point, r, metric).compact
+            cover = _ball(point, r, metric).compact
             if forall_value(base.color, cover, f, fuel) is Verdict.CONFIRMED:
                 return r
             r -= step
@@ -541,13 +543,9 @@ def optimal_radius(
     upper_stream = radius_upper(x, f, ceiling, metric)
     top = lower_stream.ceiling
     trace: list[tuple[Fuel, Fraction, Fraction]] = []
-    lower = Fraction(-1)
-    upper = top
     converged = False
-    fuel_used = 0
     with _query_scope():
         for fuel in range(max_fuel + 1):
-            fuel_used = fuel
             lower = lower_stream.approx(fuel)
             upper = upper_stream.approx(fuel)
             trace.append((fuel, lower, upper))
@@ -558,6 +556,7 @@ def optimal_radius(
             if lower >= 0 and upper < top and upper - lower <= tolerance:
                 converged = True
                 break
+    fuel_used, lower, upper = trace[-1]
     return RadiusReport(
         lower=lower,
         upper=upper,

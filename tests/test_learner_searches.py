@@ -25,6 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 from boxcert import (
     Box,
+    ExtensionWitness,
     Interval,
     KBot,
     MetricKind,
@@ -203,6 +204,10 @@ def test_sparse_or_dense_matches_ordered_search(spec, domain, sample, x, n, eps)
         if got.verdict is TwoBot.ONE:
             assert L.train(s).eval_point(point) == KBot(got.color)
         if got.verdict is TwoBot.ZERO:
+            # A committed base is the empty augmentation, found first.
+            base = L.train(s).eval_point(point)
+            if base.committed:
+                assert got.witnesses[0] == want.witnesses[0] == ExtensionWitness((), base.color)
             outcomes = set()
             for witness in got.witnesses:
                 assert len(witness.extension) <= n

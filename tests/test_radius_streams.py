@@ -9,7 +9,9 @@ The search itself, ``_nearest_off_color``, keys its heap on integers over
 one scale per walk, and resumes across fuels inside a query context.  Its
 keys must order boxes exactly as their ``Fraction`` distances do, and a
 resumed walk must return what a fresh walk returns, over any order of
-fuels, without bisecting a box twice in a rising fuel loop.
+fuels, without bisecting a box twice in a rising fuel loop.  The lower
+stream scans each radius on the query's one ball for it, so its fuel loop
+keeps one saved cover walk per ball and resumes it at more fuel.
 """
 
 from __future__ import annotations
@@ -242,3 +244,20 @@ def test_rising_fuel_loop_bisects_each_box_once(monkeypatch, f, x, ceiling, metr
                 assert box.within(dyadic_step(fuel))
                 assert f.eval_box(box).committed_color != c
     assert split and max(split.values()) == 1
+
+
+@pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.value)
+@pytest.mark.parametrize("f, x, ceiling", WALKED, ids=["net", "plane"])
+def test_lower_stream_resumes_one_cover_walk_per_ball(f, x, ceiling, metric):
+    """A lower stream's fuel loop in one query context gives a fresh
+    stream's values, and scans each radius on the query's one ball for it:
+    a radius scanned again at more fuel resumes its cover walk, so no two
+    saved cover walks share a bounding box."""
+    fresh = radius_lower(x, f, ceiling, metric)
+    want = [fresh.approx(fuel) for fuel in range(9)]
+    with _query_scope():
+        query = _query()
+        stream = radius_lower(x, f, ceiling, metric)
+        assert [stream.approx(fuel) for fuel in range(9)] == want
+        roots = Counter(key[1].bounding for key in query.frontiers if key[0] == "cover")
+    assert roots and max(roots.values()) == 1
