@@ -2,8 +2,7 @@
 
 Run from the root of a checkout, with the test dependencies installed:
 
-    python tests/mutants.py            # every mutant
-    python tests/mutants.py radius     # those whose name contains "radius"
+    python tests/mutants.py
 
 Each entry below names a file under ``src/boxcert``, a snippet of it, the
 snippet's replacement, why the replaced code is wrong, and the test
@@ -11,13 +10,21 @@ expected to kill it.  The script first checks that every snippet occurs
 exactly once, and refuses to run otherwise, so that a refactor cannot
 retire a mutant silently: rewrite the entry along with the code.
 
+Before it mutates anything, the script runs the tier-1 suite once on an
+unmutated copy of the checkout, and checks that every named test exists.
+It refuses to go on if a test fails there, since a failure on clean code
+(a flaky test, a time budget the machine misses, a file left out of the
+copy) would otherwise read as a kill for every mutant.
+
 For each mutant it copies the checkout to a temporary directory, applies
-that one replacement, and runs the named test under a time limit.  If
-the named test passes, or runs out of time, it runs the tier-1 suite with
-``-x`` under a longer limit.  Both runs use ``--hypothesis-seed=0``.  A
-mutant is killed when a test fails; the script prints one line per
-mutant, names every survivor and exits 1 if there is one.  pytest does
-not collect this file, because its name has no ``test_`` prefix.
+that one replacement, and runs the named test under a time limit.  The
+mutant is killed by its test only when pytest's first failure names that
+test.  Otherwise (the test passes or runs out of time) it runs the
+tier-1 suite with ``-x`` under a longer limit.  Every run uses
+``--hypothesis-seed=0``.  A mutant is killed when a test fails; the
+script prints one line per mutant, names every survivor and exits 1 if
+there is one.  pytest does not collect this file, because its name has
+no ``test_`` prefix.
 
 Equivalent mutants, which no test can kill, stay off the list.  One is
 ``c < bound`` made ``c <= bound`` in ``verify._find_witnesses``: ``bound``
@@ -274,6 +281,15 @@ def check_snippets(mutants: list[Mutant]) -> list[str]:
     return problems
 
 
+def copy_checkout(where: Path) -> None:
+    for name in COPIED:
+        source = ROOT / name
+        if source.is_dir():
+            shutil.copytree(source, where / name, ignore=IGNORED)
+        else:
+            shutil.copy2(source, where / name)
+
+
 def run_pytest(where: Path, args: list[str], limit: float) -> tuple[int | None, str]:
     """pytest's exit code, or None when it ran out of time, and its output."""
     cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
@@ -290,8 +306,28 @@ def run_pytest(where: Path, args: list[str], limit: float) -> tuple[int | None, 
     return run.returncode, out
 
 
+def failures(out: str) -> list[str]:
+    return [line for line in out.splitlines() if line.startswith(("FAILED", "ERROR"))]
+
+
 def first_failure(out: str) -> str:
-    return next((line for line in out.splitlines() if line.startswith(("FAILED", "ERROR"))), "")
+    return next(iter(failures(out)), "")
+
+
+def check_clean(mutants: list[Mutant]) -> list[str]:
+    """What fails on an unmutated copy: missing named tests, then tier-1."""
+    with tempfile.TemporaryDirectory(prefix="boxcert-clean-") as tmp:
+        where = Path(tmp)
+        copy_checkout(where)
+        killers = sorted({m.killer for m in mutants})
+        code, out = run_pytest(where, ["--collect-only", *killers], TEST_LIMIT_S)
+        if code != 0:
+            return [f"collecting the named tests: exit {code}", *out.splitlines()[-20:]]
+        code, out = run_pytest(where, ["--continue-on-collection-errors"], TIER1_LIMIT_S)
+        if code != 0:
+            status = "timed out" if code is None else f"exit {code}"
+            return [f"tier-1 on the unmutated copy: {status}", *failures(out)]
+    return []
 
 
 def run_mutant(m: Mutant) -> bool:
@@ -299,22 +335,18 @@ def run_mutant(m: Mutant) -> bool:
     start = time.monotonic()
     with tempfile.TemporaryDirectory(prefix="boxcert-mutant-") as tmp:
         where = Path(tmp)
-        for name in COPIED:
-            source = ROOT / name
-            if source.is_dir():
-                shutil.copytree(source, where / name, ignore=IGNORED)
-            else:
-                shutil.copy2(source, where / name)
+        copy_checkout(where)
         target = where / "src" / "boxcert" / m.path
         target.write_text(target.read_text().replace(m.snippet, m.replacement))
         code, out = run_pytest(where, ["-x", m.killer], TEST_LIMIT_S)
-        how = "by its test"
-        if code not in (0, 1, None):
-            print(f"ERROR    {m.name}: pytest exited {code} on {m.killer}\n{out[-2000:]}")
-            return False
-        if code != 1:
+        if code == 1 and m.killer in first_failure(out):
+            how = "by its test"
+        elif code in (0, None):
             how = "by tier-1, not its test" if code == 0 else "by tier-1, its test timed out"
             code, out = run_pytest(where, ["-x", "--continue-on-collection-errors"], TIER1_LIMIT_S)
+        else:
+            print(f"ERROR    {m.name}: pytest exited {code} on {m.killer}\n{out[-2000:]}")
+            return False
     seconds = time.monotonic() - start
     if code == 1:
         print(f"killed   {m.name} {how} in {seconds:.0f} s: {first_failure(out)}")
@@ -324,15 +356,19 @@ def run_mutant(m: Mutant) -> bool:
     return False
 
 
-def main(argv: list[str]) -> int:
-    chosen = [m for m in MUTANTS if not argv or any(a in m.name for a in argv)]
-    problems = check_snippets(chosen)
+def main() -> int:
+    problems = check_snippets(MUTANTS)
     if problems:
         print("refusing to run; rewrite these entries:", *problems, sep="\n  ")
         return 1
     start = time.monotonic()
-    survivors = [m.name for m in chosen if not run_mutant(m)]
-    print(f"{len(chosen) - len(survivors)} of {len(chosen)} mutants killed "
+    problems = check_clean(MUTANTS)
+    if problems:
+        print("refusing to run; the unmutated checkout fails:", *problems, sep="\n  ")
+        return 1
+    print(f"tier-1 passes on the unmutated copy in {time.monotonic() - start:.0f} s")
+    survivors = [m.name for m in MUTANTS if not run_mutant(m)]
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed "
           f"in {time.monotonic() - start:.0f} s")
     if survivors:
         print("survivors:", ", ".join(survivors))
@@ -341,4 +377,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
