@@ -1,14 +1,14 @@
 """Command line front end.
 
 The library operations give results that are pure functions of a single
-fuel value; the fuel loop lives here.  Each query runs in one query
+fuel value; ``kernel._fuel_loop`` steps them.  Each query runs in one query
 context, where each region walker resumes its last walk when the loop asks
 about the same region at the next fuel, so the loop walks each subdivision
-tree once.  For the region and learner ops ``verify`` iterates fuel from
-zero to the budget and stops at the first committed answer;
-``radiusLower`` and ``radiusUpper`` evaluate their stream once at the
-budget, and ``optimalRadius`` runs the loop of ``optimal_radius``.  Every
-report is deterministic: same input files and flags give byte-identical
+tree once.  The region and learner ops run that loop from zero to the
+budget and stop at the first committed answer; ``radiusLower`` and
+``radiusUpper`` evaluate their stream once at the budget, and
+``optimalRadius`` runs ``optimal_radius``, whose bracket uses the loop too.
+Every report is deterministic: same input files and flags give byte-identical
 output.  Exit codes: 0 for a committed answer, 2 for unknown or bottom at
 budget, 1 for a hard error.
 """
@@ -16,12 +16,12 @@ budget, 1 for a hard error.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cache, partial
 from importlib import resources
 from pathlib import Path
 from typing import Any, Callable
@@ -38,7 +38,7 @@ from .io import (
     region_from_json,
     sample_from_json,
 )
-from .kernel import Outcome, _query_scope
+from .kernel import Outcome, _fuel_loop, _query_scope
 from .learners import (
     DeviationWitness,
     ExtensionWitness,
@@ -237,14 +237,8 @@ STEPS: dict[str, Callable[[QuerySpec, int], Outcome]] = {
 
 def _iterate(spec: QuerySpec, step: Callable[[QuerySpec, int], Outcome]) -> Report:
     """Run an op fuel by fuel, stopping at the first commitment."""
-    trace = []
-    fuel_used = spec.max_fuel
-    for fuel in range(spec.max_fuel + 1):
-        outcome = step(spec, fuel)
-        trace.append({"fuel": fuel, "value": outcome.verdict.value})
-        if outcome.verdict.committed:
-            fuel_used = fuel
-            break
+    outcomes = _fuel_loop(partial(step, spec), lambda out: out.verdict.committed, spec.max_fuel)
+    outcome = outcomes[-1]
     diagnostics: dict[str, Any] = {}
     if outcome.color is not None:
         diagnostics["color"] = outcome.color
@@ -255,10 +249,10 @@ def _iterate(spec: QuerySpec, step: Callable[[QuerySpec, int], Outcome]) -> Repo
     return Report(
         op=spec.op,
         verdict=outcome.verdict.value,
-        fuel_used=fuel_used,
+        fuel_used=len(outcomes) - 1,
         max_fuel=spec.max_fuel,
         witnesses=tuple(_witness_json(w) for w in outcome.witnesses),
-        trace=tuple(trace),
+        trace=tuple({"fuel": fuel, "value": o.verdict.value} for fuel, o in enumerate(outcomes)),
         diagnostics=diagnostics,
     )
 
@@ -431,6 +425,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
+    import hashlib  # here, not at the top: every query would pay for loading OpenSSL
     root = resources.files("boxcert").joinpath("golden")
     manifest = json.loads(root.joinpath("manifest.json").read_text())
     failures = 0
@@ -447,13 +442,15 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
             verdict = "error"
             code = EXIT_ERROR
             body = json.dumps({"error": str(exc)}, sort_keys=True, indent=2) + "\n"
-        ok = verdict == case["expectVerdict"] and code == case["expectExit"]
+        digest = hashlib.sha256(body.encode()).hexdigest()
+        ok = (verdict, code, digest) == (case["expectVerdict"], case["expectExit"], case["sha256"])
         status = "ok" if ok else "MISMATCH"
         if not ok:
             failures += 1
         sys.stdout.write(
-            f"case {name}: verdict={verdict} exit={code} "
-            f"expected={case['expectVerdict']}/{case['expectExit']} {status}\n"
+            f"case {name}: verdict={verdict} exit={code} sha256={digest[:12]} "
+            f"expected={case['expectVerdict']}/{case['expectExit']}/{case['sha256'][:12]} "
+            f"{status}\n"
         )
         if args.verbose:
             sys.stdout.write(body)
@@ -462,7 +459,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     return EXIT_COMMITTED if failures == 0 else EXIT_ERROR
 
 
-@functools.cache
+@cache
 def build_parser() -> argparse.ArgumentParser:
     # Built once per process: parse_args leaves the parser as it was and
     # returns a fresh namespace on every call.

@@ -193,9 +193,20 @@ def _per_query(fn):
 
     @functools.wraps(fn)
     def cached(*args):
-        results = _query().results
-        if (fn, args) not in results:
-            results[fn, args] = fn(*args)
-        return results[fn, args]
+        try:
+            return (results := _query().results)[fn, args]
+        except KeyError:
+            return results.setdefault((fn, args), fn(*args))
 
     return cached
+
+
+def _fuel_loop(step: Callable[[Fuel], Any], done: Callable[[Any], bool], max_fuel: Fuel) -> list:
+    """Every result of ``step`` at fuel 0, 1, ... in one query context, up to
+    the first that ``done`` accepts or through ``max_fuel``."""
+    check_fuel(max_fuel)
+    with _query_scope():
+        results = [step(0)]
+        while not done(results[-1]) and len(results) <= max_fuel:
+            results.append(step(len(results)))
+    return results

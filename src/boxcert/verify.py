@@ -19,10 +19,10 @@ the colors still wanted, and a two-sided question reports the lowest
 colors that certify or have a hit.
 
 Results stay pure functions of the arguments.  Inside one query context
-(``kernel._Query``), which ``boxcert verify`` opens per query and
-``optimal_radius`` for its fuel loop, all three walks (cover, witness
-and radius) read each box's envelope from one memo, so each box is
-evaluated once per query.  Every ball they walk, whether the
+(``kernel._Query``), which ``boxcert verify`` opens per query and the
+kernel's fuel loop for ``optimal_radius``, all three walks (cover,
+witness and radius) read each box's envelope from one memo, so each box
+is evaluated once per query.  Every ball they walk, whether the
 ``locally_constant`` region, a radius the lower stream scans or the
 radius walk's root, is the query's one ``_ball`` for its center, radius
 and metric.  Each walk saves what it left under its arguments: the cover
@@ -49,7 +49,7 @@ from .classifiers import IntervalClassifier
 from .errors import ValidationError
 # perfbench/tracer.py spans any_of, closed_ball and open_ball_overt here by name; keep them bound.
 from .kernel import Fuel, KBot, Outcome, Verdict, any_of, check_fuel, race
-from .kernel import _per_query, _query, _query_scope
+from .kernel import _fuel_loop, _per_query, _query, _query_scope
 from .numerics import (
     Box,
     LowerReal,
@@ -535,33 +535,31 @@ def optimal_radius(
     whose bracket is tight enough, or reports a flagged partial result
     when the budget runs out.
     """
-    check_fuel(max_fuel)
     tolerance = as_rational(tol)
     if tolerance <= 0:
         raise ValidationError("tolerance must be positive")
     lower_stream = radius_lower(x, f, ceiling, metric)
     upper_stream = radius_upper(x, f, ceiling, metric)
     top = lower_stream.ceiling
-    trace: list[tuple[Fuel, Fraction, Fraction]] = []
-    converged = False
-    with _query_scope():
-        for fuel in range(max_fuel + 1):
-            lower = lower_stream.approx(fuel)
-            upper = upper_stream.approx(fuel)
-            trace.append((fuel, lower, upper))
-            # A bracket only counts once both sides are real commitments:
-            # the lower stream above its sub-zero sentinel, the upper below
-            # the ceiling it idles at.  A constant classifier drives both to
-            # the ceiling with gap zero: saturation, not an answer.
-            if lower >= 0 and upper < top and upper - lower <= tolerance:
-                converged = True
-                break
+
+    def bracket(fuel: Fuel) -> tuple[Fuel, Fraction, Fraction]:
+        return fuel, lower_stream.approx(fuel), upper_stream.approx(fuel)
+
+    def converged(row: tuple[Fuel, Fraction, Fraction]) -> bool:
+        # A bracket only counts once both sides are real commitments:
+        # the lower stream above its sub-zero sentinel, the upper below
+        # the ceiling it idles at.  A constant classifier drives both to
+        # the ceiling with gap zero: saturation, not an answer.
+        _, lower, upper = row
+        return lower >= 0 and upper < top and upper - lower <= tolerance
+
+    trace = _fuel_loop(bracket, converged, max_fuel)
     fuel_used, lower, upper = trace[-1]
     return RadiusReport(
         lower=lower,
         upper=upper,
         fuel_used=fuel_used,
-        converged=converged,
+        converged=converged(trace[-1]),
         lower_saturated=lower >= top,
         upper_unconfirmed=upper >= top,
         trace=tuple(trace),

@@ -151,6 +151,15 @@ MUTANTS = [
         "tests/test_integer_kernels.py::test_ball_tests_match_interval_tests",
     ),
     Mutant(
+        "fuel-loop-without-query-context",
+        "kernel.py",
+        "with _query_scope():\n        results = [step(0)]",
+        "with contextlib.nullcontext():\n        results = [step(0)]",
+        "a query's fuel levels share one context, so a walk at more fuel "
+        "resumes the last one instead of starting from the root",
+        "tests/test_kernel.py::TestFuelLoop::test_every_step_shares_one_query_context",
+    ),
+    Mutant(
         "race-double-commit-ignored",
         "kernel.py",
         "if yes and no:",
@@ -182,6 +191,24 @@ MUTANTS = [
         ">= margin.numerator * scale",
         "a runner-up exactly the tie margin behind is a tie, which is bottom",
         "tests/test_integer_kernels.py::test_nn_point_rule_matches_envelope",
+    ),
+    Mutant(
+        "nn-certain-non-strict",
+        "learners.py",
+        "all(di.hi + margin < dj.lo for dj in others)",
+        "all(di.hi + margin <= dj.lo for dj in others)",
+        "unsound: a winner exactly the margin ahead of a rival is a tie, so "
+        "a box holding that placement may be bottom",
+        "tests/test_integer_kernels.py::test_nn_family_at_point_boxes_equals_retraining",
+    ),
+    Mutant(
+        "nn-color-non-strict",
+        "learners.py",
+        "all(di.lo + margin < dj.hi for dj in others)",
+        "all(di.lo + margin <= dj.hi for dj in others)",
+        "sound but looser: a point that can only tie a rival cannot win, so "
+        "its color is not possible on the box",
+        "tests/test_integer_kernels.py::test_nn_eval_box_on_a_point_box_is_the_point_answer",
     ),
     Mutant(
         "deviate-window-narrow",
@@ -259,6 +286,15 @@ MUTANTS = [
         "exact but slower: a dropped box stays useless at more fuel, so saving "
         "it only walks it again",
         "tests/test_radius_streams.py::test_rising_fuel_loop_bisects_each_box_once",
+    ),
+    Mutant(
+        "bracket-stops-strictly-inside-tolerance",
+        "verify.py",
+        "upper - lower <= tolerance",
+        "upper - lower < tolerance",
+        "a bracket whose gap equals the tolerance is within it, so the loop stops there",
+        "tests/test_verify.py::TestOptimalRadius::"
+        "test_bracket_stops_when_its_gap_equals_the_tolerance",
     ),
     Mutant(
         "radius-restarts-from-root",

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from boxcert import MetricKind, ParseError, ValidationError
+from boxcert import cli
 from boxcert.cli import QuerySpec, explain_text, main, parse_query, run_query
 
 GOLDEN = Path(__file__).resolve().parent.parent / "src" / "boxcert" / "golden"
@@ -505,6 +508,21 @@ class TestSelftest:
         assert second.returncode == 0
         assert first.stdout == second.stdout
         assert "10/10 cases matched" in first.stdout
+
+    def test_a_wrong_report_digest_is_a_mismatch(self, tmp_path, monkeypatch, capsys):
+        # The case's verdict and exit code still match; only its body's digest does not.
+        shutil.copytree(GOLDEN, tmp_path / "golden")
+        manifest = json.loads((GOLDEN / "manifest.json").read_text())
+        case = manifest["cases"][0]
+        case["sha256"] = "0" * 64
+        (tmp_path / "golden" / "manifest.json").write_text(json.dumps(manifest))
+        monkeypatch.setattr(cli, "resources", SimpleNamespace(files=lambda package: tmp_path))
+        assert main(["selftest"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        line = next(line for line in lines if line.startswith(f"case {case['name']}:"))
+        assert f"verdict={case['expectVerdict']} exit={case['expectExit']} " in line
+        assert line.endswith(" MISMATCH")
+        assert lines[-1] == "selftest: 9/10 cases matched"
 
 
 class TestManifestContract:

@@ -171,15 +171,15 @@ SAMPLE_GRID = st.sampled_from(
     sorted({Q(n, 2) for n in range(-3, 4)} | {Q(n, 3) for n in range(-4, 5)})
 )
 QUERY_GRID = st.one_of(SAMPLE_GRID, st.sampled_from([Q(n, 7) for n in range(-7, 8)]), RATIONALS)
+LABELED_POINTS = st.tuples(st.tuples(SAMPLE_GRID, SAMPLE_GRID), st.integers(0, 2))
+MARGINS = st.sampled_from([Q(1, 4), Q(1, 2), Q(1), Q(1, 3), Q(1, 7)])
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    pts=st.lists(
-        st.tuples(st.tuples(SAMPLE_GRID, SAMPLE_GRID), st.integers(0, 2)), min_size=1, max_size=5
-    ),
+    pts=st.lists(LABELED_POINTS, min_size=1, max_size=5),
     x=st.tuples(QUERY_GRID, QUERY_GRID),
-    margin=st.sampled_from([Q(1, 4), Q(1, 2), Q(1), Q(1, 3), Q(1, 7)]),
+    margin=MARGINS,
     metric=METRICS,
 )
 # A sample on thirds, a query on sevenths: d2 - d1 = 5/21 - 2/21 is exactly
@@ -193,6 +193,62 @@ QUERY_GRID = st.one_of(SAMPLE_GRID, st.sampled_from([Q(n, 7) for n in range(-7, 
 def test_nn_point_rule_matches_envelope(pts, x, margin, metric):
     trained = nn_learner(margin, k=3, metric=metric).train(Sample(tuple(pts)))
     assert trained.eval_point(x) == ref_nn_eval_point(pts, x, margin, metric)
+
+
+def point_envelope(answer) -> ColorEnvelope:
+    """The exact envelope of one point's answer: its color, or bottom."""
+    if answer.committed:
+        return ColorEnvelope(frozenset({answer.color}), False)
+    return ColorEnvelope(frozenset(), True)
+
+
+# On a point box the nn envelope is exact.  At a gap equal to the margin
+# the point rule is silent, so an envelope that is certain there (unsound)
+# or that allows the leader's color there (sound but loose) fails here.
+@settings(max_examples=300, deadline=None)
+@given(
+    pts=st.lists(LABELED_POINTS, min_size=1, max_size=5),
+    x=st.tuples(QUERY_GRID, QUERY_GRID),
+    margin=MARGINS,
+    metric=METRICS,
+)
+# The runner-up is exactly the margin behind the nearest point.
+@example(
+    pts=[((Q(0), Q(0)), 0), ((Q(1), Q(0)), 1)], x=(Q(0), Q(0)), margin=Q(1),
+    metric=MetricKind.MAX,
+)
+@example(
+    pts=[((Q(0), Q(0)), 0), ((Q(1), Q(0)), 1)], x=(Q(0), Q(0)), margin=Q(1),
+    metric=MetricKind.EUCLID_SQ,
+)
+def test_nn_eval_box_on_a_point_box_is_the_point_answer(pts, x, margin, metric):
+    trained = nn_learner(margin, k=3, metric=metric).train(Sample(tuple(pts)))
+    assert trained.eval_box(Box.around(x)) == point_envelope(trained.eval_point(x))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pts=st.lists(LABELED_POINTS, min_size=1, max_size=4),
+    adds=st.lists(LABELED_POINTS, min_size=1, max_size=3),
+    x=st.tuples(QUERY_GRID, QUERY_GRID),
+    margin=MARGINS,
+    metric=METRICS,
+)
+# A label-1 point added exactly the margin from x = 0, where the sample's
+# one label-0 point sits: retraining ties, so the family must be bottom.
+@example(
+    pts=[((Q(0),), 0)], adds=[((Q(1, 2),), 1)], x=(Q(0),), margin=Q(1, 2), metric=MetricKind.MAX
+)
+@example(
+    pts=[((Q(0),), 0)], adds=[((Q(1, 2),), 1)], x=(Q(0),), margin=Q(1, 4),
+    metric=MetricKind.EUCLID_SQ,
+)
+def test_nn_family_at_point_boxes_equals_retraining(pts, adds, x, margin, metric):
+    learner = nn_learner(margin, k=3, metric=metric)
+    retrained = learner.train(Sample(tuple(pts + adds)))
+    additions = [(Box.around(p), label) for p, label in adds]
+    got = learner.family_at(Sample(tuple(pts)), additions, x)
+    assert got == point_envelope(retrained.eval_point(x))
 
 
 # ------------------------------------------------------------ integer boxes
@@ -324,10 +380,7 @@ def test_degenerate_box_envelope_is_the_point_answer(case):
     f = threshold_net_classifier(layers, margin)
     answer = ref_net_eval_point(layers, margin, point)
     envelope = f.eval_box(Box.from_bounds([(c, c) for c in point]))
-    if answer.is_bot:
-        assert envelope == ColorEnvelope(frozenset(), True)
-    else:
-        assert envelope == ColorEnvelope(frozenset((answer.color,)), False)
+    assert envelope == point_envelope(answer)
 
 
 @settings(max_examples=200, deadline=None)

@@ -3,8 +3,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from boxcert import IncoherentRace, TwoBot, Verdict, any_of, race
-from boxcert.kernel import check_fuel
+from boxcert import IncoherentRace, TwoBot, ValidationError, Verdict, any_of, race
+from boxcert.kernel import _fuel_loop, _per_query, _query, _query_scope, check_fuel
 
 
 def confirms_at(threshold: int):
@@ -59,6 +59,46 @@ class TestRace:
     def test_double_commit_is_incoherent(self):
         with pytest.raises(IncoherentRace):
             race(confirms_at(0), confirms_at(0), 0)
+
+
+class TestFuelLoop:
+    def test_stops_at_the_first_accepted_result(self):
+        assert _fuel_loop(lambda fuel: fuel * fuel, lambda r: r >= 9, 10) == [0, 1, 4, 9]
+
+    def test_runs_through_the_budget_when_nothing_is_accepted(self):
+        assert _fuel_loop(lambda fuel: -fuel, lambda r: False, 4) == [0, -1, -2, -3, -4]
+        assert _fuel_loop(lambda fuel: fuel, lambda r: r > 4, 4) == [0, 1, 2, 3, 4]
+        assert _fuel_loop(lambda fuel: fuel, lambda r: False, 0) == [0]
+
+    def test_returns_every_result_in_fuel_order(self):
+        results = _fuel_loop(lambda fuel: (fuel, "row"), lambda r: r[0] == 3, 9)
+        assert results == [(0, "row"), (1, "row"), (2, "row"), (3, "row")]
+
+    @pytest.mark.parametrize("bad", [-1, True, 1.5, "3", None])
+    def test_rejects_a_bad_budget(self, bad):
+        steps = []
+        with pytest.raises(ValidationError):
+            _fuel_loop(steps.append, lambda r: False, bad)
+        assert steps == []
+
+    def test_every_step_shares_one_query_context(self):
+        computed = []
+
+        @_per_query
+        def square(n):
+            computed.append(n)
+            return n * n
+
+        assert _fuel_loop(lambda fuel: square(3), lambda r: False, 5) == [9] * 6
+        assert computed == [3]
+
+    def test_keeps_an_enclosing_context(self):
+        with _query_scope():
+            outer = _query()
+            contexts = _fuel_loop(lambda fuel: _query(), lambda r: False, 2)
+            assert _query() is outer
+        assert len(contexts) == 3
+        assert all(context is outer for context in contexts)
 
 
 class TestValueTypes:

@@ -333,6 +333,21 @@ class TestOptimalRadius:
         assert report.lower == oracle_lower
         assert report.upper == oracle_upper
 
+    @pytest.mark.parametrize(
+        "metric, fuel, lower, upper",
+        [
+            (MetricKind.MAX, 4, Q(15, 16), Q(17, 16)),
+            (MetricKind.EUCLID_SQ, 5, Q(31, 32), Q(35, 32)),
+        ],
+    )
+    def test_bracket_stops_when_its_gap_equals_the_tolerance(self, metric, fuel, lower, upper):
+        # "Within the tolerance" includes equality: the first bracket whose
+        # gap is exactly 1/8 ends the loop.
+        report = optimal_radius((Q(1), Q(0)), SPLIT, Q(4), Q(1, 8), metric)
+        assert report.converged
+        assert (report.fuel_used, report.lower, report.upper) == (fuel, lower, upper)
+        assert report.gap == Q(1, 8)
+
     def test_trace_rows_cover_every_fuel_spent(self):
         report = optimal_radius((Q(1), Q(0)), SPLIT, Q(4), Q(1, 20))
         fuels = [row[0] for row in report.trace]
