@@ -19,7 +19,15 @@ points at fuel 4, on a sample that the dense side certifies only after
 trying every augmentation.  The ``does_deviate`` fuel loop 0..9 on the
 unit interval runs in one query context, the shape of the learner
 workload's ``deviate-nn-unit-fuel9``: each fuel runs only its new stage
-and retrains only candidates that no earlier stage tried.
+and retrains only candidates that no earlier stage tried.  nn states that
+it never deviates, so its own deviation search is empty; the three
+``does_deviate`` entries run nn with that bound reset to the full search,
+so they keep timing the search machinery.  Two ``sparse_or_dense`` probes
+stay ``bot`` at every fuel, so both sides search everything their bounds
+allow: the sample {(0, label 0), (1, label 1)} on [0, 1] with N = 3 at
+fuel 6 (x = 1/8, eps = 1/4, tie margin 1/8), and {((0, 0), 0), ((2, 2),
+1)} on [-1, 2]**2 with N = 2 at fuel 3 (x = (1/8, 1/8), eps = 1/4, tie
+margin 1/16), both under ``max``.
 
 The region layer is timed at fuel 6 on two of the sweep's
 ``locallyConstant`` queries: a 2-D relu net with k = 3 on small
@@ -61,6 +69,7 @@ checkout's own ``src/`` ahead of ``PYTHONPATH``, so pointing
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction as Q
 
 import pytest
@@ -69,6 +78,7 @@ from boxcert import (
     Box,
     MetricKind,
     Sample,
+    TwoBot,
     VKSet,
     ball,
     closed_ball,
@@ -177,12 +187,17 @@ def test_nn_eval_point(benchmark):
     benchmark(trained.eval_point, (Q(1, 2), Q(1, 4)))
 
 
+# nn states that it never deviates, which empties its own search; without
+# that bound it runs the whole search machinery and finds nothing.
+NN_SEARCHING = dataclasses.replace(nn_learner(Q(1, 16)), deviation_bound=None)
+
+
 def test_does_deviate_nn(benchmark):
-    benchmark(does_deviate, nn_learner(Q(1, 16)), UNIT, 6)
+    benchmark(does_deviate, NN_SEARCHING, UNIT, 6)
 
 
 def test_does_deviate_nn_4d(benchmark):
-    benchmark(does_deviate, nn_learner(Q(1, 16)), domain_box([(0, 1)] * 4), 5)
+    benchmark(does_deviate, NN_SEARCHING, domain_box([(0, 1)] * 4), 5)
 
 
 def deviate_loop(L, domain, max_fuel):
@@ -193,13 +208,26 @@ def deviate_loop(L, domain, max_fuel):
 
 
 def test_does_deviate_nn_fuel_loop(benchmark):
-    verdicts = benchmark(deviate_loop, nn_learner(Q(1, 16)), UNIT, 9)
+    verdicts = benchmark(deviate_loop, NN_SEARCHING, UNIT, 9)
     assert not any(v.committed for v in verdicts)
 
 
 def test_sparse_or_dense_nn(benchmark):
     sample = Sample((((Q(9, 20),), 0), ((Q(2, 5),), 0)))
     benchmark(sparse_or_dense, nn_learner(Q(1, 100)), 2, Q(1, 5), sample, (Q(1, 2),), UNIT, 4)
+
+
+def test_sparse_or_dense_nn_probe_1d(benchmark):
+    sample = Sample((((Q(0),), 0), ((Q(1),), 1)))
+    args = (nn_learner(Q(1, 8)), 3, Q(1, 4), sample, (Q(1, 8),), UNIT, 6)
+    assert benchmark(sparse_or_dense, *args).verdict is TwoBot.BOT
+
+
+def test_sparse_or_dense_nn_probe_2d(benchmark):
+    sample = Sample((((Q(0), Q(0)), 0), ((Q(2), Q(2)), 1)))
+    domain = domain_box([(-1, 2)] * 2)
+    args = (nn_learner(Q(1, 16)), 2, Q(1, 4), sample, (Q(1, 8), Q(1, 8)), domain, 3)
+    assert benchmark(sparse_or_dense, *args).verdict is TwoBot.BOT
 
 
 def test_box_bisect(benchmark):

@@ -106,15 +106,30 @@ class Learner:
     trained ``eval_point`` being fixed functions: the same sample trains
     to the same answers every time, which lets ``does_deviate`` try each
     candidate once per query.
+
+    The three bounds are facts a learner states about its own searches;
+    ``None`` means the full enumeration.  ``sparse_bound`` and
+    ``dense_bound`` cap how many points the ZERO and the ONE side of the
+    augmentation race add, and ``deviation_bound`` caps the tuple size
+    ``does_deviate`` trains on.  A bound may cut only candidates that cannot
+    change the verdict or the first witness found: every outcome the full
+    search reaches, witnesses and their order included, the bounded search
+    reaches too.
     """
 
     k: int
     train: Callable[[Sample], IntervalClassifier]
     family_at: FamilyEvaluator
+    sparse_bound: int | None = None
+    dense_bound: int | None = None
+    deviation_bound: int | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
             raise ValidationError(f"learner k must be a positive integer, got {self.k!r}")
+        bounds = (self.sparse_bound, self.dense_bound, self.deviation_bound)
+        if any(b is not None and (type(b) is not int or b < 0) for b in bounds):
+            raise ValidationError(f"search bounds must be nonnegative integers, got {bounds!r}")
 
     def check_labels(self, pairs: Iterable[tuple[object, int]]) -> None:
         k = self.k
@@ -150,6 +165,19 @@ def nn_learner(tie_margin, k: int = 2, metric: MetricKind = MetricKind.MAX) -> L
     point when it beats the runner-up by more than the tie margin, and
     abstains otherwise.  The empty sample trains the everywhere-silent
     classifier.
+
+    Its searches are bounded (see :class:`Learner`):
+
+    - ZERO side, 1 addition: if an augmentation commits x to c, either its
+      nearest point is a sample point and the empty augmentation commits
+      to c, or the sample plus its nearest added point alone does, since
+      the runner-up can only move away.
+    - ONE side, 2 additions: "i beats j" (``di.hi + margin < dj.lo``) is a
+      strict partial order.  Take an augmentation, a maximal t in it and
+      any rival u: the sample plus the additions among {t, u} commits, and
+      only t can win it, so t beats every rival.
+    - No deviation: at a training point that point is nearest, at distance
+      0, so nn commits to its own label or abstains.
     """
     margin = as_rational(tie_margin)
     if margin <= 0:
@@ -204,7 +232,9 @@ def nn_learner(tie_margin, k: int = 2, metric: MetricKind = MetricKind.MAX) -> L
 
         return IntervalClassifier(k=k, eval_point=eval_point, eval_box=eval_box, dims=dims)
 
-    learner = Learner(k=k, train=train, family_at=envelope_at)
+    learner = Learner(
+        k=k, train=train, family_at=envelope_at, sparse_bound=1, dense_bound=2, deviation_bound=0
+    )
     return learner
 
 
@@ -261,6 +291,11 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
+def _bounded(n: int, bound: int | None) -> int:
+    """``n``, cut to a learner's search bound when it states one."""
+    return n if bound is None else min(n, bound)
+
+
 def does_deviate(L: Learner, domain: VKSet, fuel: Fuel) -> Outcome:
     """Can training mislabel one of its own sample points?
 
@@ -291,7 +326,7 @@ def does_deviate(L: Learner, domain: VKSet, fuel: Fuel) -> Outcome:
     done, tried = query.frontiers.get(key, (-1, {}))
     grids: dict[int, list[Point]] = {}
     for stage in range(done + 1, fuel + 1):
-        for t in range(1, stage + 1):
+        for t in range(1, _bounded(stage, L.deviation_bound) + 1):
             for depth in range(stage - t + 1):
                 window = min(2 ** (stage - t - depth), 2 ** _ceil_div(stage - t, t)) + 1
                 if window < t:
@@ -347,21 +382,23 @@ def _augmentation_race(
     multiset of at most N of the ``region``'s cover boxes yields its color.
     ZERO (sparse): two augmentations by at most N of its enumerated points
     retrain to two different committed colors; the witnesses are those
-    two, in the order found.
+    two, in the order found.  Each side tries no more points than the
+    learner's bound for it.
     """
     found: list[ExtensionWitness] = []
+    dense_n, sparse_n = _bounded(N, L.dense_bound), _bounded(N, L.sparse_bound)
 
     def dense(d: Fuel) -> Verdict:
         if base.is_bot:
             return Verdict.UNKNOWN
-        for additions in _labeled_multisets(region.compact.cover_at(d), L.k, N):
+        for additions in _labeled_multisets(region.compact.cover_at(d), L.k, dense_n):
             if L.family_at(sample, additions, point).committed_color != base.color:
                 return Verdict.UNKNOWN
         return Verdict.CONFIRMED
 
     def sparse(d: Fuel) -> Verdict:
         seen = {base.color: ExtensionWitness((), base.color)} if base.committed else {}
-        for ext in _labeled_multisets(region.overt.points_at(d), L.k, N):
+        for ext in _labeled_multisets(region.overt.points_at(d), L.k, sparse_n):
             got = L.train(Sample._exact(sample.points + ext)).eval_point(point)
             if got.committed:
                 seen.setdefault(got.color, ExtensionWitness(ext, got.color))

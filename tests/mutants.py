@@ -211,6 +211,34 @@ MUTANTS = [
         "tests/test_integer_kernels.py::test_nn_eval_box_on_a_point_box_is_the_point_answer",
     ),
     Mutant(
+        "nn-dense-bound-one",
+        "learners.py",
+        "dense_bound=2",
+        "dense_bound=1",
+        "unsound: two added points tied at the nearest distance force bottom, "
+        "which no single addition shows",
+        "tests/test_learner_searches.py::"
+        "test_two_tied_additions_keep_nn_dense_side_from_confirming",
+    ),
+    Mutant(
+        "nn-sparse-bound-zero",
+        "learners.py",
+        "sparse_bound=1",
+        "sparse_bound=0",
+        "the sparse side then tries no augmentation, so no single poisoned "
+        "point ever flips a prediction",
+        "tests/test_learners.py::TestRobustPoint::test_nn_flip_found_by_the_enumeration",
+    ),
+    Mutant(
+        "majority-claims-no-deviation",
+        "learners.py",
+        "learner = Learner(k=k, train=train, family_at=envelope_at)",
+        "learner = Learner(k=k, train=train, family_at=envelope_at, deviation_bound=0)",
+        "majority mislabels a training point that the other labels outvote",
+        "tests/test_learners.py::TestDoesDeviate::"
+        "test_majority_deviates_with_a_replayable_witness",
+    ),
+    Mutant(
         "deviate-window-narrow",
         "learners.py",
         "2 ** _ceil_div(stage - t, t)) + 1",

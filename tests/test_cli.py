@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import shutil
 import subprocess
@@ -9,8 +10,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from boxcert import MetricKind, ParseError, ValidationError
-from boxcert import cli
+from boxcert import MetricKind, ParseError, ValidationError, nn_learner
+from boxcert import cli, io
 from boxcert.cli import QuerySpec, explain_text, main, parse_query, run_query
 
 GOLDEN = Path(__file__).resolve().parent.parent / "src" / "boxcert" / "golden"
@@ -462,6 +463,29 @@ class TestLearnerReports:
                 }
             ],
         }
+
+
+    def test_nn_deviation_search_with_800_labels_retrains_nothing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """nn never deviates, so it tries none of a tuple's k**t labelings."""
+        trained = []
+
+        def counting_nn(*args, **kwargs):
+            L = nn_learner(*args, **kwargs)
+            return dataclasses.replace(L, train=lambda s: trained.append(s) or L.train(s))
+
+        monkeypatch.setattr(io, "nn_learner", counting_nn)
+        body = {
+            "op": "doesDeviate",
+            "maxFuel": 2,
+            "learner": {"kind": "nn", "tieMargin": "1/16", "k": 800},
+            "domain": {"type": "box", "sides": [[0, 1]]},
+        }
+        assert main(["verify", str(write_query(tmp_path, body))]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert (report["verdict"], report["fuelUsed"]) == ("unknown", 2)
+        assert trained == []
 
 
 class TestExplain:

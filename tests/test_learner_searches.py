@@ -12,6 +12,10 @@ Inside one query context ``does_deviate`` resumes from its last finished
 stage and skips the candidates it has tried.  Fuel loops and re-asks in
 one context must give the reference's outcome at every fuel, and a loop
 must retrain each distinct candidate exactly once.
+
+nn states bounds on its searches (one addition on the sparse side, two on
+the dense side, no deviation tuple).  With every bound reset to the full
+enumeration it must return equal outcomes, witnesses included.
 """
 
 from __future__ import annotations
@@ -131,8 +135,12 @@ def counting(L):
 
 
 def test_unknown_at_fuel_9_answers_unknown_at_fuel_3_without_searching():
-    """Stages 0..9 found nothing, so fuel 3 reads no grid and retrains nothing."""
-    L, calls = counting(nn_learner(Q(1, 16)))
+    """Stages 0..9 found nothing, so fuel 3 reads no grid and retrains nothing.
+
+    nn states that it never deviates, so its own search is empty; without
+    that bound it searches every stage and finds nothing, which is what
+    the skip needs."""
+    L, calls = counting(dataclasses.replace(nn_learner(Q(1, 16)), deviation_bound=None))
     unit, reads = INTERVALS[0], []
 
     def member(p):
@@ -148,9 +156,11 @@ def test_unknown_at_fuel_9_answers_unknown_at_fuel_3_without_searching():
 
 
 def candidates(L, domain, fuel):
-    """Every ``(tuple, labels)`` of stages 0..fuel in search order, repeats kept."""
+    """Every ``(tuple, labels)`` of stages 0..fuel in search order, repeats
+    kept, with tuples as large as the learner's deviation bound allows."""
     for stage in range(fuel + 1):
-        for t in range(1, stage + 1):
+        top = stage if L.deviation_bound is None else min(stage, L.deviation_bound)
+        for t in range(1, top + 1):
             for depth in range(stage - t + 1):
                 window = min(2 ** (stage - t - depth), 2 ** -(-(stage - t) // t)) + 1
                 if window < t:
@@ -237,6 +247,61 @@ def test_robust_point_matches_its_own_race_sides(spec, domain, sample, x):
             assert domain.overt.member(p)
             retrained = L.train(s.extend(witness.extension))
             assert retrained.eval_point(point) == KBot(witness.outcome) != got.base
+
+
+# ----------------------------------------------------------- search bounds
+
+
+def unbounded(L):
+    """L searching the full enumerations: every bound reset to None."""
+    return dataclasses.replace(L, sparse_bound=None, dense_bound=None, deviation_bound=None)
+
+
+@st.composite
+def nn_instances(draw):
+    """nn under either metric with k = 1-3, a margin that distance gaps on
+    the 1/8 grid often equal, and a sample of up to 3 labeled grid points.
+    With k = 1 every addition has the base's label, the one case where
+    the dense side needs pairs: two tied additions force bottom."""
+    k = draw(st.integers(1, 3))
+    metric = draw(METRICS)
+    unit = Q(1, 8) if metric is MetricKind.MAX else Q(1, 64)
+    margin = draw(st.sampled_from([unit, 2 * unit, 4 * unit]))
+    labels = st.integers(0, k - 1)
+    sample = draw(st.lists(st.tuples(st.tuples(GRID), labels), max_size=3))
+    return nn_learner(margin, k=k, metric=metric), metric, Sample(tuple(sample))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    instance=nn_instances(),
+    domain=DOMAINS,
+    x=GRID,
+    n=st.integers(0, 3),
+    eps=st.sampled_from([Q(1, 8), Q(1, 4), Q(1, 3)]),
+)
+def test_nn_search_bounds_keep_every_outcome(instance, domain, x, n, eps):
+    """nn's bounded searches return the full enumerations' outcomes,
+    witnesses and their order included; N = 3 stops at a lower fuel."""
+    L, metric, s = instance
+    full, point = unbounded(L), (x,)
+    for fuel in range(7 - max(n, 1)):
+        got = sparse_or_dense(L, n, eps, s, point, domain, fuel, metric)
+        assert got == sparse_or_dense(full, n, eps, s, point, domain, fuel, metric)
+        assert robust_point(point, s, L, domain, fuel) == robust_point(point, s, full, domain, fuel)
+
+
+def test_two_tied_additions_keep_nn_dense_side_from_confirming():
+    """Any one addition to the far sample point lies nearer x and wins, but
+    two in one box can tie at the nearest distance, so the dense side has
+    to try pairs and never confirms; the sparse side has one color only."""
+    L = nn_learner(Q(1, 16), k=1)
+    s, point = Sample((((Q(5),), 0),)), (Q(0),)
+    assert L.train(s).eval_point(point) == KBot(0)
+    for fuel in range(4):
+        got = sparse_or_dense(L, 2, Q(1, 2), s, point, INTERVALS[0], fuel)
+        assert got == sparse_or_dense(unbounded(L), 2, Q(1, 2), s, point, INTERVALS[0], fuel)
+        assert got.verdict is TwoBot.BOT
 
 
 # ---------------------------------------------------------- order-freeness

@@ -70,7 +70,13 @@ class TestCountArguments:
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             make(k)
 
-    @pytest.mark.parametrize("N", [Q(3, 2), 1.5, Q(1), "1", True, None], ids=repr)
+    @pytest.mark.parametrize("bound", [-1, Q(1), 1.5, "1", True], ids=repr)
+    @pytest.mark.parametrize("field", ["sparse_bound", "dense_bound", "deviation_bound"])
+    def test_search_bounds_must_be_nonnegative_integers(self, field, bound):
+        with pytest.raises(ValidationError, match="^search bounds must be nonnegative integers"):
+            Learner(k=2, train=None, family_at=None, **{field: bound})
+
+    @pytest.mark.parametrize("N",[Q(3, 2), 1.5, Q(1), "1", True, None], ids=repr)
     def test_augmentation_count_must_be_an_integer(self, N):
         message = f"augmentation count must be an integer, got {N!r}"
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
