@@ -464,7 +464,6 @@ class TestLearnerReports:
             ],
         }
 
-
     def test_nn_deviation_search_with_800_labels_retrains_nothing(
         self, tmp_path, capsys, monkeypatch
     ):
