@@ -27,7 +27,11 @@ stay ``bot`` at every fuel, so both sides search everything their bounds
 allow: the sample {(0, label 0), (1, label 1)} on [0, 1] with N = 3 at
 fuel 6 (x = 1/8, eps = 1/4, tie margin 1/8), and {((0, 0), 0), ((2, 2),
 1)} on [-1, 2]**2 with N = 2 at fuel 3 (x = (1/8, 1/8), eps = 1/4, tie
-margin 1/16), both under ``max``.
+margin 1/16), both under ``max``.  ``robust_point``'s fuel loop runs on
+the learner workload's ``robustPoint-nn-flip7`` instance at seed 1, in
+one query context up to its flip at fuel 7, as ``boxcert verify`` runs
+it: the dense side walks on from the cover frontier the last fuel left,
+and the sparse side retrains each added point once.
 
 The region layer is timed at fuel 6 on two of the sweep's
 ``locallyConstant`` queries: a 2-D relu net with k = 3 on small
@@ -70,6 +74,7 @@ checkout's own ``src/`` ahead of ``PYTHONPATH``, so pointing
 from __future__ import annotations
 
 import dataclasses
+import functools
 from fractions import Fraction as Q
 
 import pytest
@@ -93,9 +98,11 @@ from boxcert import (
     nn_learner,
     optimal_radius,
     radius_lower,
+    robust_point,
     sparse_or_dense,
     threshold_net_classifier,
 )
+from boxcert.kernel import _fuel_loop
 from boxcert.verify import _certified_colors, _find_witnesses, _nearest_off_color, _query_scope
 
 METRICS = [MetricKind.MAX, MetricKind.EUCLID_SQ]
@@ -228,6 +235,26 @@ def test_sparse_or_dense_nn_probe_2d(benchmark):
     domain = domain_box([(-1, 2)] * 2)
     args = (nn_learner(Q(1, 16)), 2, Q(1, 4), sample, (Q(1, 8), Q(1, 8)), domain, 3)
     assert benchmark(sparse_or_dense, *args).verdict is TwoBot.BOT
+
+
+FLIP7 = (
+    (Q(271, 192),),
+    Sample((((Q(54971, 38400),), 1),)),
+    nn_learner(Q(1, 64)),
+    domain_box([(1, 2)]),
+)
+
+
+def robust_loop(x, sample, L, domain, max_fuel):
+    """``robust_point`` at fuel 0, 1, ... in one query context up to its
+    first commitment, as ``boxcert verify`` runs a ``robustPoint`` query."""
+    step = functools.partial(robust_point, x, sample, L, domain)
+    return _fuel_loop(step, lambda out: out.verdict.committed, max_fuel)
+
+
+def test_robust_point_nn_flip7_fuel_loop(benchmark):
+    outcomes = benchmark(robust_loop, *FLIP7, 10)
+    assert len(outcomes) == 8 and outcomes[-1].verdict is TwoBot.ZERO
 
 
 def test_box_bisect(benchmark):

@@ -16,11 +16,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .classifiers import ColorEnvelope, IntervalClassifier, constant_classifier
 from .errors import ValidationError
-from .kernel import Fuel, KBot, Outcome, TwoBot, Verdict, _query, check_fuel, race
+from .kernel import Fuel, KBot, Outcome, TwoBot, Verdict, _per_query, _query, check_fuel, race
 from .numerics import (
     Box,
     Interval,
@@ -31,7 +31,8 @@ from .numerics import (
     dist_point,
     dist_range,
 )
-from .regions import VKSet, outside_ball
+from .regions import CompactSet, VKSet, outside_ball
+from .verify import _certified_colors
 
 __all__ = [
     "Sample",
@@ -102,7 +103,10 @@ class Learner:
     ``family_at`` only with at least one addition: the trained classifier
     itself judges the empty augmentation.  Like the evaluators,
     ``family_at`` takes no fuel, so every search stage is a fixed function
-    of its candidates.  The searches also rely on ``train`` and the
+    of its candidates.  It must also be antitone under inclusion of each
+    added box: shrinking one to a sub-box gives an envelope inside the
+    parent's.  The augmentation race's dense side needs this, because it
+    splits only the boxes that fail to commit.  The searches also rely on ``train`` and the
     trained ``eval_point`` being fixed functions: the same sample trains
     to the same answers every time, which lets ``does_deviate`` try each
     candidate once per query.
@@ -172,10 +176,14 @@ def nn_learner(tie_margin, k: int = 2, metric: MetricKind = MetricKind.MAX) -> L
       nearest point is a sample point and the empty augmentation commits
       to c, or the sample plus its nearest added point alone does, since
       the runner-up can only move away.
-    - ONE side, 2 additions: "i beats j" (``di.hi + margin < dj.lo``) is a
-      strict partial order.  Take an augmentation, a maximal t in it and
-      any rival u: the sample plus the additions among {t, u} commits, and
-      only t can win it, so t beats every rival.
+    - ONE side, 1 addition for k >= 2 and 2 for k = 1: "i beats j"
+      (``di.hi + margin < dj.lo``) is a strict partial order.  Take an
+      augmentation, a maximal t in it and any rival u: the sample plus
+      the additions among {t, u} commits, and only t can win it, so t
+      beats every rival.  For k >= 2 a single addition of another label
+      already shows any rival that could win, since it commits only if
+      the sample's winner beats it.  For k = 1 every addition has the
+      base's label and may win itself, but two tied ones force bottom.
     - No deviation: at a training point that point is nearest, at distance
       0, so nn commits to its own label or abstains.
     """
@@ -233,7 +241,12 @@ def nn_learner(tie_margin, k: int = 2, metric: MetricKind = MetricKind.MAX) -> L
         return IntervalClassifier(k=k, eval_point=eval_point, eval_box=eval_box, dims=dims)
 
     learner = Learner(
-        k=k, train=train, family_at=envelope_at, sparse_bound=1, dense_bound=2, deviation_bound=0
+        k=k,
+        train=train,
+        family_at=envelope_at,
+        sparse_bound=1,
+        dense_bound=2 if k == 1 else 1,
+        deviation_bound=0,
     )
     return learner
 
@@ -372,6 +385,64 @@ def _labeled_multisets(items: Sequence, k: int, n: int) -> Iterator[tuple]:
         yield from itertools.combinations_with_replacement(pairs, j)
 
 
+class _Family(NamedTuple):
+    """What the cover walk reads of a classifier: its box envelope."""
+
+    eval_box: Callable[[Box], ColorEnvelope]
+
+
+@_per_query
+def _power_cover(
+    L: Learner, sample: Sample, point: Point, region: CompactSet, j: int
+) -> tuple[CompactSet, _Family]:
+    """The dense side's cover for j added points, and its envelope.
+
+    A node is one box in the j-fold power of the region's bounding box,
+    its members the consecutive ``dims``-slices of its corners.
+    ``Box.bisect`` splits the widest side, lowest index first, so a split
+    splits one member as the region's own cover would, and the leaves at
+    a fuel are the j-tuples of cover boxes.  A node is kept when every
+    member is.  Its envelope commits to c when ``family_at`` commits to c
+    on the members under every sorted label tuple, and else allows every
+    outcome.  Each labeled multiset, ordered by label, is one of those
+    tuples, and ``keep`` and ``family_at`` are antitone in each member, so
+    the walk certifies exactly where the flat scan of multisets does.
+    Built once per query, so the walk resumes across fuels.
+    """
+    dims, bounding = region.bounding.dims, region.bounding
+    power = Box._of(bounding.lo * j, bounding.hi * j, bounding.den)
+    labelings = list(itertools.combinations_with_replacement(range(L.k), j))
+    anything = ColorEnvelope(frozenset(range(L.k)), True)
+
+    def members(box: Box) -> list[Box]:
+        lo, hi, den = box.lo, box.hi, box.den
+        return [Box._of(lo[i : i + dims], hi[i : i + dims], den) for i in range(0, j * dims, dims)]
+
+    def keep(box: Box) -> bool:
+        return all(map(region.keep, members(box)))
+
+    def eval_box(box: Box) -> ColorEnvelope:
+        boxes = members(box)
+        envelopes = (L.family_at(sample, tuple(zip(boxes, labels)), point) for labels in labelings)
+        first = next(envelopes)
+        if first.committed_color is None or any(env != first for env in envelopes):
+            return anything
+        return first
+
+    return CompactSet(power, keep), _Family(eval_box)
+
+
+@_per_query
+def _retrained(L: Learner, sample: Sample, point: Point) -> dict:
+    """The sparse side's retrained answer at the point, per augmentation
+    tried in this query: one dict, shared across fuels."""
+    return {}
+
+
+# One region per query, so the dense side's cover walk resumes across fuels.
+_outside_ball = _per_query(outside_ball)
+
+
 def _augmentation_race(
     L: Learner, sample: Sample, point: Point, base: KBot, region: VKSet, N: int, fuel: Fuel
 ) -> tuple[TwoBot, tuple[ExtensionWitness, ...]]:
@@ -379,27 +450,34 @@ def _augmentation_race(
 
     ``base``, the trained prediction at the point, is the empty augmentation
     on both sides.  ONE (dense): base commits and every nonempty labeled
-    multiset of at most N of the ``region``'s cover boxes yields its color.
-    ZERO (sparse): two augmentations by at most N of its enumerated points
-    retrain to two different committed colors; the witnesses are those
-    two, in the order found.  Each side tries no more points than the
-    learner's bound for it.
+    multiset of at most N of the ``region``'s cover boxes yields its color;
+    for each size j, the cover walk checks this on the j-fold power of the
+    region (``_power_cover``), splitting only the nodes that fail, and
+    resumes across fuels.  ZERO (sparse): two augmentations by at most N
+    of its enumerated points retrain to two different committed colors;
+    the witnesses are those two, in the order found.  Every candidate is
+    still tried in order, but each is retrained once per query.  Each side
+    tries no more points than the learner's bound for it.
     """
     found: list[ExtensionWitness] = []
     dense_n, sparse_n = _bounded(N, L.dense_bound), _bounded(N, L.sparse_bound)
+    retrained = _retrained(L, sample, point)
 
     def dense(d: Fuel) -> Verdict:
         if base.is_bot:
             return Verdict.UNKNOWN
-        for additions in _labeled_multisets(region.compact.cover_at(d), L.k, dense_n):
-            if L.family_at(sample, additions, point).committed_color != base.color:
+        for j in range(1, dense_n + 1):
+            cover, family = _power_cover(L, sample, point, region.compact, j)
+            if not _certified_colors(cover, family, (base.color,), d):
                 return Verdict.UNKNOWN
         return Verdict.CONFIRMED
 
     def sparse(d: Fuel) -> Verdict:
         seen = {base.color: ExtensionWitness((), base.color)} if base.committed else {}
         for ext in _labeled_multisets(region.overt.points_at(d), L.k, sparse_n):
-            got = L.train(Sample._exact(sample.points + ext)).eval_point(point)
+            got = retrained.get(ext)
+            if got is None:
+                got = retrained[ext] = L.train(Sample._exact(sample.points + ext)).eval_point(point)
             if got.committed:
                 seen.setdefault(got.color, ExtensionWitness(ext, got.color))
                 if len(seen) == 2:
@@ -458,6 +536,7 @@ def sparse_or_dense(
         raise ValidationError("eps must be positive")
     point = _query_point(x, sample, domain)
     base = L.train(sample).eval_point(point)
-    far = outside_ball(domain, point, e, metric)
+    far = _outside_ball(domain, point, e, metric)
     value, witnesses = _augmentation_race(L, sample, point, base, far, N, fuel)
     return Outcome(value, color=base.color if value is TwoBot.ONE else None, witnesses=witnesses)
+

@@ -32,8 +32,10 @@ walk goes on from there, since fuel d + 1 only refines the subdivision
 of fuel d.  A fuel loop over one region query, or one radius bracket,
 therefore walks each tree once.  The context also holds
 ``learners.does_deviate``'s last finished stage and tried candidates, so
-its fuel loop runs each stage and retrains each candidate once.  A call
-outside a context walks afresh, and nothing outlives the query.
+its fuel loop runs each stage and retrains each candidate once, and the
+learner race's power covers and retrained answers, so its dense side's
+cover walk resumes and its sparse side retrains each candidate once.  A
+call outside a context walks afresh, and nothing outlives the query.
 """
 
 from __future__ import annotations
@@ -119,7 +121,8 @@ def _certified_colors(
     A color that certifies never fails again, and at more fuel the cover
     only refines the open leaves, so the next fuel walks on from that
     frontier with the colors that failed.  This is sound because neither
-    ``keep`` nor ``f.eval_box`` takes a fuel.
+    ``keep`` nor ``f.eval_box`` takes a fuel.  Of f the walk reads only
+    ``eval_box``, so the learner race walks its power covers here too.
     """
     query = _query()
     envelope = query.envelope(f)

@@ -264,6 +264,31 @@ MUTANTS = [
         "tests/test_learner_searches.py::test_sparse_or_dense_matches_ordered_search",
     ),
     Mutant(
+        "power-cover-keeps-any-member",
+        "learners.py",
+        "return all(map(region.keep, members(box)))",
+        "return any(map(region.keep, members(box)))",
+        "a tuple of added boxes lies in the power of the region only when "
+        "every member lies in the region",
+        "tests/test_learner_searches.py::test_resumed_races_match_ordered_search",
+    ),
+    Mutant(
+        "power-cover-first-labeling-only",
+        "learners.py",
+        "if first.committed_color is None or any(env != first for env in envelopes):",
+        "if first.committed_color is None:",
+        "the added boxes must keep the color under every label tuple, not the first",
+        "tests/test_learner_searches.py::test_resumed_races_match_ordered_search",
+    ),
+    Mutant(
+        "retrain-memo-drops-point",
+        "learners.py",
+        "retrained = _retrained(L, sample, point)",
+        "retrained = _retrained(L, sample, ())",
+        "an augmentation's retrained answer holds at the point it was asked at only",
+        "tests/test_learner_searches.py::test_resumed_races_match_ordered_search",
+    ),
+    Mutant(
         "lower-stream-fresh-ball",
         "verify.py",
         "cover = _ball(point, r, metric).compact",

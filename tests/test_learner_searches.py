@@ -13,9 +13,16 @@ stage and skips the candidates it has tried.  Fuel loops and re-asks in
 one context must give the reference's outcome at every fuel, and a loop
 must retrain each distinct candidate exactly once.
 
-nn states bounds on its searches (one addition on the sparse side, two on
-the dense side, no deviation tuple).  With every bound reset to the full
-enumeration it must return equal outcomes, witnesses included.
+The augmentation race resumes too: its dense side walks the power covers
+of the region from the frontier the last fuel left, and its sparse side
+retrains each candidate once per query.  Fuel loops in one context, over
+several query points, must give the references' verdicts and the fresh
+calls' outcomes at every fuel.
+
+nn states bounds on its searches (one addition on the sparse side, one on
+the dense side, two for k = 1, no deviation tuple).  With every bound
+reset to the full enumeration it must return equal outcomes, witnesses
+included.
 """
 
 from __future__ import annotations
@@ -43,7 +50,8 @@ from boxcert import (
     robust_point,
     sparse_or_dense,
 )
-from boxcert.kernel import _query_scope
+from boxcert.kernel import _fuel_loop, _query_scope
+from boxcert.regions import outside_ball
 from boxcert.numerics import dist_point
 
 from oracles import ref_does_deviate, ref_robust_point, ref_sparse_or_dense
@@ -247,6 +255,107 @@ def test_robust_point_matches_its_own_race_sides(spec, domain, sample, x):
             assert domain.overt.member(p)
             retrained = L.train(s.extend(witness.extension))
             assert retrained.eval_point(point) == KBot(witness.outcome) != got.base
+
+
+# --------------------------------------------------------- resumed races
+
+RACE_DOMAINS = [
+    INTERVALS[0],
+    INTERVALS[2],
+    # keep prunes the middle of the interval and a disc of the square.
+    outside_ball(INTERVALS[0], (Q(1, 2),), Q(1, 4), MetricKind.MAX),
+    domain_box([(0, 1), (Q(-1, 2), Q(1, 2))]),
+    outside_ball(domain_box([(0, 1), (0, 1)]), (Q(1, 2), Q(1, 2)), Q(1, 16), MetricKind.EUCLID_SQ),
+]
+
+
+@st.composite
+def race_learners(draw):
+    """nn, nn whose dense side tries every size up to N (power walks with
+    j >= 2), or majority, which states no bound; k = 1-3."""
+    k = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["nn", "nn-dense", "majority"]))
+    if kind == "majority":
+        return majority_learner(k), MetricKind.MAX
+    metric = draw(METRICS)
+    unit = Q(1, 8) if metric is MetricKind.MAX else Q(1, 64)
+    L = nn_learner(draw(st.sampled_from([unit, 2 * unit])), k=k, metric=metric)
+    return (dataclasses.replace(L, dense_bound=None) if kind == "nn-dense" else L), metric
+
+
+def race_fuels(dims: int, n: int) -> int:
+    """The last fuel at which the ordered references stay cheap: their
+    zero side retrains every tuple of up to n grid points."""
+    return max(f for f in range(5) if f == 0 or (2**f + 1) ** (dims * max(n, 1)) <= 800)
+
+
+@st.composite
+def races(draw):
+    """A learner, a domain, a sample and two query points in it, N and eps."""
+    L, metric = draw(race_learners())
+    domain = draw(st.sampled_from(RACE_DOMAINS))
+    point = st.tuples(*[GRID] * domain.dims)
+    sample = draw(st.lists(st.tuples(point, st.integers(0, L.k - 1)), max_size=3))
+    xs = draw(st.lists(point, min_size=2, max_size=2, unique=True))
+    n, eps = draw(st.integers(0, 3)), draw(st.sampled_from([Q(1, 8), Q(1, 4)]))
+    return L, metric, domain, Sample(tuple(sample)), xs, n, eps
+
+
+def race_loop(L, metric, domain, s, xs, n, eps):
+    """Both races at every query point, at every fuel in one context."""
+
+    def step(fuel):
+        return [
+            (robust_point(x, s, L, domain, fuel), sparse_or_dense(L, n, eps, s, x, domain, fuel, metric))
+            for x in xs
+        ]
+
+    return _fuel_loop(step, lambda _: False, race_fuels(domain.dims, n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(race=races())
+def test_resumed_races_match_ordered_search(race):
+    """Each fuel of one loop, past a commitment too, gives the references'
+    verdicts and the fresh call's outcome, witnesses and their order
+    included.  The loop asks at two points, so answers retrained at one
+    must not leak to the other."""
+    L, metric, domain, s, xs, n, eps = race
+    for fuel, outcomes in enumerate(race_loop(*race)):
+        for x, (robust, dense_or_not) in zip(xs, outcomes):
+            assert robust == ref_robust_point(x, s, L, domain, fuel)
+            want = ref_sparse_or_dense(L, n, eps, s, x, domain, fuel, metric)
+            assert (dense_or_not.verdict, dense_or_not.color) == (want.verdict, want.color)
+            assert dense_or_not == sparse_or_dense(L, n, eps, s, x, domain, fuel, metric)
+
+
+@settings(max_examples=50, deadline=None)
+@given(race=races())
+def test_fuel_loop_retrains_each_sparse_candidate_once(race):
+    """Over one loop at one point, both races share one retrain per
+    augmentation; only the base sample is trained again at each fuel."""
+    L, metric, domain, s, xs, n, eps = race
+    L, calls = counting(L)
+    race_loop(L, metric, domain, s, xs[:1], n, eps)
+    augmented = [sample for sample in calls if sample != s]
+    assert len(augmented) == len(set(augmented))
+
+
+def test_dense_walk_splits_only_where_the_2d_probe_fails():
+    """The 2-D probe with N = 1 confirms at fuel 6.  The flat cover gave
+    7,992 family envelopes there; the walk needs a few hundred."""
+    L = nn_learner(Q(1, 16))
+    calls = []
+
+    def family_at(*args):
+        calls.append(args)
+        return L.family_at(*args)
+
+    counted = dataclasses.replace(L, family_at=family_at)
+    s, x = Sample((((Q(0), Q(0)), 0), ((Q(2), Q(2)), 1))), (Q(1, 8), Q(1, 8))
+    got = sparse_or_dense(counted, 1, Q(1, 4), s, x, domain_box([(-1, 2)] * 2), 6)
+    assert got.verdict is TwoBot.ONE
+    assert len(calls) <= 300
 
 
 # ----------------------------------------------------------- search bounds

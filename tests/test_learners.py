@@ -462,3 +462,49 @@ class TestFamilyEnvelopes:
         committed_color = env.committed_color
         if committed_color is not None:
             assert got == KBot(committed_color)
+
+    @given(
+        data=st.data(),
+        learner=st.sampled_from(["nn-max", "nn-euclid", "majority"]),
+        k=st.integers(1, 3),
+        steps=st.sampled_from([1, 2, 4]),
+        dims=st.integers(1, 2),
+    )
+    @settings(deadline=None, max_examples=200)
+    def test_family_envelopes_shrink_with_each_added_box(self, data, learner, k, steps, dims):
+        """Shrinking one added box to a sub-box gives an envelope inside
+        its parent's, and a committed color stays committed.  The dense
+        side's cover walk splits only boxes that fail to commit and relies
+        on this.  Corners lie on the 1/8 grid and the margins are 1, 2 or
+        4 grid steps of distance, so ties at the margin are common."""
+        grid = st.integers(-8, 8).map(lambda n: Q(n, 8))
+        point = st.tuples(*[grid] * dims)
+        labels = st.integers(0, k - 1)
+        if learner == "majority":
+            L = majority_learner(k)
+        else:
+            metric = MetricKind.MAX if learner == "nn-max" else MetricKind.EUCLID_SQ
+            unit = Q(1, 8) if metric is MetricKind.MAX else Q(1, 64)
+            L = nn_learner(steps * unit, k=k, metric=metric)
+        s = Sample(tuple(data.draw(st.lists(st.tuples(point, labels), max_size=3))))
+        x = data.draw(point)
+
+        def box(corners):
+            return Box(tuple(Interval(min(a, b), max(a, b)) for a, b in zip(*corners)))
+
+        added = data.draw(st.lists(st.tuples(st.tuples(point, point), labels), min_size=1, max_size=3))
+        additions = [(box(corners), label) for corners, label in added]
+        i = data.draw(st.integers(0, len(additions) - 1))
+        parent, label = additions[i]
+        share = st.integers(0, 4).map(lambda n: Q(n, 4))
+        sides = []
+        for side in parent.sides:
+            a, b = sorted(data.draw(st.tuples(share, share)))
+            sides.append(Interval(side.lo + a * (side.hi - side.lo), side.lo + b * (side.hi - side.lo)))
+        shrunk = additions[:i] + [(Box(tuple(sides)), label)] + additions[i + 1 :]
+        outer, inner = L.family_at(s, additions, x), L.family_at(s, shrunk, x)
+        assert inner.colors <= outer.colors
+        assert outer.maybe_bot or not inner.maybe_bot
+        if outer.committed_color is not None:
+            assert inner.committed_color == outer.committed_color
+
