@@ -47,11 +47,11 @@ from boxcert import (
     domain_box,
     majority_learner,
     nn_learner,
+    outside_ball,
     robust_point,
     sparse_or_dense,
 )
 from boxcert.kernel import _fuel_loop, _query_scope
-from boxcert.regions import outside_ball
 from boxcert.numerics import dist_point
 
 from oracles import ref_does_deviate, ref_robust_point, ref_sparse_or_dense
@@ -322,11 +322,11 @@ def test_resumed_races_match_ordered_search(race):
     must not leak to the other."""
     L, metric, domain, s, xs, n, eps = race
     for fuel, outcomes in enumerate(race_loop(*race)):
-        for x, (robust, dense_or_not) in zip(xs, outcomes):
+        for x, (robust, raced) in zip(xs, outcomes):
             assert robust == ref_robust_point(x, s, L, domain, fuel)
             want = ref_sparse_or_dense(L, n, eps, s, x, domain, fuel, metric)
-            assert (dense_or_not.verdict, dense_or_not.color) == (want.verdict, want.color)
-            assert dense_or_not == sparse_or_dense(L, n, eps, s, x, domain, fuel, metric)
+            assert (raced.verdict, raced.color) == (want.verdict, want.color)
+            assert raced == sparse_or_dense(L, n, eps, s, x, domain, fuel, metric)
 
 
 @settings(max_examples=50, deadline=None)

@@ -507,4 +507,3 @@ class TestFamilyEnvelopes:
         assert outer.maybe_bot or not inner.maybe_bot
         if outer.committed_color is not None:
             assert inner.committed_color == outer.committed_color
-
