@@ -8,8 +8,10 @@ Run from the root of a checkout:
 Each benchmark times one call on fixed inputs the size the walkers see:
 boxes 1/256 wide (about fuel 8) at non-dyadic offsets, a net shaped like
 the ones in the benchmark's robustness sweep (2 inputs, 3 relu units,
-3 scores) and a 9-point nearest-neighbor sample.  The net's ``eval_box``
-is timed twice: with linear scores, whose margins it bounds as margin
+3 scores) and a 9-point nearest-neighbor sample.  ``_nn_envelope``, the
+winner analysis under nn's box and family envelopes, is timed on that
+sample's distances from a point plus one added box's.  The net's
+``eval_box`` is timed twice: with linear scores, whose margins it bounds as margin
 rows, and with a relu on the scores, whose margins it bounds through the
 score ends.  The two learner searches
 are timed as whole calls: ``does_deviate`` on the unit interval at fuel 6
@@ -56,9 +58,9 @@ sweep's walkers reach: 10 bisections below the bounding box of ``bot``'s
 the half that holds the center each time.  ``CompactSet.cover_at`` is timed on ``zero``'s closed ball at fuel 6,
 and the radius streams' best-first walk ``_nearest_off_color`` on the
 radius workload's relu net at fuel 5, over a ceiling-2 ball; it runs
-outside a query context, so each call walks with a fresh envelope memo.
-The same walk's fuel loop 0..8 runs in one query context, so each fuel
-walks on from the leaves the last one enumerated, and so does the lower
+outside a query context, so each call walks afresh with a fresh envelope
+memo.  The same walk's fuel loop 0..8 runs in one query context, so each
+fuel walks on from the leaves the last one enumerated, and so does the lower
 radius stream's: each radius it scans is the query's one ball for it,
 so a radius scanned again at more fuel resumes its cover walk.  The whole
 ``optimal_radius`` call on that net, fuels 0..8 with ceiling 2 and
@@ -81,6 +83,7 @@ import pytest
 
 from boxcert import (
     Box,
+    Interval,
     MetricKind,
     Sample,
     TwoBot,
@@ -103,6 +106,7 @@ from boxcert import (
     threshold_net_classifier,
 )
 from boxcert.kernel import _fuel_loop
+from boxcert.learners import _nn_envelope
 from boxcert.verify import _certified_colors, _find_witnesses, _nearest_off_color, _query_scope
 
 METRICS = [MetricKind.MAX, MetricKind.EUCLID_SQ]
@@ -188,10 +192,19 @@ def test_dist_point(benchmark, metric):
     benchmark(dist_point, Y, X, metric)
 
 
+NN_POINTS = tuple(((Q(i, 3), Q(j, 5)), (i + j) % 2) for i in range(3) for j in range(3))
+
+
 def test_nn_eval_point(benchmark):
-    points = tuple(((Q(i, 3), Q(j, 5)), (i + j) % 2) for i in range(3) for j in range(3))
-    trained = nn_learner(Q(1, 16)).train(Sample(points))
+    trained = nn_learner(Q(1, 16)).train(Sample(NN_POINTS))
     benchmark(trained.eval_point, (Q(1, 2), Q(1, 4)))
+
+
+def test_nn_envelope(benchmark):
+    x = (Q(1, 2), Q(1, 4))
+    dists = [(Interval.point(dist_point(x, p, MetricKind.MAX)), label) for p, label in NN_POINTS]
+    dists.append((dist_range(BOX, x, MetricKind.MAX), 1))
+    benchmark(_nn_envelope, dists, Q(1, 16))
 
 
 # nn states that it never deviates, which empties its own search; without
@@ -286,8 +299,7 @@ def test_cover_at(benchmark):
 
 def test_nearest_off_color(benchmark):
     color = RADIUS_NET.eval_point(RADIUS_X).color
-    walk = _nearest_off_color.__wrapped__
-    benchmark(walk, RADIUS_X, color, RADIUS_NET, Q(2), MetricKind.MAX, 5)
+    benchmark(_nearest_off_color, RADIUS_X, color, RADIUS_NET, Q(2), MetricKind.MAX, 5)
 
 
 def nearest_off_color_loop(color):

@@ -144,9 +144,9 @@ def race(yes_side: SemiDecider, no_side: SemiDecider, fuel: Fuel) -> TwoBot:
 
 @dataclass
 class _Query:
-    """What one query's searches share until it ends: each walk's frontier,
-    ``does_deviate``'s finished stage and tried candidates, and each
-    ``_per_query`` result, keyed by arguments, and box envelopes."""
+    """What one query's searches share until it ends: in ``frontiers``, each
+    search's progress under its arguments; in ``results``, what ``_per_query``
+    built, which nothing mutates; in ``envelopes``, the box memo."""
 
     frontiers: dict = field(default_factory=dict)
     results: dict = field(default_factory=dict)
@@ -189,7 +189,8 @@ def _query_scope() -> Iterator[None]:
 
 
 def _per_query(fn):
-    """``fn``, computed once per arguments in the current query context."""
+    """``fn``, a pure construction that nothing mutates, such as a ball,
+    computed once per arguments in the current query context."""
 
     @functools.wraps(fn)
     def cached(*args):

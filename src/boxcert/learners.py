@@ -432,13 +432,6 @@ def _power_cover(
     return CompactSet(power, keep), _Family(eval_box)
 
 
-@_per_query
-def _retrained(L: Learner, sample: Sample, point: Point) -> dict:
-    """The sparse side's retrained answer at the point, per augmentation
-    tried in this query: one dict, shared across fuels."""
-    return {}
-
-
 # One region per query, so the dense side's cover walk resumes across fuels.
 _outside_ball = _per_query(outside_ball)
 
@@ -461,7 +454,7 @@ def _augmentation_race(
     """
     found: list[ExtensionWitness] = []
     dense_n, sparse_n = _bounded(N, L.dense_bound), _bounded(N, L.sparse_bound)
-    retrained = _retrained(L, sample, point)
+    retrained = _query().frontiers.setdefault(("retrained", L, sample, point), {})
 
     def dense(d: Fuel) -> Verdict:
         if base.is_bot:

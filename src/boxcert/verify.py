@@ -25,16 +25,16 @@ witness and radius) read each box's envelope from one memo, so each box
 is evaluated once per query.  Every ball they walk, whether the
 ``locally_constant`` region, a radius the lower stream scans or the
 radius walk's root, is the query's one ``_ball`` for its center, radius
-and metric.  Each walk saves what it left under its arguments: the cover
-and witness walks their frontier, the radius walk its enumerated leaves
-and the distances it found.  Asked the same at the same fuel or more, a
-walk goes on from there, since fuel d + 1 only refines the subdivision
-of fuel d.  A fuel loop over one region query, or one radius bracket,
-therefore walks each tree once.  The context also holds
-``learners.does_deviate``'s last finished stage and tried candidates, so
-its fuel loop runs each stage and retrains each candidate once, and the
-learner race's power covers and retrained answers, so its dense side's
-cover walk resumes and its sparse side retrains each candidate once.  A
+and metric.  Each walk saves what it left in the context's ``frontiers``:
+the cover and witness walks their frontier, the radius walk its leaves and
+the distances it found.  Asked again at the same fuel or more, a walk goes
+on from there, since fuel d + 1 only refines the subdivision of fuel d,
+and the radius walk answers a repeat at its saved fuel from what it saved.
+A fuel loop over one region query, or one radius bracket, therefore walks
+each tree once.  ``frontiers`` also holds ``learners.does_deviate``'s last
+finished stage and tried candidates and the learner race's retrained
+answers, so each candidate is retrained once per query.  ``_per_query``
+builds each ball and power cover once, so the walks over them resume.  A
 call outside a context walks afresh, and nothing outlives the query.
 """
 
@@ -346,7 +346,6 @@ def _radius_keys(
     return S, key
 
 
-@_per_query
 def _nearest_off_color(
     x: Point, c: int, f: IntervalClassifier, ceiling: Fraction, metric: MetricKind, fuel: Fuel
 ) -> tuple[Fraction | None, Fraction | None]:
@@ -361,11 +360,11 @@ def _nearest_off_color(
     it, when its envelope commits to c, or when it can no longer beat the
     distances found.  Leaves enumerate grid points as ``_find_witnesses``
     does.  The heap keys are integers over one scale (``_radius_keys``).
-    Results are kept per query, so the lower and upper streams that
-    ``optimal_radius`` runs at one fuel share a single walk.
 
     The walk saves the leaves it enumerated, with their keys, its scale
-    and both distances found, and a call at more fuel walks on from them.
+    and both distances found.  A call at the saved fuel returns those
+    distances before it builds anything, so both streams of one
+    ``optimal_radius`` fuel share a walk; a call at more fuel walks on.
     This is exact because grids nest: every grid point at fuel d is one at
     fuel d + 1, so both distances only shrink as fuel grows, and each box
     the walk dropped stays useless at every later fuel.  It committed to
@@ -374,13 +373,16 @@ def _nearest_off_color(
     ``S``, and the saved distances seed the walk.  A call at less fuel
     walks afresh from the ball's bounding box.
     """
+    query = _query()
+    state = ("radius", x, c, f, ceiling, metric)
+    at, walk = query.frontiers.get(state, (None, None))
+    if at == fuel:
+        return walk[2:]
     step = dyadic_step(fuel)
     center = KBot(c)
-    query = _query()
     envelope = query.envelope(f)
     root = _ball(x, ceiling, metric).compact.bounding
     S, heap_key = _radius_keys(x, root, metric, fuel)
-    state = ("radius", x, c, f, ceiling, metric)
     leaves, saved, differ, other = query.resume(state, fuel, ([(0, root)], S, None, None))
     up = S // saved
     heap = [(near * up, n, box) for n, (near, box) in enumerate(leaves)]

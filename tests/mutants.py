@@ -111,6 +111,14 @@ MUTANTS = [
         "tests/test_classifiers.py::test_net_envelope_soundness_on_sampled_points",
     ),
     Mutant(
+        "constant-bottom-allows-every-color",
+        "classifiers.py",
+        "else ColorEnvelope(frozenset(), True)",
+        "else ColorEnvelope(frozenset(range(k)), True)",
+        "sound but looser: a classifier silent everywhere takes no color on any box",
+        "tests/test_classifiers.py::test_point_box_envelope_is_the_point_answer",
+    ),
+    Mutant(
         "distance-scale-not-squared",
         "numerics.py",
         "return near, far, den * den if euclid else den",
@@ -239,6 +247,15 @@ MUTANTS = [
         "test_majority_deviates_with_a_replayable_witness",
     ),
     Mutant(
+        "majority-tie-allows-every-color",
+        "learners.py",
+        "return ColorEnvelope(frozenset(), True)",
+        "return ColorEnvelope(frozenset(range(k)), True)",
+        "sound but looser: a tied vote retrains to bottom wherever the added points lie",
+        "tests/test_learners.py::TestFamilyEnvelopes::"
+        "test_family_at_on_point_boxes_equals_retraining",
+    ),
+    Mutant(
         "deviate-window-narrow",
         "learners.py",
         "2 ** _ceil_div(stage - t, t)) + 1",
@@ -283,8 +300,8 @@ MUTANTS = [
     Mutant(
         "retrain-memo-drops-point",
         "learners.py",
-        "retrained = _retrained(L, sample, point)",
-        "retrained = _retrained(L, sample, ())",
+        '("retrained", L, sample, point)',
+        '("retrained", L, sample)',
         "an augmentation's retrained answer holds at the point it was asked at only",
         "tests/test_learner_searches.py::test_resumed_races_match_ordered_search",
     ),
@@ -348,6 +365,15 @@ MUTANTS = [
         "a bracket whose gap equals the tolerance is within it, so the loop stops there",
         "tests/test_verify.py::TestOptimalRadius::"
         "test_bracket_stops_when_its_gap_equals_the_tolerance",
+    ),
+    Mutant(
+        "radius-repeat-walks-again",
+        "verify.py",
+        "if at == fuel:\n        return walk[2:]",
+        "if False:\n        return walk[2:]",
+        "exact but slower: a repeat at the saved fuel walks the saved leaves "
+        "again, so the two streams of one optimal_radius fuel pay twice",
+        "tests/test_radius_streams.py::test_repeat_at_the_saved_fuel_does_no_walk_work",
     ),
     Mutant(
         "radius-restarts-from-root",

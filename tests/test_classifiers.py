@@ -5,10 +5,11 @@ import re
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from boxcert import (
     Box,
+    ColorEnvelope,
     Interval,
     KBot,
     MetricKind,
@@ -239,3 +240,19 @@ def test_evaluators_do_not_read_fuel(f):
     for evaluator in (f.eval_point, f.eval_box):
         params = inspect.signature(evaluator).parameters.values()
         assert [(p.kind, p.default) for p in params] == [plain]
+
+
+@settings(deadline=None, max_examples=200)
+@given(f=shipped_classifiers(), x=st.tuples(COORD, COORD))
+@example(f=constant_classifier(3, None, dims=2), x=(Q(0), Q(0)))
+@example(f=hyperplane_classifier((Q(1), Q(-1)), Q(0)), x=(Q(1, 2), Q(1, 2)))
+def test_point_box_envelope_is_the_point_answer(f, x):
+    """Every shipped box evaluator is exact on a point box: its envelope is
+    the point's answer, ``({c}, False)``, or ``(∅, True)`` for bottom.  A
+    sound but looser envelope there fails."""
+    answer = f.eval_point(x)
+    if answer.committed:
+        want = ColorEnvelope(frozenset({answer.color}), False)
+    else:
+        want = ColorEnvelope(frozenset(), True)
+    assert f.eval_box(Box.around(x)) == want

@@ -7,7 +7,7 @@ import re
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from boxcert import (
     Box,
@@ -421,6 +421,10 @@ class TestEmptyAugmentation:
         assert asked and 0 not in asked
 
 
+GRID_POINT = st.tuples(*[st.integers(-8, 8).map(lambda n: Q(n, 8))] * 2)
+ORIGIN = (Q(0), Q(0))
+
+
 class TestFamilyEnvelopes:
     @EVERY_LEARNER
     def test_family_at_takes_no_fuel(self, make):
@@ -507,3 +511,34 @@ class TestFamilyEnvelopes:
         assert outer.maybe_bot or not inner.maybe_bot
         if outer.committed_color is not None:
             assert inner.committed_color == outer.committed_color
+
+    @given(
+        learner=st.sampled_from(["nn-max", "nn-euclid", "majority"]),
+        k=st.integers(1, 3),
+        steps=st.sampled_from([1, 2, 4]),
+        pts=st.lists(st.tuples(GRID_POINT, st.integers(0, 2)), max_size=3),
+        adds=st.lists(st.tuples(GRID_POINT, st.integers(0, 2)), min_size=1, max_size=3),
+        x=GRID_POINT,
+    )
+    @example(learner="majority", k=2, steps=1, pts=[], adds=[(ORIGIN, 0), (ORIGIN, 1)], x=ORIGIN)
+    @settings(deadline=None, max_examples=200)
+    def test_family_at_on_point_boxes_equals_retraining(self, learner, k, steps, pts, adds, x):
+        """With every added box a point, a family envelope is the retrained
+        answer at x: ``({c}, False)``, or ``(∅, True)`` for bottom.  Points
+        lie on the 1/8 grid, labels are drawn mod k, and the nn margins are
+        1, 2 or 4 grid steps of distance, so ties are common; the example
+        is a tied majority vote."""
+        if learner == "majority":
+            L = majority_learner(k)
+        else:
+            metric = MetricKind.MAX if learner == "nn-max" else MetricKind.EUCLID_SQ
+            unit = Q(1, 8) if metric is MetricKind.MAX else Q(1, 64)
+            L = nn_learner(steps * unit, k=k, metric=metric)
+        s = Sample(tuple((p, label % k) for p, label in pts))
+        adds = [(p, label % k) for p, label in adds]
+        got = L.train(s.extend(adds)).eval_point(x)
+        if got.committed:
+            want = ColorEnvelope(frozenset({got.color}), False)
+        else:
+            want = ColorEnvelope(frozenset(), True)
+        assert L.family_at(s, [(Box.around(p), label) for p, label in adds], x) == want

@@ -9,13 +9,15 @@ The search itself, ``_nearest_off_color``, keys its heap on integers over
 one scale per walk, and resumes across fuels inside a query context.  Its
 keys must order boxes exactly as their ``Fraction`` distances do, and a
 resumed walk must return what a fresh walk returns, over any order of
-fuels, without bisecting a box twice in a rising fuel loop.  The lower
-stream scans each radius on the query's one ball for it, so its fuel loop
-keeps one saved cover walk per ball and resumes it at more fuel.
+fuels, without bisecting a box twice in a rising fuel loop.  A repeat at
+the saved fuel must do no walk work.  The lower stream scans each radius
+on the query's one ball for it, so its fuel loop keeps one saved cover
+walk per ball and resumes it at more fuel.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from collections import Counter
 from fractions import Fraction as Q
 
@@ -181,8 +183,7 @@ def test_heap_keys_order_walk_boxes_as_their_distances(x, ceiling, metric, fuel,
 def radius_walk(f, x, ceiling, metric):
     """The raw walk for color c at a fuel; outside a query context it
     walks afresh, inside one it reads and writes the saved state."""
-    walk = _nearest_off_color.__wrapped__
-    return lambda c, fuel: walk(x, c, f, ceiling, metric, fuel)
+    return lambda c, fuel: _nearest_off_color(x, c, f, ceiling, metric, fuel)
 
 
 @given(
@@ -244,6 +245,38 @@ def test_rising_fuel_loop_bisects_each_box_once(monkeypatch, f, x, ceiling, metr
                 assert box.within(dyadic_step(fuel))
                 assert f.eval_box(box).committed_color != c
     assert split and max(split.values()) == 1
+
+
+@pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.value)
+@pytest.mark.parametrize("f, x, ceiling", WALKED, ids=["net", "plane"])
+def test_repeat_at_the_saved_fuel_does_no_walk_work(monkeypatch, f, x, ceiling, metric):
+    """Asked again at the fuel its walk was saved at, the walk returns the
+    saved distances and evaluates, splits and enumerates nothing: the lower
+    and upper streams of one ``optimal_radius`` fuel share one walk."""
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return counted
+
+    monkeypatch.setattr(Box, "bisect", counting("bisect", Box.bisect))
+    g = dataclasses.replace(
+        f,
+        eval_point=counting("eval_point", f.eval_point),
+        eval_box=counting("eval_box", f.eval_box),
+    )
+    walk = radius_walk(g, x, ceiling, metric)
+    c = f.eval_point(x).color
+    with _query_scope():
+        for fuel in range(9):
+            first = walk(c, fuel)
+            before = calls.copy()
+            assert walk(c, fuel) == first
+            assert calls == before, f"fuel {fuel}"
+    assert calls["bisect"] and calls["eval_box"] and calls["eval_point"]
 
 
 @pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.value)
