@@ -68,7 +68,21 @@ class ColorEnvelope:
 class IntervalClassifier:
     """A k-color classifier with exact point and enveloping box evaluators.
 
-    Both evaluators are fixed functions of their point or box.
+    The walkers read ``eval_box`` as an interval extension of
+    ``eval_point`` and require three properties of a library classifier:
+
+    - soundness: every point of a box has its color in the box's envelope,
+      or the envelope allows bottom, so a committed envelope commits every
+      point of the box;
+    - inclusion isotonicity: a sub-box's envelope allows no outcome that
+      its parent's rules out;
+    - both evaluators are fixed functions of their point or box, with no
+      fuel, so the walkers may resume across fuels and memoize envelopes.
+
+    The shipped evaluators are also exact on a point box, whose envelope is
+    the point's answer; the walkers do not require this of others.
+    ``tests/test_contracts.py`` checks all four over every shipped
+    evaluator.
     """
 
     k: int

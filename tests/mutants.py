@@ -108,7 +108,7 @@ MUTANTS = [
         "rows, bias, den, out_relu = compiled[-1]",
         "rows, bias, den, _ = compiled[-1]\n    out_relu = False",
         "relu(a) - relu(b) is not a - b, so an output relu needs the score ends",
-        "tests/test_classifiers.py::test_net_envelope_soundness_on_sampled_points",
+        "tests/test_contracts.py::test_box_envelope_holds_its_points",
     ),
     Mutant(
         "constant-bottom-allows-every-color",
@@ -116,7 +116,7 @@ MUTANTS = [
         "else ColorEnvelope(frozenset(), True)",
         "else ColorEnvelope(frozenset(range(k)), True)",
         "sound but looser: a classifier silent everywhere takes no color on any box",
-        "tests/test_classifiers.py::test_point_box_envelope_is_the_point_answer",
+        "tests/test_contracts.py::test_point_box_envelope_is_the_point_answer",
     ),
     Mutant(
         "distance-scale-not-squared",
@@ -207,7 +207,7 @@ MUTANTS = [
         "all(di.hi + margin <= dj.lo for dj in others)",
         "unsound: a winner exactly the margin ahead of a rival is a tie, so "
         "a box holding that placement may be bottom",
-        "tests/test_integer_kernels.py::test_nn_family_at_point_boxes_equals_retraining",
+        "tests/test_contracts.py::test_family_at_on_point_boxes_equals_retraining",
     ),
     Mutant(
         "nn-color-non-strict",
@@ -216,7 +216,26 @@ MUTANTS = [
         "all(di.lo + margin <= dj.hi for dj in others)",
         "sound but looser: a point that can only tie a rival cannot win, so "
         "its color is not possible on the box",
-        "tests/test_integer_kernels.py::test_nn_eval_box_on_a_point_box_is_the_point_answer",
+        "tests/test_contracts.py::test_point_box_envelope_is_the_point_answer",
+    ),
+    Mutant(
+        "nn-box-low-corner",
+        "learners.py",
+        "dist_range(box, p, metric)",
+        "dist_range(Box._of(box.lo, box.lo, box.den), p, metric)",
+        "unsound: the envelope must hold every point of the box, not only its low corner",
+        "tests/test_contracts.py::test_box_envelope_holds_its_points",
+    ),
+    Mutant(
+        "nn-box-loose-when-small",
+        "learners.py",
+        "        def eval_box(box: Box) -> ColorEnvelope:\n            dists",
+        "        def eval_box(box: Box) -> ColorEnvelope:\n"
+        "            if 0 < box.width <= Fraction(1, 64):\n"
+        "                return ColorEnvelope(frozenset(range(k)), True)\n"
+        "            dists",
+        "sound but not isotone: a small sub-box would allow outcomes its parent rules out",
+        "tests/test_contracts.py::test_sub_box_envelopes_lie_inside_their_parents",
     ),
     Mutant(
         "nn-dense-bound-one",
@@ -252,8 +271,7 @@ MUTANTS = [
         "return ColorEnvelope(frozenset(), True)",
         "return ColorEnvelope(frozenset(range(k)), True)",
         "sound but looser: a tied vote retrains to bottom wherever the added points lie",
-        "tests/test_learners.py::TestFamilyEnvelopes::"
-        "test_family_at_on_point_boxes_equals_retraining",
+        "tests/test_contracts.py::test_family_at_on_point_boxes_equals_retraining",
     ),
     Mutant(
         "deviate-window-narrow",

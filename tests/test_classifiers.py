@@ -1,28 +1,23 @@
 from __future__ import annotations
 
-import inspect
 import re
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from boxcert import (
     Box,
-    ColorEnvelope,
     Interval,
     KBot,
-    MetricKind,
-    Sample,
     ValidationError,
     constant_classifier,
     hyperplane_classifier,
     make_layer,
-    nn_learner,
     threshold_net_classifier,
 )
 
-from oracles import hyperplane_color, net_color
+from oracles import hyperplane_color
 
 
 def box2(x_lo, x_hi, y_lo, y_hi):
@@ -152,107 +147,3 @@ class TestConstantClassifier:
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             constant_classifier(2, color, dims=1)
 
-
-net_params = st.tuples(
-    st.fractions(min_value=-2, max_value=2, max_denominator=8),
-    st.fractions(min_value=-2, max_value=2, max_denominator=8),
-    st.fractions(min_value=-2, max_value=2, max_denominator=8),
-    st.fractions(min_value=-2, max_value=2, max_denominator=8),
-    st.sampled_from(["none", "relu"]),
-)
-
-
-@given(
-    params=net_params,
-    lo=st.fractions(min_value=-2, max_value=2, max_denominator=8),
-    width=st.fractions(min_value=0, max_value=1, max_denominator=8),
-    t=st.fractions(min_value=0, max_value=1, max_denominator=16),
-)
-@settings(deadline=None)
-def test_net_envelope_soundness_on_sampled_points(params, lo, width, t):
-    a, b, c, d, act = params
-    layer = make_layer(((a,), (b,)), (c, d), act)
-    net = threshold_net_classifier((layer,), Q(1, 10))
-    box = Box((Interval(lo, lo + width),))
-    env = net.eval_box(box)
-    x = (lo + t * width,)
-    value = net.eval_point(x)
-    oracle = net_color([(((a,), (b,)), (c, d), act)], Q(1, 10), 2, x)
-    assert value.color == oracle
-    if value.committed:
-        assert value.color in env.colors
-    else:
-        assert env.maybe_bot
-
-
-@given(
-    params=net_params,
-    lo=st.fractions(min_value=-2, max_value=2, max_denominator=8),
-    width=st.fractions(min_value=0, max_value=1, max_denominator=8),
-)
-@settings(deadline=None)
-def test_net_envelope_shrinks_on_sub_boxes(params, lo, width):
-    a, b, c, d, act = params
-    if width == 0:
-        return
-    layer = make_layer(((a,), (b,)), (c, d), act)
-    net = threshold_net_classifier((layer,), Q(1, 10))
-    box = Box((Interval(lo, lo + width),))
-    sub, _ = box.bisect()
-    outer = net.eval_box(box)
-    inner = net.eval_box(sub)
-    assert inner.colors <= outer.colors
-    if not outer.maybe_bot:
-        assert not inner.maybe_bot
-
-
-COORD = st.fractions(min_value=-2, max_value=2, max_denominator=16)
-WEIGHT = st.fractions(min_value=-2, max_value=2, max_denominator=8)
-
-
-@st.composite
-def shipped_classifiers(draw):
-    """A 2-D hyperplane, threshold net, constant classifier or trained nn."""
-    kind = draw(st.sampled_from(["hyperplane", "net", "constant", "nn"]))
-    if kind == "hyperplane":
-        w = (draw(WEIGHT.filter(bool)), draw(WEIGHT))
-        return hyperplane_classifier(w, draw(WEIGHT))
-    if kind == "net":
-        hidden = make_layer([[draw(WEIGHT), draw(WEIGHT)] for _ in range(3)],
-                            [draw(WEIGHT) for _ in range(3)], "relu")
-        scores = make_layer([[draw(WEIGHT) for _ in range(3)] for _ in range(3)],
-                            [draw(WEIGHT) for _ in range(3)], "none")
-        return threshold_net_classifier([hidden, scores], Q(1, 16))
-    if kind == "constant":
-        return constant_classifier(3, draw(st.sampled_from([None, 0, 2])), dims=2)
-    points = draw(st.lists(st.tuples(st.tuples(COORD, COORD), st.integers(0, 1)),
-                           min_size=1, max_size=4))
-    metric = draw(st.sampled_from([MetricKind.MAX, MetricKind.EUCLID_SQ]))
-    return nn_learner(Q(1, 16), metric=metric).train(Sample(tuple(points)))
-
-
-@settings(deadline=None)
-@given(f=shipped_classifiers())
-def test_evaluators_do_not_read_fuel(f):
-    """Each evaluator is a function of its point or box alone, so the
-    walkers may resume across fuels."""
-    plain = (inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty)
-    for evaluator in (f.eval_point, f.eval_box):
-        params = inspect.signature(evaluator).parameters.values()
-        assert [(p.kind, p.default) for p in params] == [plain]
-
-
-@settings(deadline=None, max_examples=200)
-@given(f=shipped_classifiers(), x=st.tuples(COORD, COORD))
-@example(f=constant_classifier(3, None, dims=2), x=(Q(0), Q(0)))
-@example(f=hyperplane_classifier((Q(1), Q(-1)), Q(0)), x=(Q(1, 2), Q(1, 2)))
-def test_point_box_envelope_is_the_point_answer(f, x):
-    """Every shipped box evaluator is exact on a point box: its envelope is
-    the point's answer, ``({c}, False)``, or ``(∅, True)`` for bottom.  A
-    sound but looser envelope there fails."""
-    answer = f.eval_point(x)
-    if answer.committed:
-        want = ColorEnvelope(frozenset({answer.color}), False)
-    else:
-        want = ColorEnvelope(frozenset(), True)
-    assert f.eval_box(Box.around(x)) == want

@@ -23,7 +23,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from boxcert import (
     Box,
-    ColorEnvelope,
     Interval,
     MetricKind,
     Sample,
@@ -195,62 +194,6 @@ def test_nn_point_rule_matches_envelope(pts, x, margin, metric):
     assert trained.eval_point(x) == ref_nn_eval_point(pts, x, margin, metric)
 
 
-def point_envelope(answer) -> ColorEnvelope:
-    """The exact envelope of one point's answer: its color, or bottom."""
-    if answer.committed:
-        return ColorEnvelope(frozenset({answer.color}), False)
-    return ColorEnvelope(frozenset(), True)
-
-
-# On a point box the nn envelope is exact.  At a gap equal to the margin
-# the point rule is silent, so an envelope that is certain there (unsound)
-# or that allows the leader's color there (sound but loose) fails here.
-@settings(max_examples=300, deadline=None)
-@given(
-    pts=st.lists(LABELED_POINTS, min_size=1, max_size=5),
-    x=st.tuples(QUERY_GRID, QUERY_GRID),
-    margin=MARGINS,
-    metric=METRICS,
-)
-# The runner-up is exactly the margin behind the nearest point.
-@example(
-    pts=[((Q(0), Q(0)), 0), ((Q(1), Q(0)), 1)], x=(Q(0), Q(0)), margin=Q(1),
-    metric=MetricKind.MAX,
-)
-@example(
-    pts=[((Q(0), Q(0)), 0), ((Q(1), Q(0)), 1)], x=(Q(0), Q(0)), margin=Q(1),
-    metric=MetricKind.EUCLID_SQ,
-)
-def test_nn_eval_box_on_a_point_box_is_the_point_answer(pts, x, margin, metric):
-    trained = nn_learner(margin, k=3, metric=metric).train(Sample(tuple(pts)))
-    assert trained.eval_box(Box.around(x)) == point_envelope(trained.eval_point(x))
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    pts=st.lists(LABELED_POINTS, min_size=1, max_size=4),
-    adds=st.lists(LABELED_POINTS, min_size=1, max_size=3),
-    x=st.tuples(QUERY_GRID, QUERY_GRID),
-    margin=MARGINS,
-    metric=METRICS,
-)
-# A label-1 point added exactly the margin from x = 0, where the sample's
-# one label-0 point sits: retraining ties, so the family must be bottom.
-@example(
-    pts=[((Q(0),), 0)], adds=[((Q(1, 2),), 1)], x=(Q(0),), margin=Q(1, 2), metric=MetricKind.MAX
-)
-@example(
-    pts=[((Q(0),), 0)], adds=[((Q(1, 2),), 1)], x=(Q(0),), margin=Q(1, 4),
-    metric=MetricKind.EUCLID_SQ,
-)
-def test_nn_family_at_point_boxes_equals_retraining(pts, adds, x, margin, metric):
-    learner = nn_learner(margin, k=3, metric=metric)
-    retrained = learner.train(Sample(tuple(pts + adds)))
-    additions = [(Box.around(p), label) for p, label in adds]
-    got = learner.family_at(Sample(tuple(pts)), additions, x)
-    assert got == point_envelope(retrained.eval_point(x))
-
-
 # ------------------------------------------------------------ integer boxes
 
 # Root denominators: 192, as at the sweep's off-dyadic centers; 7, which
@@ -356,31 +299,6 @@ def test_margin_envelope_lies_inside_per_score_envelope(case):
         threshold_net_classifier(layers, margin).eval_box(box),
         ref_net_eval_box(layers, margin, box),
     )
-
-
-@settings(max_examples=200, deadline=None)
-@given(data=st.data(), spec=nets())
-def test_sub_box_envelope_lies_inside_parent(data, spec):
-    """Along a path of up to 6 bisections from a rooted box."""
-    layers, margin = spec
-    f = threshold_net_classifier(layers, margin)
-    box = data.draw(rooted_boxes(layers[0].in_dim))
-    for high in data.draw(st.lists(st.booleans(), max_size=6)):
-        if box.width == 0:
-            break
-        child = box.bisect()[high]
-        assert inside(f.eval_box(child), f.eval_box(box))
-        box = child
-
-
-@settings(max_examples=200, deadline=None)
-@given(case=net_cases())
-def test_degenerate_box_envelope_is_the_point_answer(case):
-    layers, margin, _, point = case
-    f = threshold_net_classifier(layers, margin)
-    answer = ref_net_eval_point(layers, margin, point)
-    envelope = f.eval_box(Box.from_bounds([(c, c) for c in point]))
-    assert envelope == point_envelope(answer)
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,13 +1,12 @@
 from __future__ import annotations
 
 import dataclasses
-import inspect
 import random
 import re
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from boxcert import (
     Box,
@@ -420,125 +419,3 @@ class TestEmptyAugmentation:
             assert robust_point(x, s, L, UNIT, fuel) == Outcome(TwoBot.ONE, base=KBot(0))
         assert asked and 0 not in asked
 
-
-GRID_POINT = st.tuples(*[st.integers(-8, 8).map(lambda n: Q(n, 8))] * 2)
-ORIGIN = (Q(0), Q(0))
-
-
-class TestFamilyEnvelopes:
-    @EVERY_LEARNER
-    def test_family_at_takes_no_fuel(self, make):
-        """A family envelope is a function of the sample, the additions and
-        the point alone."""
-        plain = (inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty)
-        params = inspect.signature(make().family_at).parameters.values()
-        assert [(p.kind, p.default) for p in params] == [plain] * 3
-
-    @given(
-        xs=st.lists(
-            st.fractions(min_value=0, max_value=1, max_denominator=16),
-            min_size=1,
-            max_size=3,
-            unique=True,
-        ),
-        labels=st.lists(st.integers(min_value=0, max_value=1), min_size=3, max_size=3),
-        lo=st.fractions(min_value=0, max_value=1, max_denominator=16),
-        width=st.fractions(min_value=0, max_value=Q(1, 2), max_denominator=16),
-        add_label=st.integers(min_value=0, max_value=1),
-        t=st.fractions(min_value=0, max_value=1, max_denominator=8),
-        query=st.fractions(min_value=0, max_value=1, max_denominator=16),
-    )
-    @settings(deadline=None, max_examples=60)
-    def test_nn_family_envelope_is_sound(self, xs, labels, lo, width, add_label, t, query):
-        pairs = [(x, labels[i]) for i, x in enumerate(xs)]
-        L = nn_learner(tie_margin=Q(1, 32))
-        s = sample_1d(*pairs)
-        hi = min(Q(1), lo + width)
-        box = Box((Interval(lo, hi),))
-        env = L.family_at(s, ((box, add_label),), (query,))
-        y = lo + t * (hi - lo)
-        retrained = L.train(s.extend((((y,), add_label),)))
-        got = retrained.eval_point((query,))
-        if got.committed:
-            assert got.color in env.colors
-        else:
-            assert env.maybe_bot
-        committed_color = env.committed_color
-        if committed_color is not None:
-            assert got == KBot(committed_color)
-
-    @given(
-        data=st.data(),
-        learner=st.sampled_from(["nn-max", "nn-euclid", "majority"]),
-        k=st.integers(1, 3),
-        steps=st.sampled_from([1, 2, 4]),
-        dims=st.integers(1, 2),
-    )
-    @settings(deadline=None, max_examples=200)
-    def test_family_envelopes_shrink_with_each_added_box(self, data, learner, k, steps, dims):
-        """Shrinking one added box to a sub-box gives an envelope inside
-        its parent's, and a committed color stays committed.  The dense
-        side's cover walk splits only boxes that fail to commit and relies
-        on this.  Corners lie on the 1/8 grid and the margins are 1, 2 or
-        4 grid steps of distance, so ties at the margin are common."""
-        grid = st.integers(-8, 8).map(lambda n: Q(n, 8))
-        point = st.tuples(*[grid] * dims)
-        labels = st.integers(0, k - 1)
-        if learner == "majority":
-            L = majority_learner(k)
-        else:
-            metric = MetricKind.MAX if learner == "nn-max" else MetricKind.EUCLID_SQ
-            unit = Q(1, 8) if metric is MetricKind.MAX else Q(1, 64)
-            L = nn_learner(steps * unit, k=k, metric=metric)
-        s = Sample(tuple(data.draw(st.lists(st.tuples(point, labels), max_size=3))))
-        x = data.draw(point)
-
-        def box(corners):
-            return Box(tuple(Interval(min(a, b), max(a, b)) for a, b in zip(*corners)))
-
-        added = data.draw(st.lists(st.tuples(st.tuples(point, point), labels), min_size=1, max_size=3))
-        additions = [(box(corners), label) for corners, label in added]
-        i = data.draw(st.integers(0, len(additions) - 1))
-        parent, label = additions[i]
-        share = st.integers(0, 4).map(lambda n: Q(n, 4))
-        sides = []
-        for side in parent.sides:
-            a, b = sorted(data.draw(st.tuples(share, share)))
-            sides.append(Interval(side.lo + a * (side.hi - side.lo), side.lo + b * (side.hi - side.lo)))
-        shrunk = additions[:i] + [(Box(tuple(sides)), label)] + additions[i + 1 :]
-        outer, inner = L.family_at(s, additions, x), L.family_at(s, shrunk, x)
-        assert inner.colors <= outer.colors
-        assert outer.maybe_bot or not inner.maybe_bot
-        if outer.committed_color is not None:
-            assert inner.committed_color == outer.committed_color
-
-    @given(
-        learner=st.sampled_from(["nn-max", "nn-euclid", "majority"]),
-        k=st.integers(1, 3),
-        steps=st.sampled_from([1, 2, 4]),
-        pts=st.lists(st.tuples(GRID_POINT, st.integers(0, 2)), max_size=3),
-        adds=st.lists(st.tuples(GRID_POINT, st.integers(0, 2)), min_size=1, max_size=3),
-        x=GRID_POINT,
-    )
-    @example(learner="majority", k=2, steps=1, pts=[], adds=[(ORIGIN, 0), (ORIGIN, 1)], x=ORIGIN)
-    @settings(deadline=None, max_examples=200)
-    def test_family_at_on_point_boxes_equals_retraining(self, learner, k, steps, pts, adds, x):
-        """With every added box a point, a family envelope is the retrained
-        answer at x: ``({c}, False)``, or ``(∅, True)`` for bottom.  Points
-        lie on the 1/8 grid, labels are drawn mod k, and the nn margins are
-        1, 2 or 4 grid steps of distance, so ties are common; the example
-        is a tied majority vote."""
-        if learner == "majority":
-            L = majority_learner(k)
-        else:
-            metric = MetricKind.MAX if learner == "nn-max" else MetricKind.EUCLID_SQ
-            unit = Q(1, 8) if metric is MetricKind.MAX else Q(1, 64)
-            L = nn_learner(steps * unit, k=k, metric=metric)
-        s = Sample(tuple((p, label % k) for p, label in pts))
-        adds = [(p, label % k) for p, label in adds]
-        got = L.train(s.extend(adds)).eval_point(x)
-        if got.committed:
-            want = ColorEnvelope(frozenset({got.color}), False)
-        else:
-            want = ColorEnvelope(frozenset(), True)
-        assert L.family_at(s, [(Box.around(p), label) for p, label in adds], x) == want
