@@ -9,7 +9,8 @@ evaluator is the same kind of extension in each added box, and it ignores
 the order of the additions.
 
 Each property runs over every shipped evaluator.  A new evaluator joins the
-suite as one more branch of ``box_evaluators`` or ``learners``.  Corners
+suite as one more branch of ``box_evaluators`` or ``learners``, and one
+more entry of ``SHIPPED_BOX_EVALUATORS`` or ``SHIPPED_LEARNERS``.  Corners
 and points lie on the 1/8 grid, and the nn margins are 1, 2 or 4 grid steps
 of distance, so ties at the margin are common.
 """
@@ -20,6 +21,7 @@ import inspect
 import itertools
 from fractions import Fraction as Q
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from boxcert import (
@@ -30,6 +32,7 @@ from boxcert import (
     constant_classifier,
     hyperplane_classifier,
     majority_learner,
+    make_layer,
     nn_learner,
     threshold_net_classifier,
 )
@@ -157,15 +160,45 @@ SPLIT_NN = nn_learner(Q(1, 8)).train(Sample((((Q(0),), 0), ((Q(1),), 1))))
 # ------------------------------------------------------------ box evaluators
 
 
-@settings(max_examples=30, deadline=None)
-@given(f=box_evaluators(), L=learners())
-def test_evaluators_take_no_fuel(f, L):
-    """Each evaluator is a function of its point, box or additions alone,
-    so the walkers may resume across fuels and memoize envelopes."""
+# One named instance of each shipped evaluator.  A signature is fixed by
+# the evaluator's kind, so one instance of each kind checks it.
+SHIPPED_BOX_EVALUATORS = {
+    "hyperplane": hyperplane_classifier((Q(1), Q(-1)), Q(0)),
+    "net-linear": SHARED_NET,
+    "net-relu": threshold_net_classifier([make_layer([[1], [-1]], [0, 0], "relu")], Q(1, 8)),
+    "constant": constant_classifier(3, 0, dims=2),
+    "constant-bottom": constant_classifier(3, None, dims=2),
+    "nn-max": nn_learner(Q(1), k=3, metric=MetricKind.MAX).train(RUNNER_UP),
+    "nn-euclid-sq": nn_learner(Q(1), k=3, metric=MetricKind.EUCLID_SQ).train(RUNNER_UP),
+}
+SHIPPED_LEARNERS = {
+    "nn-max": nn_learner(Q(1, 8), k=2, metric=MetricKind.MAX),
+    "nn-euclid-sq": nn_learner(Q(1, 64), k=2, metric=MetricKind.EUCLID_SQ),
+    "majority": majority_learner(2),
+}
+
+
+def assert_takes_no_fuel(evaluator, arity):
+    """The evaluator takes ``arity`` plain positional parameters with no
+    default, so no fuel can slip in."""
     plain = (inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty)
-    for evaluator, arity in ((f.eval_point, 1), (f.eval_box, 1), (L.family_at, 3)):
-        params = inspect.signature(evaluator).parameters.values()
-        assert [(p.kind, p.default) for p in params] == [plain] * arity
+    params = inspect.signature(evaluator).parameters.values()
+    assert [(p.kind, p.default) for p in params] == [plain] * arity
+
+
+@pytest.mark.parametrize("f", SHIPPED_BOX_EVALUATORS.values(), ids=SHIPPED_BOX_EVALUATORS.keys())
+def test_box_evaluators_take_no_fuel(f):
+    """Each box evaluator is a function of its point or box alone, so the
+    walkers may resume across fuels and memoize envelopes."""
+    assert_takes_no_fuel(f.eval_point, 1)
+    assert_takes_no_fuel(f.eval_box, 1)
+
+
+@pytest.mark.parametrize("L", SHIPPED_LEARNERS.values(), ids=SHIPPED_LEARNERS.keys())
+def test_family_evaluators_take_no_fuel(L):
+    """Each family evaluator is a function of the sample, the additions and
+    the point alone."""
+    assert_takes_no_fuel(L.family_at, 3)
 
 
 @settings(max_examples=300, deadline=None)
