@@ -13,7 +13,9 @@ winner analysis under nn's box and family envelopes, is timed on that
 sample's distances from a point plus one added box's.  The net's
 ``eval_box`` is timed twice: with linear scores, whose margins it bounds as margin
 rows, and with a relu on the scores, whose margins it bounds through the
-score ends.  The two learner searches
+score ends.  ``classifier_from_json`` is timed on that net's JSON, since
+building a net parses its rationals and compiles its integer rows, and the
+sweep parses one net per query.  The two learner searches
 are timed as whole calls: ``does_deviate`` on the unit interval at fuel 6
 and on the 4-D unit box at fuel 5, where the search reads a few points of
 grids up to 17**4 points large, and ``sparse_or_dense`` with two added
@@ -105,6 +107,7 @@ from boxcert import (
     sparse_or_dense,
     threshold_net_classifier,
 )
+from boxcert.io import classifier_from_json
 from boxcert.kernel import _fuel_loop
 from boxcert.learners import _nn_envelope
 from boxcert.verify import _certified_colors, _find_witnesses, _nearest_off_color, _query_scope
@@ -157,16 +160,34 @@ def fresh_ball(name: str) -> VKSet:
     return ball(center, radius, MetricKind.EUCLID_SQ)
 
 
+def sweep_net_json(output: str) -> dict:
+    """The sweep-shaped net's JSON, with or without a relu on its scores."""
+    return {
+        "kind": "net",
+        "k": 3,
+        "margin": "1/8",
+        "layers": [
+            {
+                "weights": [["1", "0"], ["0", "1"], ["1", "1"]],
+                "bias": ["8", "8", "-19/8"],
+                "activation": "relu",
+            },
+            {
+                "weights": [["1", "0", "1/2"], ["0", "1", "-1/3"], ["1/4", "1/4", "1"]],
+                "bias": ["-8", "-8", "-3/16"],
+                "activation": output,
+            },
+        ],
+    }
+
+
 def eval_box_net(output: str):
     """The sweep-shaped net, with or without a relu on its scores."""
-    return threshold_net_classifier(
-        [
-            make_layer([[1, 0], [0, 1], [1, 1]], [8, 8, Q(-19, 8)], "relu"),
-            make_layer([[1, 0, Q(1, 2)], [0, 1, Q(-1, 3)], [Q(1, 4), Q(1, 4), 1]],
-                       [Q(-8), Q(-8), Q(-3, 16)], output),
-        ],
-        Q(1, 8),
-    )
+    return classifier_from_json(sweep_net_json(output))
+
+
+def test_net_from_json(benchmark):
+    benchmark(classifier_from_json, sweep_net_json("none"))
 
 
 def test_net_eval_box(benchmark):

@@ -8,7 +8,8 @@ occurring inside the box.  Envelopes shrink on sub-boxes and collapse to
 the point answer in the limit, which is what lets covers certify regions.
 
 Hyperplanes and nets compile to integer rows over one denominator per layer,
-and both evaluators run one integer affine loop on numerators: a positive
+each split once by sign into a bias, positive terms and negative terms, and
+both evaluators run one integer affine loop on numerators: a positive
 common scale preserves every comparison and commutes with relu.  The box
 evaluator reads a box's integer corners and denominator as they are; the
 point evaluator puts the point over one common denominator per call.  A
@@ -108,26 +109,45 @@ def _int_layer(layer: Layer) -> tuple:
     return rows, tuple(nums[width * layer.out_dim :]), den, layer.activation == "relu"
 
 
+def _signed(rows: Sequence[Sequence[int]], bias: Sequence[int], den: int, relu: bool) -> tuple:
+    """Integer rows compiled for :func:`_affine`: each row becomes
+    ``(bias, positive terms, negative terms)``, where a term is
+    ``(input index, weight)`` and zero weights are dropped."""
+    signed = []
+    for row, b in zip(rows, bias):
+        pos, neg = [], []
+        for term in enumerate(row):
+            if term[1] > 0:
+                pos.append(term)
+            elif term[1] < 0:
+                neg.append(term)
+        signed.append((b, tuple(pos), tuple(neg)))
+    return signed, den, relu
+
+
 def _affine(
     layers: Sequence[tuple], lo: Sequence[int], hi: Sequence[int], scale: int
 ) -> tuple[list[int], list[int], int]:
-    """Push the ranges [lo/scale, hi/scale] through the layers.
+    """Push the ranges [lo/scale, hi/scale] through the compiled layers.
 
-    Returns the output numerators and their (positive) scale.  A weight
-    picks the low or the high end by its sign, as interval scaling does; a
-    point is the range with lo = hi.
+    Returns the output numerators and their (positive) scale.  Each layer
+    is ``(rows, den, relu)`` as :func:`_signed` compiles it: a positive
+    term sends the low end to the low end, a negative term sends the high
+    end there, as interval scaling does.  A point is the range with
+    ``lo is hi``.
     """
-    for rows, bias, den, relu in layers:
+    for rows, den, relu in layers:
         out_lo, out_hi = [], []
-        for row, b in zip(rows, bias):
+        for b, pos, neg in rows:
             a = c = b * scale
-            for w, low, high in zip(row, lo, hi):
-                if w < 0:
-                    low, high = high, low
-                a += w * low
-                c += w * high
-            if relu:
-                a, c = max(a, 0), max(c, 0)
+            for i, w in pos:
+                a += w * lo[i]
+                c += w * hi[i]
+            for i, w in neg:
+                a += w * hi[i]
+                c += w * lo[i]
+            if relu and a < 0:
+                a, c = 0, c if c > 0 else 0
             out_lo.append(a)
             out_hi.append(c)
         lo, hi, scale = out_lo, out_hi, scale * den
@@ -145,7 +165,7 @@ def hyperplane_classifier(weights: Sequence, bias) -> IntervalClassifier:
     if not w or all(c == 0 for c in w):
         raise ValidationError("hyperplane weights must not all be zero")
     dims = len(w)
-    layers = (_int_layer(Layer((w,), (b,), "none")),)
+    layers = (_signed(*_int_layer(Layer((w,), (b,), "none"))),)
 
     def eval_point(point: Point) -> KBot:
         _check_point_dims(point, dims)
@@ -224,6 +244,8 @@ def threshold_net_classifier(layers: Sequence[Layer], margin) -> IntervalClassif
     shared by two scores cancels in their margin.  Under an output relu,
     relu(a) - relu(b) is not relu(a - b), and the margin ends are the
     score ends hi_j - lo_i and lo_j - hi_i.
+    Every layer and margin row is compiled once, at construction, into the
+    sign-split rows of :func:`_affine`; both evaluators share the hidden ones.
     """
     if not layers:
         raise ValidationError("a network needs at least one layer")
@@ -241,25 +263,24 @@ def threshold_net_classifier(layers: Sequence[Layer], margin) -> IntervalClassif
     p, q = tau.numerator, tau.denominator
     # The k - 1 margins of color j are entries j*(k-1) .. (j+1)*(k-1) - 1.
     pairs = [(j, i) for j in range(k) for i in range(k) if i != j]
+    point_layers = [_signed(*layer) for layer in compiled]
     rows, bias, den, out_relu = compiled[-1]
-    box_layers = compiled
+    box_layers = point_layers
     if not out_relu:
-        margin_rows = tuple(tuple(a - b for a, b in zip(rows[j], rows[i])) for j, i in pairs)
-        margin_bias = tuple(bias[j] - bias[i] for j, i in pairs)
-        box_layers = compiled[:-1] + [(margin_rows, margin_bias, den, False)]
-
-    def beats(m: int, scale: int) -> bool:
-        """m / scale > tau, in integers."""
-        return q * m > p * scale
+        margin_rows = [[a - b for a, b in zip(rows[j], rows[i])] for j, i in pairs]
+        margin_bias = [bias[j] - bias[i] for j, i in pairs]
+        box_layers = point_layers[:-1] + [_signed(margin_rows, margin_bias, den, False)]
 
     def eval_point(point: Point) -> KBot:
         _check_point_dims(point, dims)
         if k == 1:
             return KBot(0)
         den, x = common_denominator(point)
-        s, _, scale = _affine(compiled, x, x, den)
+        s, _, scale = _affine(point_layers, x, x, den)
+        bar = p * scale
         for j in range(k):
-            if beats(s[j] - max(s[i] for i in range(k) if i != j), scale):
+            # s_j beats every other score by more than tau, in integers.
+            if q * (s[j] - max(s[i] for i in range(k) if i != j)) > bar:
                 return KBot(j)
         return KBot.bot()
 
@@ -271,15 +292,17 @@ def threshold_net_classifier(layers: Sequence[Layer], margin) -> IntervalClassif
         lo, hi, scale = _affine(box_layers, box.lo, box.hi, box.den)
         if out_relu:
             lo, hi = [lo[j] - hi[i] for j, i in pairs], [hi[j] - lo[i] for j, i in pairs]
+        bar = p * scale
         colors = set()
         certain = False
         for j in range(k):
-            # Every margin of j beats tau exactly when its least one does.
+            # Every margin of j beats tau exactly when its least one does,
+            # and its low end can beat tau only when its high end does.
             mine = slice(j * (k - 1), (j + 1) * (k - 1))
-            if beats(min(hi[mine]), scale):
+            if q * min(hi[mine]) > bar:
                 colors.add(j)
-            if beats(min(lo[mine]), scale):
-                certain = True
+                if q * min(lo[mine]) > bar:
+                    certain = True
         return ColorEnvelope(frozenset(colors), not certain)
 
     return IntervalClassifier(k=k, eval_point=eval_point, eval_box=eval_box, dims=dims)

@@ -15,8 +15,8 @@ from typing import Any
 
 from .classifiers import (
     IntervalClassifier,
+    Layer,
     hyperplane_classifier,
-    make_layer,
     threshold_net_classifier,
 )
 from .errors import ParseError, ValidationError
@@ -101,9 +101,9 @@ def classifier_from_json(obj: Any) -> IntervalClassifier:
             if not isinstance(weights, list):
                 raise ParseError(f"net layer weights must be a list of rows, got {weights!r}")
             layers.append(
-                make_layer(
-                    [_rational_list(row, "a net weight row") for row in weights],
-                    _rational_list(bias, "net layer bias"),
+                Layer(
+                    tuple(tuple(_rational_list(row, "a net weight row")) for row in weights),
+                    tuple(_rational_list(bias, "net layer bias")),
                     activation,
                 )
             )

@@ -49,6 +49,8 @@ __all__ = [
 
 def as_rational(value: int | str | Fraction) -> Fraction:
     """Coerce to an exact rational, refusing floats outright."""
+    if type(value) is str:
+        return parse_rational(value)
     if isinstance(value, bool):
         raise TypeError("booleans are not numbers here")
     if isinstance(value, float):
@@ -257,26 +259,30 @@ def distance_kernel(x: Point, metric: MetricKind) -> Callable[[Box], tuple[int, 
 
     Coordinates are independent, so per-axis distance ranges combine by a
     max (max metric) or a sum (squared Euclidean) without any slack.  The
-    box's corners and x are compared as integers over one denominator.
+    box's corners and x are compared as integers over one denominator: the
+    box's own when it is a multiple of x's, as it is for every box bisected
+    from a ball's bounding box, and their lcm otherwise.  Each axis picks
+    its nearest and farthest offsets by branches on the corners' signs.
     """
     x_den, x_nums = common_denominator(x)
     euclid = metric is MetricKind.EUCLID_SQ
 
     def kernel(box: Box) -> tuple[int, int, int]:
         _check_dims(box.dims, len(x))
-        den = math.lcm(box.den, x_den)
+        den = box.den if box.den % x_den == 0 else math.lcm(box.den, x_den)
         up, x_up = den // box.den, den // x_den
         near = far = 0
         for lo, hi, c in zip(box.lo, box.hi, x_nums):
             c *= x_up
             lo, hi = lo * up - c, hi * up - c
             a = lo if lo > 0 else -hi if hi < 0 else 0
-            b = max(-lo, hi)
+            b = hi if hi > -lo else -lo
             if euclid:
                 near += a * a
                 far += b * b
             else:
-                near, far = max(near, a), max(far, b)
+                near = a if a > near else near
+                far = b if b > far else far
         return near, far, den * den if euclid else den
 
     return kernel

@@ -64,8 +64,8 @@ MUTANTS = [
     Mutant(
         "net-certain-from-hi",
         "classifiers.py",
-        "if beats(min(lo[mine]), scale):",
-        "if beats(min(hi[mine]), scale):",
+        "if q * min(lo[mine]) > bar:",
+        "if q * min(hi[mine]) > bar:",
         "a color is certain only when each margin's least value beats the "
         "threshold; the greatest says only that the color is possible",
         "tests/test_acceptance.py::test_c2_committed_verdicts_agree_with_rational_sweeps",
@@ -73,16 +73,16 @@ MUTANTS = [
     Mutant(
         "net-certain-on-one-margin",
         "classifiers.py",
-        "if beats(min(lo[mine]), scale):",
-        "if beats(max(lo[mine]), scale):",
+        "if q * min(lo[mine]) > bar:",
+        "if q * max(lo[mine]) > bar:",
         "a color is certain only when all of its margins beat the threshold, not any one",
         "tests/test_integer_kernels.py::test_net_matches_interval_evaluator",
     ),
     Mutant(
         "net-beats-non-strict",
         "classifiers.py",
-        "return q * m > p * scale",
-        "return q * m >= p * scale",
+        "if q * (s[j] - max(s[i] for i in range(k) if i != j)) > bar:",
+        "if q * (s[j] - max(s[i] for i in range(k) if i != j)) >= bar:",
         "a margin equal to the threshold is a tie, which the net leaves bottom",
         "tests/test_acceptance.py::test_c2_committed_verdicts_agree_with_rational_sweeps",
     ),
@@ -111,6 +111,23 @@ MUTANTS = [
         "tests/test_contracts.py::test_box_envelope_holds_its_points",
     ),
     Mutant(
+        "affine-negative-term-takes-low-end",
+        "classifiers.py",
+        "a += w * hi[i]\n                c += w * lo[i]",
+        "a += w * lo[i]\n                c += w * hi[i]",
+        "unsound: a negative weight sends the high end of its input to the low "
+        "end of the output, as interval scaling does",
+        "tests/test_contracts.py::test_box_envelope_holds_its_points",
+    ),
+    Mutant(
+        "relu-clamps-only-the-low-end",
+        "classifiers.py",
+        "a, c = 0, c if c > 0 else 0",
+        "a = 0",
+        "relu sends a range wholly below zero to the point 0, so its high end is 0 as well",
+        "tests/test_integer_kernels.py::test_net_matches_interval_evaluator",
+    ),
+    Mutant(
         "constant-bottom-allows-every-color",
         "classifiers.py",
         "else ColorEnvelope(frozenset(), True)",
@@ -124,6 +141,14 @@ MUTANTS = [
         "return near, far, den * den if euclid else den",
         "return near, far, den",
         "squared distances carry the square of the coordinate scale",
+        "tests/test_integer_kernels.py::test_distances_match_interval_evaluator",
+    ),
+    Mutant(
+        "distance-skips-lcm-off-multiple",
+        "numerics.py",
+        "box.den if box.den % x_den == 0 else",
+        "box.den if True else",
+        "the box's own denominator serves only when it is a multiple of the center's",
         "tests/test_integer_kernels.py::test_distances_match_interval_evaluator",
     ),
     Mutant(

@@ -52,14 +52,29 @@ class TestVerifyCommand:
         assert report["verdict"] == "unknown"
         assert report["diagnostics"]["fuelExhausted"] is True
 
-    def test_parse_error_exits_one(self, tmp_path, capsys):
-        body = confirm_query()
-        body["classifier"]["b"] = "1/0"
-        query = write_query(tmp_path, body)
+    @pytest.mark.parametrize(
+        "classifier, reason",
+        [
+            ({"kind": "hyperplane", "w": [1], "b": "1/0"}, "zero denominator in rational '1/0'"),
+            (
+                {"kind": "net", "k": 1, "margin": "1/8",
+                 "layers": [{"weights": [["1/0"]], "bias": [0], "activation": "none"}]},
+                "zero denominator in rational '1/0'",
+            ),
+            (
+                {"kind": "net", "k": 1, "margin": "1/8",
+                 "layers": [{"weights": [["1/x"]], "bias": [0], "activation": "none"}]},
+                "malformed rational '1/x'",
+            ),
+        ],
+        ids=["hyperplane-zero-denominator", "net-zero-denominator", "net-malformed-weight"],
+    )
+    def test_parse_error_exits_one(self, tmp_path, capsys, classifier, reason):
+        query = write_query(tmp_path, {**confirm_query(), "classifier": classifier})
         code = main(["verify", str(query)])
         err = capsys.readouterr().err
         assert code == 1
-        assert "error" in err
+        assert err == f"error: {reason}\n"
 
     def test_reports_are_byte_identical_across_runs(self, tmp_path, capsys):
         query = write_query(tmp_path, confirm_query())

@@ -112,6 +112,15 @@ SHARED_UNIT = [
 ]
 
 
+# A hidden unit whose weights are all zero is the constant relu(1/2), and
+# scores 0 and 1 share their weights, so the margin row s0 - s1 cancels to
+# its bias 1.
+ZERO_TERMS = [
+    make_layer([[0, 0], [1, -1]], [Q(1, 2), 0], "relu"),
+    make_layer([[2, 1], [2, 1], [1, -1]], [1, 0, Q(-1, 3)], "none"),
+]
+
+
 def sample_corners(box: Box):
     """The low corner, the high corner and the midpoint of a box."""
     sides = box.sides
@@ -128,6 +137,7 @@ def test_common_denominator():
 @given(case=net_cases())
 @example(case=(SHARED_UNIT, Q(1, 2), Box.from_bounds([(-1, 1)]), (Q(1, 3),)))
 @example(case=(SHARED_UNIT, Q(1), Box.from_bounds([(-1, 1)]), (Q(1, 3),)))
+@example(case=(ZERO_TERMS, Q(1, 2), Box.from_bounds([(-1, 1), (0, 2)]), (Q(1, 3), Q(-1, 2))))
 def test_net_matches_interval_evaluator(case):
     layers, margin, box, point = case
     f = threshold_net_classifier(layers, margin)
@@ -136,27 +146,56 @@ def test_net_matches_interval_evaluator(case):
         assert f.eval_point(p) == ref_net_eval_point(layers, margin, p)
 
 
+@st.composite
+def hyperplane_cases(draw):
+    """Weights, not all zero, a bias, a box of their width and a point."""
+    w = draw(st.lists(RATIONALS, min_size=1, max_size=3).filter(any))
+    return w, draw(RATIONALS), draw(boxes(len(w))), draw(points(len(w)))
+
+
 @settings(max_examples=200, deadline=None)
-@given(
-    data=st.data(),
-    w=st.lists(RATIONALS, min_size=1, max_size=3).filter(lambda w: any(w)),
-    b=RATIONALS,
-)
-def test_hyperplane_matches_interval_evaluator(data, w, b):
+@given(case=hyperplane_cases())
+# The zero weight is dropped from the compiled row.
+@example(case=([Q(1, 2), Q(0), Q(-2)], Q(1, 3), Box.from_bounds([(-1, 1)] * 3), (Q(1),) * 3))
+def test_hyperplane_matches_interval_evaluator(case):
+    w, b, box, point = case
     f = hyperplane_classifier(w, b)
-    box = data.draw(boxes(len(w)))
     assert f.eval_box(box) == ref_hyperplane_eval_box(w, b, box)
-    for p in sample_corners(box) + [data.draw(points(len(w)))]:
+    for p in sample_corners(box) + [point]:
         assert f.eval_point(p) == ref_hyperplane_eval_point(w, b, p)
 
 
+@st.composite
+def distance_cases(draw):
+    """A box, two points of its width and a metric."""
+    dims = draw(st.integers(1, 3))
+    return draw(boxes(dims)), draw(points(dims)), draw(points(dims)), draw(METRICS)
+
+
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), dims=st.integers(1, 3), metric=METRICS)
-def test_distances_match_interval_evaluator(data, dims, metric):
-    box = data.draw(boxes(dims))
-    x = data.draw(points(dims))
+@given(case=distance_cases())
+# x has denominator 6.  The first box's denominator 12 is a multiple of it,
+# so the kernel reads the box's own scale; the second box's 8 is not, so it
+# rescales both to their lcm 24.
+@example(
+    case=(
+        Box.from_bounds([(Q(1, 12), Q(5, 12)), (Q(-7, 12), Q(1, 4))]),
+        (Q(1, 3), Q(-1, 2)),
+        (Q(0), Q(1)),
+        MetricKind.EUCLID_SQ,
+    )
+)
+@example(
+    case=(
+        Box.from_bounds([(Q(1, 8), Q(3, 8)), (Q(-1), Q(1, 8))]),
+        (Q(1, 3), Q(-1, 2)),
+        (Q(0), Q(1)),
+        MetricKind.MAX,
+    )
+)
+def test_distances_match_interval_evaluator(case):
+    box, x, y, metric = case
     assert dist_range(box, x, metric) == ref_dist_range(box, x, metric)
-    y = data.draw(points(dims))
     got = dist_point(x, y, metric)
     assert isinstance(got, Q)
     assert got == ref_dist_point(x, y, metric)

@@ -36,6 +36,10 @@ from oracles import (
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=64)
 
 
+class Text(str):
+    """A ``str`` subclass, which ``as_rational`` parses like its text."""
+
+
 class TestRationalIO:
     def test_parse_forms(self):
         assert parse_rational("3/4") == Q(3, 4)
@@ -91,11 +95,29 @@ class TestRationalIO:
                 parse_rational(text)
             assert str(info.value).startswith(expected)
 
-    def test_floats_rejected_at_the_boundary(self):
-        with pytest.raises(TypeError):
-            as_rational(0.5)
-        with pytest.raises(TypeError):
-            as_rational(True)
+    @pytest.mark.parametrize(
+        "value, expected",
+        [
+            (0.5, "floats are not exact; pass a Fraction, int, or 'p/q' string"),
+            (True, "booleans are not numbers here"),
+            (False, "booleans are not numbers here"),
+            (None, "cannot interpret None as a rational"),
+            (" -3/4", Q(-3, 4)),
+            (Text("6/8"), Q(3, 4)),
+            (7, Q(7)),
+            (Q(2, 3), Q(2, 3)),
+        ],
+        ids=repr,
+    )
+    def test_as_rational_value_or_type_error(self, value, expected):
+        """Floats and booleans are refused at the boundary; a ``str``
+        subclass parses as its text does."""
+        if isinstance(expected, Q):
+            assert as_rational(value) == expected
+        else:
+            with pytest.raises(TypeError) as info:
+                as_rational(value)
+            assert str(info.value) == expected
 
     @given(rationals)
     def test_round_trip(self, q):
