@@ -49,7 +49,7 @@ __all__ = [
 
 def as_rational(value: int | str | Fraction) -> Fraction:
     """Coerce to an exact rational, refusing floats outright."""
-    if type(value) is str:
+    if isinstance(value, str):
         return parse_rational(value)
     if isinstance(value, bool):
         raise TypeError("booleans are not numbers here")
@@ -59,8 +59,6 @@ def as_rational(value: int | str | Fraction) -> Fraction:
         return value
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
-        return parse_rational(value)
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
@@ -259,17 +257,16 @@ def distance_kernel(x: Point, metric: MetricKind) -> Callable[[Box], tuple[int, 
 
     Coordinates are independent, so per-axis distance ranges combine by a
     max (max metric) or a sum (squared Euclidean) without any slack.  The
-    box's corners and x are compared as integers over one denominator: the
-    box's own when it is a multiple of x's, as it is for every box bisected
-    from a ball's bounding box, and their lcm otherwise.  Each axis picks
-    its nearest and farthest offsets by branches on the corners' signs.
+    box's corners and x are compared as integers over one denominator.
+    Each axis picks its nearest and farthest offsets by branches on the
+    corners' signs.
     """
     x_den, x_nums = common_denominator(x)
     euclid = metric is MetricKind.EUCLID_SQ
 
     def kernel(box: Box) -> tuple[int, int, int]:
         _check_dims(box.dims, len(x))
-        den = box.den if box.den % x_den == 0 else math.lcm(box.den, x_den)
+        den = math.lcm(box.den, x_den)
         up, x_up = den // box.den, den // x_den
         near = far = 0
         for lo, hi, c in zip(box.lo, box.hi, x_nums):

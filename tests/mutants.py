@@ -79,6 +79,15 @@ MUTANTS = [
         "tests/test_integer_kernels.py::test_net_matches_interval_evaluator",
     ),
     Mutant(
+        "net-certain-non-strict",
+        "classifiers.py",
+        "if q * min(lo[mine]) > bar:",
+        "if q * min(lo[mine]) >= bar:",
+        "a box whose least margin only ties the threshold holds a point the net "
+        "leaves bottom, so it must not commit",
+        "tests/test_integer_kernels.py::test_net_matches_interval_evaluator",
+    ),
+    Mutant(
         "net-beats-non-strict",
         "classifiers.py",
         "if q * (s[j] - max(s[i] for i in range(k) if i != j)) > bar:",
@@ -141,14 +150,6 @@ MUTANTS = [
         "return near, far, den * den if euclid else den",
         "return near, far, den",
         "squared distances carry the square of the coordinate scale",
-        "tests/test_integer_kernels.py::test_distances_match_interval_evaluator",
-    ),
-    Mutant(
-        "distance-skips-lcm-off-multiple",
-        "numerics.py",
-        "box.den if box.den % x_den == 0 else",
-        "box.den if True else",
-        "the box's own denominator serves only when it is a multiple of the center's",
         "tests/test_integer_kernels.py::test_distances_match_interval_evaluator",
     ),
     Mutant(

@@ -121,6 +121,12 @@ ZERO_TERMS = [
 ]
 
 
+# s0 = x + 1 over s1 = 0: on x in [0, 1] the margin row runs from 1 to 2,
+# so at margin 1 color 0 is possible, but its least value only ties the
+# margin (x = 0 is bottom), so the box does not commit.
+TIED_LOW_END = [make_layer([[1], [0]], [1, 0], "none")]
+
+
 def sample_corners(box: Box):
     """The low corner, the high corner and the midpoint of a box."""
     sides = box.sides
@@ -138,6 +144,7 @@ def test_common_denominator():
 @example(case=(SHARED_UNIT, Q(1, 2), Box.from_bounds([(-1, 1)]), (Q(1, 3),)))
 @example(case=(SHARED_UNIT, Q(1), Box.from_bounds([(-1, 1)]), (Q(1, 3),)))
 @example(case=(ZERO_TERMS, Q(1, 2), Box.from_bounds([(-1, 1), (0, 2)]), (Q(1, 3), Q(-1, 2))))
+@example(case=(TIED_LOW_END, Q(1), Box.from_bounds([(0, 1)]), (Q(1, 2),)))
 def test_net_matches_interval_evaluator(case):
     layers, margin, box, point = case
     f = threshold_net_classifier(layers, margin)
@@ -175,7 +182,7 @@ def distance_cases(draw):
 @settings(max_examples=200, deadline=None)
 @given(case=distance_cases())
 # x has denominator 6.  The first box's denominator 12 is a multiple of it,
-# so the kernel reads the box's own scale; the second box's 8 is not, so it
+# so their lcm is the box's own; the second box's 8 is not, so the kernel
 # rescales both to their lcm 24.
 @example(
     case=(
