@@ -22,8 +22,9 @@ grids up to 17**4 points large, and ``sparse_or_dense`` with two added
 points at fuel 4, on a sample that the dense side certifies only after
 trying every augmentation.  The ``does_deviate`` fuel loop 0..9 on the
 unit interval runs in one query context, the shape of the learner
-workload's ``deviate-nn-unit-fuel9``: each fuel runs only its new stage
-and retrains only candidates that no earlier stage tried.  nn states that
+workload's ``deviate-nn-unit-fuel9``: each fuel walks stages 0..fuel,
+skips the tuples whose labelings all failed at an earlier fuel and
+retrains only the others.  nn states that
 it never deviates, so its own deviation search is empty; the three
 ``does_deviate`` entries run nn with that bound reset to the full search,
 so they keep timing the search machinery.  Two ``sparse_or_dense`` probes

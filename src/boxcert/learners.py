@@ -108,8 +108,8 @@ class Learner:
     parent's.  The augmentation race's dense side needs this, because it
     splits only the boxes that fail to commit.  The searches also rely on ``train`` and the
     trained ``eval_point`` being fixed functions: the same sample trains
-    to the same answers every time, which lets ``does_deviate`` try each
-    candidate once per query.
+    to the same answers every time, which lets ``does_deviate`` skip the
+    tuples it has tried within a query.
 
     The three bounds are facts a learner states about its own searches;
     ``None`` means the full enumeration.  ``sparse_bound`` and
@@ -319,26 +319,23 @@ def does_deviate(L: Learner, domain: VKSet, fuel: Fuel) -> Outcome:
     candidate is reached at some finite fuel and the schedule stays
     affordable at every fuel.
 
-    Inside a query context the search resumes.  It saves the last stage it
-    finished and every ``(tuple, labels)`` candidate found not to deviate:
-    labelings go in one fixed order, so those tried on a tuple are a prefix
-    of it, kept as their count, and the saved state grows with the tuples
-    reached, not with their ``k**t`` labelings.  A call at more fuel runs
-    only the new stages, and every call skips the candidates already tried,
-    which nesting depth grids and windows that grow from stage to stage
-    bring back.  Both are exact.  No stage depends on fuel, since each reads
-    a prefix of a depth's grid that is the same at every fuel, so a call at
-    no more fuel than the saved stage answers UNKNOWN.  ``train`` and
-    ``eval_point`` are fixed functions, so a candidate that did not deviate
-    never does.  Every verdict and first witness is the one a fresh search
-    gives.  A call outside a context searches afresh.
+    Inside a query context the search saves one set: the tuples all of
+    whose labelings it has tried and found not to deviate.  Depth grids
+    nest and windows grow from stage to stage, so later stages bring back
+    earlier tuples.  Every call walks stages 0..fuel in order, skips the
+    tuples in the set and retrains the others' labelings in order.  A
+    tuple joins the set only once all its labelings have failed, so a
+    witness's tuple never does.  This is exact: no stage depends on fuel,
+    since each reads a prefix of a depth's grid that is the same at every
+    fuel, and ``train`` and ``eval_point`` are fixed functions, so a tuple
+    that did not deviate never does.  Every verdict and first witness is
+    the one a fresh search gives.  A call outside a context searches
+    afresh.
     """
     check_fuel(fuel)
-    query = _query()
-    key = ("deviate", L, domain)
-    done, tried = query.frontiers.get(key, (-1, {}))
+    tried = _query().frontiers.setdefault(("deviate", L, domain), set())
     grids: dict[int, list[Point]] = {}
-    for stage in range(done + 1, fuel + 1):
+    for stage in range(fuel + 1):
         for t in range(1, _bounded(stage, L.deviation_bound) + 1):
             for depth in range(stage - t + 1):
                 window = min(2 ** (stage - t - depth), 2 ** _ceil_div(stage - t, t)) + 1
@@ -348,19 +345,16 @@ def does_deviate(L: Learner, domain: VKSet, fuel: Fuel) -> Outcome:
                     # No stage up to this fuel reads further into the grid.
                     grids[depth] = domain.overt.points_at(depth, 2 ** (fuel - 1 - depth) + 1)
                 for tup in itertools.combinations(grids[depth][:window], t):
-                    start = tried.get(tup, 0)
-                    labelings = itertools.product(range(L.k), repeat=t)
-                    for n, labels in enumerate(itertools.islice(labelings, start, None), start):
+                    if tup in tried:
+                        continue
+                    for labels in itertools.product(range(L.k), repeat=t):
                         trained = L.train(Sample._exact(tuple(zip(tup, labels))))
                         for m in range(t):
                             got = trained.eval_point(tup[m])
                             if got.committed and got.color != labels[m]:
-                                tried[tup] = n
-                                query.frontiers[key] = (stage - 1, tried)
                                 witness = DeviationWitness(tuple(zip(tup, labels)), m, got.color)
                                 return Outcome(Verdict.CONFIRMED, witnesses=(witness,))
-                    tried[tup] = L.k**t
-    query.frontiers[key] = (max(done, fuel), tried)
+                    tried.add(tup)
     return Outcome(Verdict.UNKNOWN)
 
 

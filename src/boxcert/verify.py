@@ -31,9 +31,9 @@ the distances it found.  Asked again at the same fuel or more, a walk goes
 on from there, since fuel d + 1 only refines the subdivision of fuel d,
 and the radius walk answers a repeat at its saved fuel from what it saved.
 A fuel loop over one region query, or one radius bracket, therefore walks
-each tree once.  ``frontiers`` also holds ``learners.does_deviate``'s last
-finished stage and tried candidates and the learner race's retrained
-answers, so each candidate is retrained once per query.  ``_per_query``
+each tree once.  ``frontiers`` also holds ``learners.does_deviate``'s set
+of tuples whose labelings all failed and the learner race's retrained
+answers, so a fuel loop retrains each candidate once.  ``_per_query``
 builds each ball and power cover once, so the walks over them resume.  A
 call outside a context walks afresh, and nothing outlives the query.
 """

@@ -308,13 +308,22 @@ MUTANTS = [
         "tests/test_learner_searches.py::test_does_deviate_matches_ordered_search",
     ),
     Mutant(
-        "deviate-saves-confirming-stage",
+        "deviate-marks-witness-tried",
         "learners.py",
-        "query.frontiers[key] = (stage - 1, tried)",
-        "query.frontiers[key] = (stage, tried)",
-        "a stage that confirmed is not finished: a re-ask must search its "
-        "untried candidates",
+        "witness = DeviationWitness(",
+        "tried.add(tup)\n                                witness = DeviationWitness(",
+        "the witness's tuple did deviate: a re-ask at the fuel that confirmed "
+        "must find the same witness, not skip past it",
         "tests/test_learner_searches.py::test_reasks_after_a_confirmation_match_ordered_search",
+    ),
+    Mutant(
+        "deviate-retries-tried-tuples",
+        "learners.py",
+        "                    if tup in tried:\n                        continue\n",
+        "",
+        "exact but slower: a tuple whose labelings all failed never deviates, "
+        "so retraining it when a later stage brings it back is wasted",
+        "tests/test_learner_searches.py::test_fuel_loop_retrains_each_candidate_once",
     ),
     Mutant(
         "augmentation-base-unseeded",

@@ -8,10 +8,10 @@ committed witness must replay through a real retrain.  ``robust_point``
 runs ``sparse_or_dense``'s race body; its reference keeps the two
 single-point race sides it had before, and the outcomes must be equal.
 
-Inside one query context ``does_deviate`` resumes from its last finished
-stage and skips the candidates it has tried.  Fuel loops and re-asks in
-one context must give the reference's outcome at every fuel, and a loop
-must retrain each distinct candidate exactly once.
+Inside one query context ``does_deviate`` skips the tuples whose
+labelings it has all tried.  Fuel loops and re-asks in one context must
+give the reference's outcome at every fuel, and a loop must retrain each
+distinct candidate exactly once.
 
 The augmentation race resumes too: its dense side walks the power covers
 of the region from the frontier the last fuel left, and its sparse side
@@ -142,8 +142,9 @@ def counting(L):
     return dataclasses.replace(L, train=train), calls
 
 
-def test_unknown_at_fuel_9_answers_unknown_at_fuel_3_without_searching():
-    """Stages 0..9 found nothing, so fuel 3 reads no grid and retrains nothing.
+def test_unknown_at_fuel_9_answers_unknown_at_fuel_3_reading_only_its_grid():
+    """Stages 0..9 found nothing, so fuel 3 retrains nothing, and it reads
+    exactly the grid points a fresh fuel-3 call reads.
 
     nn states that it never deviates, so its own search is empty; without
     that bound it searches every stage and finds nothing, which is what
@@ -157,10 +158,14 @@ def test_unknown_at_fuel_9_answers_unknown_at_fuel_3_without_searching():
 
     domain = dataclasses.replace(unit, overt=dataclasses.replace(unit.overt, member=member))
     with _query_scope():
-        assert does_deviate(L, domain, 9).verdict is Verdict.UNKNOWN
-        searched = len(calls), len(reads)
         assert does_deviate(L, domain, 3).verdict is Verdict.UNKNOWN
-    assert (len(calls), len(reads)) == searched
+    fresh = list(reads)
+    with _query_scope():
+        assert does_deviate(L, domain, 9).verdict is Verdict.UNKNOWN
+        retrained, read = len(calls), len(reads)
+        assert does_deviate(L, domain, 3).verdict is Verdict.UNKNOWN
+    assert len(calls) == retrained
+    assert reads[read:] == fresh
 
 
 def candidates(L, domain, fuel):
@@ -182,8 +187,9 @@ def candidates(L, domain, fuel):
 def test_fuel_loop_retrains_each_candidate_once(spec, domain):
     """A CLI-shaped loop, stopping at its first commitment, retrains each
     distinct candidate it reaches once, and no more than a fresh call at
-    its last fuel does.  Asked again at that fuel, it retrains only the
-    witness, which it never marks as tried."""
+    its last fuel does.  Asked again at that fuel, it retrains the
+    witness's tuple, which it never marks as tried, under each labeling
+    up to and including the witness's."""
     L, calls = counting(spec[0])
     with _query_scope():
         for fuel in DEVIATE_FUELS:
@@ -192,7 +198,11 @@ def test_fuel_loop_retrains_each_candidate_once(spec, domain):
                 break
         looped = len(calls)
         assert does_deviate(L, domain, fuel) == got
-        assert len(calls) - looped == len(got.witnesses)
+        retried = 0
+        if got.verdict is Verdict.CONFIRMED:
+            labels = tuple(label for _, label in got.witnesses[0].sample)
+            retried = list(product(range(L.k), repeat=len(labels))).index(labels) + 1
+        assert len(calls) - looped == retried
     reached = list(candidates(L, domain, fuel))
     if got.verdict is Verdict.CONFIRMED:
         points, labels = zip(*got.witnesses[0].sample)
