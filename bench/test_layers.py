@@ -41,18 +41,22 @@ and the sparse side retrains each added point once.
 The region layer is timed at fuel 6 on two of the sweep's
 ``locallyConstant`` queries: a 2-D relu net with k = 3 on small
 ``euclid-sq`` balls.  On ``zero`` the open ball holds colors 0 and 1, and
-the no side finds both early; on ``one`` color 2 certifies, so both sides
-walk their whole trees.  Each race side walker is timed on its own, for
-all three colors, and so is the whole ``constant_value`` race.  Outside a
-query context each of these calls walks from the root, with envelopes
-evaluated afresh; every round also gets a freshly built ball, the closed
-ball's cover with the open ball's enumeration from ``regions.ball``.  The
-whole ``locally_constant`` fuel loop 0..12 is timed on ``bot``, a ball that
-meets color 2 and the band where the net abstains, so neither side ever
-commits: the shape of the sweep's slowest queries.  It runs in one query
-context, as ``boxcert verify`` runs it, so each fuel resumes the walks of
-the last and each box's envelope is evaluated once.  ``Box.bisect`` is
-timed on the 1/256 box.
+the no side finds both early; on ``one`` color 2 certifies, so the cover
+walk settles the whole ball, and the witness walk carries color 2 down
+from each box that commits to it, reading no envelope below that box, and
+drops the box once color 2 is found.  Each race side walker is timed on
+its own, for all three colors, and so is the whole ``constant_value``
+race.  Outside a query context each of these calls walks from the root,
+with envelopes evaluated afresh; every round also gets a freshly built
+ball, the closed ball's cover with the open ball's enumeration from
+``regions.ball``.  The whole ``locally_constant`` fuel loop 0..12 is timed
+on ``bot``, a ball that meets color 2 and the band where the net abstains,
+so neither side ever commits: the shape of the sweep's slowest queries.
+Its center is bottom, so the cover side certifies no color and walks
+nothing, and the loop times the witness walk and one evaluation of the
+center.  It runs in one query context, as ``boxcert verify`` runs it, so
+each fuel resumes the walks of the last and each box's envelope is
+evaluated once.  ``Box.bisect`` is timed on the 1/256 box.
 
 The ``_leaf`` entries time ``Box.bisect``, ``dist_range``, the closed
 ball's keep test and the net's ``eval_box`` on a box as deep as the

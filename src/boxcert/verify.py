@@ -11,7 +11,10 @@ is accepted without splitting, a box whose envelope excludes the color is
 skipped without enumerating, and only the undecided rim is refined.  The
 accepted and rejected outcomes are provably the same as for the flat cover
 and the flat grid (envelopes only shrink on sub-boxes), the work is just
-concentrated where the classifier is actually undecided.
+concentrated where the classifier is actually undecided.  For the same
+reason a box whose envelope commits settles its whole subtree: the
+witness walk carries a committed wanted color down, and reads no envelope
+below it, and ``locally_constant`` certifies only its center's color.
 
 Each race side is one walk for all the colors it asks about: the universal
 walk carries the colors still open in each subtree, the existential walk
@@ -167,7 +170,13 @@ def _find_witnesses(
     order, so its first point is the one the flat grid scan finds first.
     After each hit, only colors below the ``need``-th lowest hit stay wanted.
 
-    The walk leaves the leaves it enumerated, in search order, and the
+    A box whose envelope commits to a wanted color c passes c to every
+    entry below it.  Inclusion isotonicity makes each sub-box commit to c
+    too, so a carried entry reads no envelope: it is dropped once c is no
+    longer wanted, as its envelope would be, or when the set misses it.
+
+    The walk leaves the leaves it enumerated, in search order, each with
+    the color it carried, so no envelope is read below them either.  The
     next fuel walks on from them with its hits starting afresh.  Grids
     nest, so at more fuel every color is settled no later in search order
     than before: a box dropped against the colors still wanted, or left
@@ -177,18 +186,22 @@ def _find_witnesses(
     query = _query()
     envelope = query.envelope(f)
     key = ("grid", A, f, frozenset(colors), need)
-    leaves = query.resume(key, fuel, (A.bounding,))
+    leaves = query.resume(key, fuel, ((A.bounding, None),))
     hits: dict[int, Point] = {}
     wanted = set(colors)
     step = dyadic_step(fuel)
     enumerated = []
     stack = list(reversed(leaves))
     while stack and wanted:
-        box = stack.pop()
-        if A.box_disjoint(box) or wanted.isdisjoint(envelope(box).colors):
+        box, carried = stack.pop()
+        if carried is None:
+            if A.box_disjoint(box) or wanted.isdisjoint((env := envelope(box)).colors):
+                continue
+            carried = env.committed_color
+        elif carried not in wanted or A.box_disjoint(box):
             continue
         if box.within(step):
-            enumerated.append(box)
+            enumerated.append((box, carried))
             for p in grid_points(box, fuel):
                 if not A.member(p):
                     continue
@@ -203,8 +216,8 @@ def _find_witnesses(
                         break
             continue
         lo, hi = box.bisect()
-        stack.append(hi)
-        stack.append(lo)
+        stack.append((hi, carried))
+        stack.append((lo, carried))
     query.frontiers[key] = (fuel, enumerated)
     return [ColorWitness(hits[c], c) for c in sorted(hits)[:need]]
 
@@ -304,6 +317,11 @@ def locally_constant(
     pair exists arbitrarily and the interior already exhibits it.  BOT
     while neither side has enough fuel; a boundary through the ball's
     closure can keep it BOT forever.
+
+    Only x's color can certify: the closed ball holds x, and a committed
+    cover box fixes every point inside it.  So the cover side asks for
+    that color alone, and for none when x is bottom; x is evaluated once
+    per query context.
     """
     check_fuel(fuel)
     point = tuple(as_rational(c) for c in x)
@@ -311,11 +329,15 @@ def locally_constant(
     if radius <= 0:
         raise ValidationError(f"ball radius must be positive, got {radius}")
     _check_region_dims(len(point), f)
-    return constant_value(_ball(point, radius, metric), f, fuel)
+    center = _point_value(f, point)
+    certify = () if center.is_bot else (center.color,)
+    return _race_colors(_ball(point, radius, metric), f, certify, range(f.k), 2, fuel)
 
 
 # One region per center, radius and metric, so consecutive fuels resume its walks.
 _ball = _per_query(ball)
+# One point evaluation per classifier and point, so a fuel loop evaluates its center once.
+_point_value = _per_query(lambda f, x: f.eval_point(x))
 
 
 def _radius_keys(

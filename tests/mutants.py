@@ -219,6 +219,42 @@ MUTANTS = [
         "tests/test_walkers.py::test_resume_walks_what_the_last_walk_left",
     ),
     Mutant(
+        "witness-carries-possible-color",
+        "verify.py",
+        "carried = env.committed_color",
+        "carried = min(wanted & env.colors)",
+        "a color the envelope only allows does not hold on every sub-box, so "
+        "carrying it skips envelopes that would keep the subtree for other colors",
+        "tests/test_walkers.py::test_witness_walk_evaluates_nothing_below_a_committed_box",
+    ),
+    Mutant(
+        "witness-leaves-drop-carried-color",
+        "verify.py",
+        "enumerated.append((box, carried))",
+        "enumerated.append((box, None))",
+        "exact but slower: a saved leaf below a committed box commits too, so "
+        "the resumed walk evaluates envelopes it could skip",
+        "tests/test_walkers.py::test_witness_walk_evaluates_nothing_below_a_committed_box",
+    ),
+    Mutant(
+        "locally-constant-certifies-every-color",
+        "verify.py",
+        "certify = () if center.is_bot else (center.color,)",
+        "certify = range(f.k)",
+        "exact but slower: the closed ball holds its center, so no color but "
+        "the center's can certify it, and none when the center is bottom",
+        "tests/test_walkers.py::test_locally_constant_certifies_only_its_centers_color",
+    ),
+    Mutant(
+        "locally-constant-center-per-fuel",
+        "verify.py",
+        "center = _point_value(f, point)",
+        "center = f.eval_point(point)",
+        "exact but slower: the center's value takes no fuel, so a fuel loop "
+        "needs it once",
+        "tests/test_walkers.py::test_locally_constant_certifies_only_its_centers_color",
+    ),
+    Mutant(
         "nn-tie-non-strict",
         "learners.py",
         "> margin.numerator * scale",

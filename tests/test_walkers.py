@@ -13,6 +13,11 @@ repeated, falling and interleaved fuels, it must return what a fresh walk
 from the root returns at every call.  A context ends with its query and
 leaves nothing behind, and inside one each box's envelope is evaluated
 once.
+
+Below a box whose envelope commits, the witness walk evaluates no
+envelope, at that fuel or at any later one; and ``locally_constant``
+evaluates its center once per context and certifies only the center's
+color, so a bottom center's cover side evaluates no box at all.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ from boxcert import (
     optimal_radius,
     threshold_net_classifier,
 )
-from boxcert import cli
+from boxcert import cli, verify
 from boxcert.verify import _certified_colors, _find_witnesses, _query_scope
 
 from oracles import (
@@ -175,6 +180,11 @@ FUEL_SEQUENCES = [list(range(9)), [0, 3, 4, 8], [2, 2, 5, 1, 6]]
 # only on [3/8, 7/16], inside the boxes fuel 3 parked.
 HALF = CompactSet(Box.from_bounds([(0, 1)]), lambda b: b.sides[0].hi >= Q(1, 2) - b.width)
 
+# The max ball [1/4, 1] x [0, 3/4]: for colors 0 and 1, the witness walk
+# meets boxes that commit to color 0 above the grid step from fuel 3 on,
+# and saves leaves strictly inside them.
+CORNER_BALL = ball((Q(5, 8), Q(3, 8)), Q(3, 8), MetricKind.MAX)
+
 
 def walk_both(region, f, colors, need, fuel):
     """Each walker once at this fuel, checked against its fresh walk."""
@@ -193,6 +203,7 @@ def walk_both(region, f, colors, need, fuel):
     need=st.integers(1, 2),
 )
 @example(f=LATE_ZERO, region=UNIT_SQUARE, other=UNIT_SQUARE, colors=frozenset({0, 1, 2}), need=2)
+@example(f=LATE_ZERO, region=CORNER_BALL, other=UNIT_SQUARE, colors=frozenset({0, 1}), need=2)
 def test_resumed_walks_match_fresh_walks(f, region, other, colors, need):
     colors = {c for c in colors if c < f.k}
     for fuels in FUEL_SEQUENCES:
@@ -273,15 +284,21 @@ def test_query_context_leaves_no_state_behind(case):
     assert [ref() for ref in held] == [None] * len(held)
 
 
-def counting(f):
-    """f with an ``eval_box`` that tallies each box it is asked about."""
-    boxes = Counter()
+def recording(f):
+    """f with an ``eval_box`` that lists each box it is asked about, with
+    the envelope it returned, and an ``eval_point`` that tallies points."""
+    seen, points = [], Counter()
 
     def eval_box(box):
-        boxes[box.lo, box.hi, box.den] += 1
-        return f.eval_box(box)
+        env = f.eval_box(box)
+        seen.append((box, env))
+        return env
 
-    return dataclasses.replace(f, eval_box=eval_box), boxes
+    def eval_point(p):
+        points[p] += 1
+        return f.eval_point(p)
+
+    return dataclasses.replace(f, eval_box=eval_box, eval_point=eval_point), seen, points
 
 
 @pytest.mark.parametrize("metric", [MetricKind.MAX, MetricKind.EUCLID_SQ], ids=lambda m: m.value)
@@ -289,7 +306,7 @@ def test_query_evaluates_each_box_once(metric):
     """A fuel loop in one context evaluates each distinct box once, across
     fuels, across both race sides and in the radius walk, and answers as
     the fresh ops do."""
-    f, boxes = counting(LATE_ZERO)
+    f, seen, _ = recording(LATE_ZERO)
     center, radius = (Q(3, 8), Q(5, 8)), Q(1, 4)
     region = ball(center, radius, metric)
     radius_args = (Q(1, 2), Q(1, 64), metric)
@@ -301,4 +318,82 @@ def test_query_evaluates_each_box_once(metric):
             assert constant_value(UNIT_SQUARE, f, fuel) == ref_constant_value(
                 UNIT_SQUARE, LATE_ZERO, fuel)
         assert optimal_radius(center, f, *radius_args, max_fuel=8) == expected_radius
+    boxes = Counter((box.lo, box.hi, box.den) for box, _ in seen)
     assert boxes and max(boxes.values()) == 1
+
+
+def strictly_inside(small: Box, big: Box) -> bool:
+    return small != big and all(
+        b.lo <= s.lo and s.hi <= b.hi for s, b in zip(small.sides, big.sides))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    f=nets(),
+    region=regions(),
+    colors=st.frozensets(st.integers(0, 2), min_size=1),
+    need=st.integers(1, 2),
+)
+@example(f=LATE_ZERO, region=CORNER_BALL, colors=frozenset({0, 1}), need=2)
+@example(f=LATE_ZERO, region=UNIT_SQUARE, colors=frozenset({1, 2}), need=2)
+def test_witness_walk_evaluates_nothing_below_a_committed_box(f, region, colors, need):
+    """Across a resumed fuel loop in one context, no envelope is evaluated
+    strictly inside a box whose envelope committed: a wanted color rides
+    down the subtree and on its saved leaves, and an unwanted one drops
+    the subtree.  On ``CORNER_BALL`` a later fuel resumes from leaves
+    strictly inside a committed box."""
+    colors = {c for c in colors if c < f.k}
+    counted, seen, _ = recording(f)
+    with _query_scope():
+        for fuel in range(7):
+            got = _find_witnesses(region.overt, counted, colors, need, fuel)
+            assert got == ref_find_witnesses(region.overt, f, colors, need, fuel)
+    committed = [box for box, env in seen if env.committed_color is not None]
+    assert [(small, big) for small, _ in seen for big in committed
+            if strictly_inside(small, big)] == []
+
+
+# Scores 2x, 1/2 and 2y with margin 1/8: (1/3, 1/3) ties colors 0 and 2
+# and is bottom, and (2/3, 1/3) is color 0.  At fuel 6 the small bottom
+# ball is still undecided, the small colored one certifies, and both
+# larger balls hold two colors.  No center is a grid point.
+BOT_CENTER, ZERO_CENTER = (Q(1, 3), Q(1, 3)), (Q(2, 3), Q(1, 3))
+CENTERS = [
+    (BOT_CENTER, Q(1, 64), None, TwoBot.BOT),
+    (BOT_CENTER, Q(1, 4), None, TwoBot.ZERO),
+    (ZERO_CENTER, Q(1, 16), 0, TwoBot.ONE),
+    (ZERO_CENTER, Q(1, 4), 0, TwoBot.ZERO),
+]
+
+
+@pytest.mark.parametrize("center, radius, color, verdict", CENTERS,
+                         ids=["bot-center-bot", "bot-center-zero", "one", "zero"])
+def test_locally_constant_certifies_only_its_centers_color(
+        monkeypatch, center, radius, color, verdict):
+    """The cover side asks only for the center's color, or for none at all
+    when the center is bottom, and then evaluates no box; the center is
+    evaluated once per query context; every answer matches the race over
+    all colors."""
+    counted, seen, points = recording(LATE_ZERO)
+    region = ball(center, radius, MetricKind.MAX)
+    asked, cover_boxes = [], []
+    walk = verify._certified_colors
+
+    def certified_colors(A, f, colors, fuel):
+        before = len(seen)
+        colors = tuple(colors)
+        asked.append(colors)
+        found = walk(A, f, colors, fuel)
+        cover_boxes.extend(seen[before:])
+        return found
+
+    monkeypatch.setattr(verify, "_certified_colors", certified_colors)
+    with _query_scope():
+        for fuel in range(7):
+            got = locally_constant(center, radius, counted, fuel)
+            assert got == ref_constant_value(region, LATE_ZERO, fuel)
+    assert got.verdict is verdict
+    assert points[center] == 1
+    assert set(asked) == {() if color is None else (color,)}
+    if color is None:
+        assert cover_boxes == []
