@@ -181,8 +181,8 @@ FUEL_SEQUENCES = [list(range(9)), [0, 3, 4, 8], [2, 2, 5, 1, 6]]
 HALF = CompactSet(Box.from_bounds([(0, 1)]), lambda b: b.sides[0].hi >= Q(1, 2) - b.width)
 
 # The max ball [1/4, 1] x [0, 3/4]: for colors 0 and 1, the witness walk
-# meets boxes that commit to color 0 above the grid step from fuel 3 on,
-# and saves leaves strictly inside them.
+# meets boxes that commit to a wanted color above the grid step, saves
+# leaves strictly inside them, and resumes from those at the next fuel.
 CORNER_BALL = ball((Q(5, 8), Q(3, 8)), Q(3, 8), MetricKind.MAX)
 
 
